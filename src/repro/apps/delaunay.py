@@ -15,8 +15,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..configspace.spaces.delaunay2d import lift_to_paraboloid
-from ..hull.parallel import ParallelHullRun, parallel_hull
+from ..geometry.predicates import orient_exact
+from ..hull.common import HullSetupError, prepare_points
 from ..hull.sequential import sequential_hull
+from ..hull.soa import SoAHullRun, soa_hull
 
 __all__ = ["DelaunayResult", "delaunay"]
 
@@ -27,7 +29,9 @@ class DelaunayResult:
 
     points: np.ndarray               # the caller's 2D points
     triangles: set[frozenset]        # triples of original point indices
-    hull_run: object                 # ParallelHullRun or SequentialHullResult
+    # SoAHullRun (parallel backend) or SequentialHullResult; None for
+    # a lone triangle, which needs no hull run.
+    hull_run: object
 
     @property
     def n_triangles(self) -> int:
@@ -35,9 +39,12 @@ class DelaunayResult:
 
     def dependence_depth(self) -> int:
         """Dependence depth of the lifted hull construction (only for
-        the parallel backend)."""
-        if isinstance(self.hull_run, ParallelHullRun):
+        the parallel backend; 0 for a lone triangle, which depends on
+        nothing)."""
+        if isinstance(self.hull_run, SoAHullRun):
             return self.hull_run.dependence_depth()
+        if self.hull_run is None:
+            return 0
         raise TypeError("depth is only recorded by the parallel backend")
 
     def edge_set(self) -> set[frozenset]:
@@ -61,23 +68,43 @@ def delaunay(
     """Delaunay triangulation of 2D ``points`` by lifted incremental
     hull (general position: no 3 collinear / 4 cocircular).
 
-    ``backend`` is ``"parallel"`` (Algorithm 3 on the lifted points,
-    recording dependence structure) or ``"sequential"`` (Algorithm 2).
+    ``backend`` is ``"parallel"`` (Algorithm 3 on the lifted points, run
+    by the conflict-list SoA engine, recording dependence structure) or
+    ``"sequential"`` (Algorithm 2, the per-facet oracle).  Fewer than 3
+    points, or 3 collinear ones, raise :class:`HullSetupError`.
     """
     points = np.asarray(points, dtype=np.float64)
     if points.ndim != 2 or points.shape[1] != 2:
         raise ValueError("delaunay expects an (n, 2) array")
-    lifted = lift_to_paraboloid(points)
-    if backend == "parallel":
-        run = parallel_hull(lifted, order=order, seed=seed)
-    elif backend == "sequential":
-        run = sequential_hull(lifted, order=order, seed=seed)
-    else:
+    if backend not in ("parallel", "sequential"):
         raise ValueError(f"unknown backend {backend!r}")
-    triangles: set[frozenset] = set()
-    for f in run.facets:
-        # Lower facets (outward normal pointing down) are the Delaunay
-        # triangles; the plane normal already points outward.
-        if f.plane.normal[2] < 0:
-            triangles.add(frozenset(int(run.order[i]) for i in f.indices))
+    if points.shape[0] <= 3:
+        # Three lifted points cannot seed a 3D hull, yet their
+        # triangulation is well defined: the triangle itself, unless the
+        # points are collinear (decided exactly).  Validating the 2D
+        # input keeps the lifted dimension out of every error.
+        prepare_points(points, order, seed)
+        if orient_exact(points[:2], points[2]) == 0:
+            raise HullSetupError("3 collinear points have no triangle")
+        return DelaunayResult(
+            points=points, triangles={frozenset(range(3))}, hull_run=None
+        )
+    lifted = lift_to_paraboloid(points)
+    # Lower facets (outward normal pointing down) are the Delaunay
+    # triangles; the plane normal already points outward.
+    if backend == "parallel":
+        run = soa_hull(lifted, order=order, seed=seed)
+        # The oracle's test, read off the facet columns: a stored normal
+        # is bit-identical to the Hyperplane.through normal (batch_planes
+        # is pinned bit-compatible, and rows that took the scalar ladder
+        # store the ladder plane's normal).
+        lower = run.created_alive & (run.created_normals[:, 2] < 0)
+        triangles = set(map(frozenset, run.order[run.created_indices[lower]].tolist()))
+    else:
+        run = sequential_hull(lifted, order=order, seed=seed)
+        triangles = {
+            frozenset(int(run.order[i]) for i in f.indices)
+            for f in run.facets
+            if f.plane.normal[2] < 0
+        }
     return DelaunayResult(points=points, triangles=triangles, hull_run=run)

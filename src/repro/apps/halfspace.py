@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ..configspace.depgraph import DependenceGraph
-from ..hull.parallel import parallel_hull
+from ..hull.soa import soa_hull
 
 __all__ = [
     "Halfspace3DResult",
@@ -79,7 +79,7 @@ def halfplane_intersection(
     """
     normals, offsets = _check_inputs(normals, offsets)
     dual = normals / offsets[:, None]
-    run = parallel_hull(dual, seed=seed, order=order)
+    run = soa_hull(dual, seed=seed, order=order)
     # Hull edges (facets in 2D) -> polygon vertices.  Order them CCW by
     # walking facet adjacency.
     edges = {tuple(sorted(f.indices)): f for f in run.facets}
@@ -284,7 +284,7 @@ def halfspace_intersection_3d(
     if not (offsets > 0).all():
         raise ValueError("every half-space must strictly contain the origin (b > 0)")
     dual = normals / offsets[:, None]
-    run = parallel_hull(dual, seed=seed, order=order)
+    run = soa_hull(dual, seed=seed, order=order)
     for f in run.facets:
         if f.plane.side(np.zeros(3)) >= 0:
             raise ValueError("unbounded intersection: origin not interior to dual hull")

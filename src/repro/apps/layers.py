@@ -12,8 +12,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..hull.parallel import parallel_hull
 from ..hull.sequential import sequential_hull
+from ..hull.soa import soa_hull
 
 __all__ = ["ConvexLayers", "convex_layers"]
 
@@ -52,7 +52,7 @@ def convex_layers(
     rest is not full-dimensional (those become the ``core``)."""
     points = np.asarray(points, dtype=np.float64)
     n, d = points.shape
-    run_hull = parallel_hull if backend == "parallel" else sequential_hull
+    run_hull = soa_hull if backend == "parallel" else sequential_hull
     if backend not in ("parallel", "sequential"):
         raise ValueError(f"unknown backend {backend!r}")
     remaining = list(range(n))
@@ -62,8 +62,12 @@ def convex_layers(
         sub = points[remaining]
         try:
             run = run_hull(sub, seed=int(rng.integers(0, 2**31)))
-        except Exception:
-            break  # not full-dimensional anymore: remainder is the core
+        except ValueError:
+            # HullSetupError (a ValueError) or a degenerate orientation
+            # reference -- the list robust_hull documents: the rest is
+            # not full-dimensional, so it is the core.  Anything else
+            # (e.g. an engine AssertionError) is a bug and propagates.
+            break
         verts = sorted(remaining[i] for i in run.vertex_indices())
         layers.append(verts)
         vert_set = set(verts)

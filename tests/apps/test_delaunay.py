@@ -1,11 +1,16 @@
 """Experiment E14: Delaunay triangulation via the lifted parallel hull."""
 
+import contextlib
+
 import numpy as np
 import pytest
 from scipy.spatial import Delaunay as ScipyDelaunay
+from scipy.spatial import QhullError
 
 from repro.apps import delaunay
 from repro.geometry import uniform_ball, uniform_cube
+from repro.geometry.hyperplane import exact_mode
+from repro.hull.common import HullSetupError
 
 
 class TestCorrectness:
@@ -16,10 +21,17 @@ class TestCorrectness:
         scipy_tris = {frozenset(s) for s in ScipyDelaunay(pts).simplices}
         assert res.triangles == scipy_tris
 
-    def test_sequential_backend_agrees(self):
-        pts = uniform_cube(80, 2, seed=4)
-        a = delaunay(pts, seed=1, backend="parallel")
-        b = delaunay(pts, seed=1, backend="sequential")
+    @pytest.mark.parametrize("n,seed,exact", [
+        (80, 4, False), (200, 12, False), (400, 21, False),
+        # Every plane takes the scalar ladder, so ladder rows feed the
+        # column extraction.
+        (60, 5, True),
+    ])
+    def test_sequential_backend_agrees(self, n, seed, exact):
+        pts = uniform_cube(n, 2, seed=seed)
+        with exact_mode() if exact else contextlib.nullcontext():
+            a = delaunay(pts, seed=1, backend="parallel")
+            b = delaunay(pts, seed=1, backend="sequential")
         assert a.triangles == b.triangles
 
     def test_unknown_backend(self):
@@ -38,6 +50,37 @@ class TestCorrectness:
 
         h = len(monotone_chain(pts))
         assert res.n_triangles == 2 * 120 - h - 2
+
+
+class TestTinyInputs:
+    """Three points lift to too few points to seed a 3D hull, yet their
+    triangulation is well defined; fewer, or collinear ones, have none."""
+
+    @pytest.mark.parametrize("backend", ["parallel", "sequential"])
+    def test_three_points_match_scipy(self, backend):
+        pts = np.array([[0.0, 0.0], [2.0, 0.1], [0.7, 1.3]])
+        res = delaunay(pts, seed=0, backend=backend)
+        assert res.triangles == {frozenset(s) for s in ScipyDelaunay(pts).simplices}
+        assert res.dependence_depth() == 0
+
+    def test_three_points_collinearity_is_exact(self):
+        # Off the line by one ulp: a real, if thin, triangle.
+        pts = np.array([[0.0, 0.0], [1.0, 1.0], [2.0, 2.0 + 2.0**-51]])
+        assert delaunay(pts).triangles == {frozenset((0, 1, 2))}
+
+    @pytest.mark.parametrize("backend", ["parallel", "sequential"])
+    @pytest.mark.parametrize("pts", [
+        [[0.0, 0.0]],
+        [[0.0, 0.0], [1.0, 1.0]],
+        [[0.0, 0.0], [0.1, 0.2], [0.3, 0.6]],     # exactly collinear
+    ], ids=["one", "two", "collinear"])
+    def test_no_triangle_raises_in_2d_terms(self, pts, backend):
+        pts = np.array(pts)
+        with pytest.raises(QhullError):
+            ScipyDelaunay(pts)
+        # Worded for the 2D input, not the lifted 3D one (d+1=4).
+        with pytest.raises(HullSetupError, match=r"d\+1=3 points|collinear"):
+            delaunay(pts, backend=backend)
 
 
 class TestStructure:

@@ -1,11 +1,15 @@
 """Tests for convex layers (onion peeling)."""
 
+import contextlib
+
 import numpy as np
 import pytest
 
+from repro.apps import layers as layers_module
 from repro.apps.layers import convex_layers
 from repro.baselines import monotone_chain
 from repro.geometry import on_circle, uniform_ball
+from repro.geometry.hyperplane import exact_mode
 
 
 class TestStructure:
@@ -55,11 +59,39 @@ class TestStructure:
         assert len(res.layers[0]) == 40
         assert res.core == []
 
-    def test_backends_agree(self):
-        pts = uniform_ball(90, 2, seed=13)
-        a = convex_layers(pts, seed=14, backend="parallel")
-        b = convex_layers(pts, seed=14, backend="sequential")
+    @pytest.mark.parametrize("n,seed,exact", [
+        (90, 13, False), (200, 22, False), (300, 31, False),
+        # Every plane takes the scalar ladder on the parallel backend.
+        (70, 5, True),
+    ])
+    def test_backends_agree(self, n, seed, exact):
+        pts = uniform_ball(n, 2, seed=seed)
+        with exact_mode() if exact else contextlib.nullcontext():
+            a = convex_layers(pts, seed=seed + 1, backend="parallel")
+            b = convex_layers(pts, seed=seed + 1, backend="sequential")
         assert a.layers == b.layers
+        assert a.core == b.core
+
+    @pytest.mark.parametrize("backend", ["parallel", "sequential"])
+    def test_collinear_remainder_becomes_core(self, backend):
+        square = [[-1.0, -1.0], [1.0, -1.0], [1.0, 1.0], [-1.0, 1.0]]
+        pts = np.array(square + [[-0.5, 0.0], [0.0, 0.0], [0.5, 0.0]])
+        res = convex_layers(pts, seed=0, backend=backend)
+        assert res.layers == [[0, 1, 2, 3]]
+        assert res.core == [4, 5, 6]
+
+    @pytest.mark.parametrize("backend, target", [
+        ("parallel", "soa_hull"), ("sequential", "sequential_hull"),
+    ])
+    def test_engine_errors_propagate(self, monkeypatch, backend, target):
+        """Only the not-full-dimensional errors end the peeling; an
+        engine's structural assertion is a bug, not a core."""
+        def broken(*args, **kwargs):
+            raise AssertionError("a ridge key was registered more than twice")
+
+        monkeypatch.setattr(layers_module, target, broken)
+        with pytest.raises(AssertionError, match="registered more than twice"):
+            convex_layers(uniform_ball(40, 2, seed=0), seed=1, backend=backend)
 
     def test_unknown_backend(self):
         with pytest.raises(ValueError):

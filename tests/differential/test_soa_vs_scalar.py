@@ -190,6 +190,7 @@ def test_parallel_adapter_matches_object_driver(params):
     assert a.counters.visibility_tests == b.counters.visibility_tests
     assert a.counters.facets_created == b.counters.facets_created
     assert a.dependence_depth() == b.dependence_depth()
+    assert soa_hull(pts, order=order.copy()).dependence_depth() == a.dependence_depth()
     assert len(a.events) == len(b.events)
 
 
