@@ -212,17 +212,15 @@ def _soa_contained(run, sample: int, seed: int) -> bool:
     """Float-sound containment spot check for instances too large to
     cross-check against the scalar oracle: no sampled input point may be
     *certainly* outside any live facet's plane (margin beyond the
-    facet's own error envelope)."""
-    eng = run.engine
-    store = eng.store
-    live = np.nonzero(store.alive[: store.size])[0]
+    facet's own error envelope).  Reads the run's own plane columns."""
+    live = run.created_alive
     rng = np.random.default_rng(seed)
     picks = rng.choice(run.points.shape[0], size=min(sample, run.points.shape[0]),
                        replace=False)
     q = run.points[picks]
-    margins = q @ store.normals[live].T - store.offsets[live]
-    env = store.err_scale[live] * (
-        store.err_base[live] + np.abs(q).max(axis=1)[:, None]
+    margins = q @ run.created_normals[live].T - run.created_offsets[live]
+    env = run.created_err_scale[live] * (
+        run.created_err_base[live] + np.abs(q).max(axis=1)[:, None]
     )
     return bool(np.all(margins <= env))
 
@@ -249,7 +247,7 @@ def _soa_only_row(n: int, d: int, seed: int, sample: int = 20_000) -> dict:
         "soa_speedup": None,
         "same_facets": None,
         "sampled_containment": _soa_contained(res, sample, seed + 1),
-        "hull_facets": len(res.facets),
+        "hull_facets": int(res.created_alive.sum()),
         "rounds": res.exec_stats.rounds,
         "visibility_tests": res.counters.visibility_tests,
     }

@@ -214,8 +214,9 @@ def _soa_parallel_run(
     """Run the conflict-list SoA engine and adapt its column state into
     a full :class:`ParallelHullRun` (facets, support DAG, events).
 
-    The adapter materializes every created facet as a ``Facet`` object
-    (plane construction per facet, no visibility work), so it costs more
+    The adapter materializes every created facet once as a ``Facet``
+    object (plane construction per facet, no visibility work; the alive
+    ones are shared with ``facets``), so it costs more
     than :func:`repro.hull.soa.soa_hull` -- use that entry point when
     only the hull and counters are needed.  Determinism makes the
     adapted run facet- and conflict-identical to the object driver;
@@ -231,7 +232,7 @@ def _soa_parallel_run(
         pass
     run = eng.finish()
 
-    created = [eng._facet_of(fid) for fid in range(eng.store.size)]
+    created = list(map(eng._source().facet, range(eng.store.size)))
     support = {
         fid: (int(s[0]), int(s[1]))
         for fid, s in enumerate(run.support) if s[0] >= 0

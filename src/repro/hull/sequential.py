@@ -85,7 +85,7 @@ def _soa_sequential_run(
     while eng.step_round():
         pass
     run = eng.finish()
-    created = [eng._facet_of(fid) for fid in range(eng.store.size)]
+    created = list(map(eng._source().facet, range(eng.store.size)))
     d = run.dimension
     creation_step = {
         fid: (d if p < 0 else int(p))

@@ -30,10 +30,11 @@ Memory layout (the parlaylib-style conflict-list representation):
 * **Frontier / pending pool** -- ready ``ProcessRidge(t1, r, t2)``
   calls as three arrays (``t1`` fids, ``t2`` fids, sorted ridge rows
   ``(K, d-1)``), plus the half-registered ridges that Algorithm 3
-  keeps in the multimap ``M``: each ridge key is registered at most
-  twice over the whole run (the second registrant creates the task),
-  so a per-round ``lexsort`` over (pending + new) ridge rows pairs
-  adjacent equal rows and is semantically identical to
+  keeps in the multimap ``M``, as sorted rows and registrant fids:
+  each ridge key is registered at most twice over the whole run (the
+  second registrant creates the task), so a per-round stable
+  ``lexsort`` over (pending + new) ridge rows pairs adjacent equal rows
+  in arrival order and is semantically identical to
   ``DictMultimap.insert_and_set`` -- a run of three equal rows would be
   a structural bug and raises.
 
@@ -58,6 +59,11 @@ The round transaction (all vectorized, no per-facet Python loop):
    scalar path;
 5. prefix-sum partition the survivors into the new facets' conflict
    segments, append to the store and pool, and pair the new ridges.
+
+:meth:`SoAHullEngine.finish` hands back an :class:`SoAHullRun` in the
+same column form -- copies of the store columns and the pool, with no
+``Facet`` built; ``SoAHullRun.facets`` materializes the alive facets on
+first access, for the callers that need objects.
 
 Scalar equivalence is structural, not statistical: any float-certain
 sign is proven by the envelope, every ambiguous sign takes the scalar
@@ -87,6 +93,8 @@ import copy
 import itertools
 import operator
 from dataclasses import dataclass, field
+from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
@@ -273,22 +281,87 @@ class _ConflictPool:
         return self.buf[: self.end]
 
 
+class _FacetSource(NamedTuple):
+    """What a :class:`~repro.geometry.simplex.Facet` is materialized
+    from: per-row defining ranks, float plane, error envelope, alive
+    flag and conflict window, the pool the windows index, the
+    scalar-ladder planes of always-exact rows, and the SoS flag the
+    float planes take.  The engine lends live views of its store
+    (:meth:`SoAHullEngine._source`); a finished run builds one from its
+    own copies (:attr:`SoAHullRun.facets`)."""
+
+    pts: np.ndarray
+    interior: np.ndarray
+    indices: np.ndarray
+    normals: np.ndarray
+    offsets: np.ndarray
+    err_scale: np.ndarray
+    err_base: np.ndarray
+    alive: np.ndarray
+    conf_start: np.ndarray
+    conf_len: np.ndarray
+    pool: np.ndarray
+    exact_planes: dict
+    sos: bool
+
+    def facet(self, fid: int) -> Facet:
+        """The one materialization routine: row ``fid`` as a ``Facet``
+        with its plane and a copy of its conflict window."""
+        fid = int(fid)
+        idx = tuple(map(int, self.indices[fid]))
+        plane = self.exact_planes.get(fid)
+        if plane is None:
+            # Float-certain row: the stored columns ARE the plane
+            # Hyperplane.through would build (batch_planes is pinned
+            # bit-compatible, and the interior flip was applied when the
+            # row was created), so rebuild it from the columns instead
+            # of re-running the cofactor expansion per facet.  Ambiguous
+            # rows never reach here: their scalar-ladder planes are
+            # kept in exact_planes.
+            plane = Hyperplane(
+                normal=self.normals[fid].copy(),
+                offset=float(self.offsets[fid]),
+                base_points=self.pts[list(idx)],
+                ref_point=self.interior,
+                err_scale=float(self.err_scale[fid]),
+                err_base=float(self.err_base[fid]),
+                always_exact=False,
+                base_indices=idx if self.sos else None,
+                sos=self.sos,
+            )
+        s = int(self.conf_start[fid])
+        ln = int(self.conf_len[fid])
+        return Facet(
+            fid=fid, indices=idx, plane=plane,
+            conflicts=self.pool[s:s + ln].copy(),
+            alive=bool(self.alive[fid]),
+        )
+
+
 @dataclass
 class SoAHullRun:
-    """Outcome of a conflict-list SoA hull run.
+    """Outcome of a conflict-list SoA hull run, in column form.
 
-    ``facets`` are the alive hull facets, materialized as regular
+    Every facet ever created is one row of the ``created_*`` columns:
+    ``created_indices``/``created_normals`` give its geometric key,
+    ``created_offsets``/``created_err_scale``/``created_err_base`` the
+    rest of its float plane and error envelope, ``support``/
+    ``pivot_points``/``rounds_created`` the dependence DAG, and
+    ``conflict_lens`` its window of ``conflict_pool``.  All are copies,
+    so stepping or restoring the engine afterwards cannot reach them.
+
+    ``facets`` are the alive hull facets as regular
     :class:`~repro.geometry.simplex.Facet` objects (same planes, same
-    conflict arrays) so certification, validation, and serialization
-    consume an SoA run unchanged.  The created-facet history stays in
-    column form: ``created_indices``/``created_normals`` give every
-    facet's geometric key, ``support``/``pivot_points``/
-    ``rounds_created`` the dependence DAG.
+    conflict arrays), so certification, validation, and serialization
+    consume an SoA run unchanged.  They are built on first access, from
+    these columns, ``exact_planes`` (the scalar-ladder planes of the
+    alive always-exact rows) and ``sos`` (the SoS flag in force when the
+    run finished); callers that read vertices, keys or columns never
+    pay for them.
     """
 
     points: np.ndarray
     order: np.ndarray
-    facets: list[Facet]
     counters: Counters
     exec_stats: ExecutionStats
     tracker: WorkSpanTracker
@@ -296,13 +369,29 @@ class SoAHullRun:
     base_size: int
     created_indices: np.ndarray     # (F, d) defining ranks of every facet
     created_normals: np.ndarray     # (F, d) oriented float normals
+    created_offsets: np.ndarray     # (F,) float plane offsets
+    created_err_scale: np.ndarray   # (F,) error-envelope scale
+    created_err_base: np.ndarray    # (F,) error-envelope base
     created_alive: np.ndarray       # (F,) alive flags
     support: np.ndarray             # (F, 2) support fids, -1 for base facets
     pivot_points: np.ndarray        # (F,) creating pivot, -1 for base facets
     rounds_created: np.ndarray      # (F,) creation round (0 = bootstrap)
     conflict_lens: np.ndarray       # (F,) conflict-list lengths
     conflict_pool: np.ndarray       # flat pool, segments in fid order
-    engine: "SoAHullEngine" = field(repr=False, default=None)
+    exact_planes: dict = field(repr=False)  # fid -> Hyperplane, alive rows
+    sos: bool                       # sos_active() when the run finished
+
+    @cached_property
+    def facets(self) -> list[Facet]:
+        lens = self.conflict_lens
+        src = _FacetSource(
+            self.points, self.interior, self.created_indices,
+            self.created_normals, self.created_offsets,
+            self.created_err_scale, self.created_err_base,
+            self.created_alive, np.cumsum(lens) - lens, lens,
+            self.conflict_pool, self.exact_planes, self.sos,
+        )
+        return list(map(src.facet, np.nonzero(self.created_alive)[0].tolist()))
 
     @property
     def dimension(self) -> int:
@@ -315,7 +404,9 @@ class SoAHullRun:
         return set(map(int, self.order[sorted(self.vertex_ranks())]))
 
     def facet_keys(self) -> set:
-        return set(map(Facet.key, self.facets))
+        alive = self.created_alive
+        return set(self._keys_of(self.created_indices[alive],
+                                 self.created_normals[alive]))
 
     def _keys_of(self, rows: np.ndarray, normals: np.ndarray) -> list:
         # Vectorized Facet.key(): point set plus the sign of the first
@@ -424,11 +515,9 @@ class SoAHullEngine:
         self._loo = grid[grid != cols[:, None]].reshape(d, d - 1)
 
         # Half-registered ridges (Algorithm 3's multimap M), as sorted
-        # rows + registrant fids + registration sequence numbers.
+        # rows + registrant fids.
         self._pend_rows = np.zeros((0, d - 1), dtype=np.int64)
         self._pend_fids = np.zeros(0, dtype=np.int64)
-        self._pend_seq = np.zeros(0, dtype=np.int64)
-        self._reg_seq = 0
 
         self.round = 0
         self.events: list[dict] = []    # per-round decision records
@@ -448,38 +537,19 @@ class SoAHullEngine:
             indices=idx, ref_combo=self._interior_combo,
         )
 
-    def _facet_of(self, fid: int) -> Facet:
-        fid = int(fid)
-        idx = tuple(map(int, self.store.indices[fid]))
-        plane = self._exact_planes.get(fid)
-        if plane is None:
-            # Float-certain row: the stored columns ARE the plane
-            # Hyperplane.through would build (batch_planes is pinned
-            # bit-compatible, and the interior flip was applied when the
-            # row was created), so rebuild it from the columns instead
-            # of re-running the cofactor expansion per facet -- on a
-            # 1e5-point run that cut finish() from ~25% of engine wall
-            # time to noise.  Ambiguous rows never reach here: their
-            # scalar-ladder planes are persisted in _exact_planes.
-            sos = sos_active()
-            plane = Hyperplane(
-                normal=self.store.normals[fid].copy(),
-                offset=float(self.store.offsets[fid]),
-                base_points=self.pts[list(idx)],
-                ref_point=self.interior,
-                err_scale=float(self.store.err_scale[fid]),
-                err_base=float(self.store.err_base[fid]),
-                always_exact=False,
-                base_indices=idx if sos else None,
-                sos=sos,
-            )
-        s = int(self.store.conf_start[fid])
-        ln = int(self.store.conf_len[fid])
-        return Facet(
-            fid=fid, indices=idx, plane=plane,
-            conflicts=self.pool.buf[s:s + ln].copy(),
-            alive=bool(self.store.alive[fid]),
+    def _source(self) -> _FacetSource:
+        """Live views of the store, for materializing facets of the
+        current state (the ``engine="soa"`` adapters and white-box
+        tests)."""
+        s = self.store
+        return _FacetSource(
+            self.pts, self.interior, s.indices, s.normals, s.offsets,
+            s.err_scale, s.err_base, s.alive, s.conf_start, s.conf_len,
+            self.pool.buf, self._exact_planes, sos_active(),
         )
+
+    def _facet_of(self, fid: int) -> Facet:
+        return self._source().facet(fid)
 
     # -- facet-block creation ----------------------------------------------
 
@@ -628,27 +698,27 @@ class SoAHullEngine:
         and pair up equal ridge keys.  Returns ``(t1, t2, ridge_rows)``
         of the matched tasks; unmatched registrations stay pending.
 
-        Faithful to ``DictMultimap.insert_and_set``: sequence numbers
-        order registrants, and equal keys pair two-by-two in arrival
-        order.  Noise-free, every ridge key is registered at most twice
-        over the whole run (a proven invariant of the algorithm), so a
-        longer run raises; under a lying oracle (``p > 0``) the
-        invariant can genuinely break, and the dict behavior -- pair
-        consecutive registrants, leave a trailing single pending -- is
-        what keeps the run alive for the certificate gate to judge."""
-        seqs = self._reg_seq + np.arange(rows.shape[0], dtype=np.int64)
-        self._reg_seq += int(rows.shape[0])
+        Faithful to ``DictMultimap.insert_and_set``: equal keys pair
+        two-by-two in arrival order.  The stable ``lexsort`` on the rows
+        alone yields that order, because pending rows precede the new
+        ones in the concatenation, new rows come in registration order,
+        and at most one pending row per key survives a round (pairing
+        leaves at most one single per run of equal keys).  Noise-free,
+        every ridge key is registered at most twice over the whole run
+        (a proven invariant of the algorithm), so a longer run raises;
+        under a lying oracle (``p > 0``) the invariant can genuinely
+        break, and the dict behavior -- pair consecutive registrants,
+        leave a trailing single pending -- is what keeps the run alive
+        for the certificate gate to judge."""
         all_rows = np.concatenate([self._pend_rows, rows], axis=0)
         all_fids = np.concatenate([self._pend_fids, fids])
-        all_seqs = np.concatenate([self._pend_seq, seqs])
         m = int(all_rows.shape[0])
         if m == 0:
             empty = np.zeros(0, dtype=np.int64)
             return empty, empty, np.zeros((0, self.d - 1), dtype=np.int64)
-        ordx = np.lexsort((all_seqs,) + tuple(all_rows.T[::-1]))
+        ordx = np.lexsort(tuple(all_rows.T[::-1]))
         sr = all_rows[ordx]
         sf = all_fids[ordx]
-        ss = all_seqs[ordx]
         eq = (sr[1:] == sr[:-1]).all(axis=1)
         if eq.size > 1 and bool(np.any(eq[1:] & eq[:-1])):
             if self._strict_pairs:
@@ -664,13 +734,12 @@ class SoAHullEngine:
             i = np.nonzero((pos[:-1] % 2 == 0) & eq)[0]
         else:
             i = np.nonzero(eq)[0]
-        first, second = sf[i], sf[i + 1]  # seq-ordered within each pair
+        first, second = sf[i], sf[i + 1]  # arrival-ordered within each pair
         singles = np.ones(m, dtype=bool)
         singles[i] = False
         singles[i + 1] = False
         self._pend_rows = sr[singles]
         self._pend_fids = sf[singles]
-        self._pend_seq = ss[singles]
         if t1_first:
             return first, second, sr[i]
         return second, first, sr[i]
@@ -702,9 +771,7 @@ class SoAHullEngine:
         no_piv = np.full(nb, -1, dtype=np.int64)
         fid0 = self._create_block(base_rows, vals, owner, blocks, no_sup, no_piv)
         if int(blocks.sum()):
-            self._last_tid = self.tracker.add_batched_sweep(
-                list(map(int, blocks))
-            )
+            self._last_tid = self.tracker.add_batched_sweep(blocks)
         # Seed: one ProcessRidge per ridge of the base hull.
         reg_rows = base_rows[:, self._loo].reshape(nb * d, d - 1)
         reg_fids = np.repeat(fid0 + np.arange(nb, dtype=np.int64), d)
@@ -827,9 +894,7 @@ class SoAHullEngine:
         # the tracker's depth realises the round structure.
         if int(blocks.sum()):
             deps = () if self._last_tid is None else (self._last_tid,)
-            self._last_tid = self.tracker.add_batched_sweep(
-                list(map(int, blocks)), deps=deps
-            )
+            self._last_tid = self.tracker.add_batched_sweep(blocks, deps=deps)
 
         # Children: the creation ridge is immediately ready against t2;
         # the other d-1 ridges of each new facet (all containing its
@@ -859,9 +924,7 @@ class SoAHullEngine:
             "pool": (self.pool.view().copy(), self.pool.end),
             "frontier": (self._fr_t1.copy(), self._fr_t2.copy(),
                          self._fr_rows.copy()),
-            "pending": (self._pend_rows.copy(), self._pend_fids.copy(),
-                        self._pend_seq.copy()),
-            "reg_seq": self._reg_seq,
+            "pending": (self._pend_rows.copy(), self._pend_fids.copy()),
             "round": self.round,
             "counters": self.counters.as_dict(),
             "stats": copy.deepcopy(self.stats),
@@ -887,11 +950,9 @@ class SoAHullEngine:
             snap["frontier"][0].copy(), snap["frontier"][1].copy(),
             snap["frontier"][2].copy(),
         )
-        self._pend_rows, self._pend_fids, self._pend_seq = (
+        self._pend_rows, self._pend_fids = (
             snap["pending"][0].copy(), snap["pending"][1].copy(),
-            snap["pending"][2].copy(),
         )
-        self._reg_seq = snap["reg_seq"]
         self.round = snap["round"]
         self.counters.restore(snap["counters"])
         self.stats = copy.deepcopy(snap["stats"])
@@ -915,17 +976,24 @@ class SoAHullEngine:
         return snap
 
     def finish(self) -> SoAHullRun:
-        """Materialize the result (idempotent once the frontier is
-        empty; alive facets become regular Facet objects)."""
+        """Close the run and return its result in column form
+        (idempotent once the frontier is empty).  No ``Facet`` is built
+        here: the run gets copies of the columns, the scalar-ladder
+        planes of the alive always-exact rows and the SoS flag in force
+        now, and builds its facets from those on first access."""
         self._finished = True
         self.stats.kernel_stats = self._kernel_snapshot()
         nf = self.store.size
-        alive_fids = np.nonzero(self.store.alive[:nf])[0]
-        facets = list(map(self._facet_of, alive_fids.tolist()))
+        alive = self.store.alive[:nf].copy()
+        # Only run.facets reads these planes, and it builds alive rows
+        # only: keeping buried rows' planes would hold every always-
+        # exact plane of the run (all of them under exact_mode()).
+        exact = np.fromiter(self._exact_planes, np.int64,
+                            count=len(self._exact_planes))
+        exact = exact[alive[exact]].tolist()
         return SoAHullRun(
             points=self.pts,
             order=self.order,
-            facets=facets,
             counters=self.counters,
             exec_stats=self.stats,
             tracker=self.tracker,
@@ -933,13 +1001,17 @@ class SoAHullEngine:
             base_size=self.base_size,
             created_indices=self.store.indices[:nf].copy(),
             created_normals=self.store.normals[:nf].copy(),
-            created_alive=self.store.alive[:nf].copy(),
+            created_offsets=self.store.offsets[:nf].copy(),
+            created_err_scale=self.store.err_scale[:nf].copy(),
+            created_err_base=self.store.err_base[:nf].copy(),
+            created_alive=alive,
             support=self.store.support[:nf].copy(),
             pivot_points=self.store.pivot_point[:nf].copy(),
             rounds_created=self.store.round_created[:nf].copy(),
             conflict_lens=self.store.conf_len[:nf].copy(),
             conflict_pool=self.pool.view().copy(),
-            engine=self,
+            exact_planes=dict(zip(exact, map(self._exact_planes.__getitem__, exact))),
+            sos=sos_active(),
         )
 
 

@@ -15,6 +15,9 @@ from __future__ import annotations
 import heapq
 import math
 from dataclasses import dataclass
+from typing import Sequence
+
+import numpy as np
 
 from .atomics import Mutex
 
@@ -87,10 +90,11 @@ class WorkSpanTracker:
         return tid
 
     def add_batched_sweep(
-        self, block_sizes: list[int], deps: tuple[int, ...] = ()
+        self, block_sizes: Sequence[int] | np.ndarray, deps: tuple[int, ...] = ()
     ) -> int:
         """Log one vectorized (facet x candidate) sweep at its
-        *scalar-equivalent* work.
+        *scalar-equivalent* work.  ``block_sizes`` is a sequence or an
+        integer array (reduced in NumPy either way).
 
         A batched kernel evaluates ``sum(block_sizes)`` visibility
         tests in one NumPy call; accounting it as one unit-cost task
@@ -102,8 +106,9 @@ class WorkSpanTracker:
         internal-parallelism credit a scalar per-facet filter task
         gets, since batching adds breadth, never depth.  Returns the
         task id (shared by every facet of the sweep)."""
-        total = sum(max(0, int(b)) for b in block_sizes)
-        widest = max((int(b) for b in block_sizes), default=0)
+        blocks = np.asarray(block_sizes, dtype=np.int64)
+        total = int(np.maximum(blocks, 0).sum())
+        widest = int(blocks.max()) if blocks.size else 0
         return self.add_task(
             cost=max(1, total),
             deps=deps,

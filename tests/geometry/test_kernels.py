@@ -217,6 +217,14 @@ def test_add_batched_sweep_scalar_equivalent_work():
     empty = WorkSpanTracker()
     empty.add_batched_sweep([])
     assert empty.work == 1
+    # Integer-array input (what the SoA engine passes) accounts exactly
+    # like the list form, zero-size blocks and empty sweeps included.
+    for blocks in ([5, 9, 2], [], [0], [5, 0, 9, 2]):
+        as_list, as_array = WorkSpanTracker(), WorkSpanTracker()
+        t_list = as_list.add_batched_sweep(blocks)
+        t_array = as_array.add_batched_sweep(np.asarray(blocks, dtype=np.int64))
+        assert as_array.work == as_list.work
+        assert as_array._tasks[t_array].span_cost == as_list._tasks[t_list].span_cost
 
 
 def test_batch_kernel_without_cache():

@@ -21,12 +21,15 @@ White-box invariants checked at *every round boundary* of real runs:
   remainder of the run bit-identically (chaos-recovery contract).
 """
 
+import contextlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.geometry import uniform_ball, uniform_cube
+from repro.geometry.hyperplane import exact_mode
 from repro.geometry.kernels import gather_segments
 from repro.hull.soa import _INF, SoAHullEngine
 
@@ -189,6 +192,34 @@ def test_snapshot_at_every_round_boundary():
         while eng.step_round():
             pass
         assert _fingerprint(eng) == want
+
+
+@pytest.mark.parametrize("exact", [False, True])
+def test_finished_run_outlives_engine_restore(exact):
+    """A finished run owns its result: rewinding the engine to its
+    bootstrap snapshot after finish() leaves ``run.facets`` (built on
+    first access) equal to the facets materialized before finish --
+    planes, always-exact flags and conflicts alike."""
+    with exact_mode() if exact else contextlib.nullcontext():
+        eng = _engine(200, 3, seed=31)
+        snap = eng.snapshot()
+        while eng.step_round():
+            pass
+        alive = np.nonzero(eng.store.alive[: eng.store.size])[0]
+        want = list(map(eng._facet_of, alive))
+        run = eng.finish()
+        eng.restore(snap)
+        got = run.facets
+    assert [f.fid for f in got] == [f.fid for f in want]
+    for a, b in zip(got, want):
+        assert a.indices == b.indices
+        assert a.plane.always_exact == b.plane.always_exact
+        assert np.array_equal(a.plane.normal, b.plane.normal)
+        assert a.plane.offset == b.plane.offset
+        assert np.array_equal(a.conflicts, b.conflicts)
+    if exact:
+        # The planes the run must own: every one took the scalar ladder.
+        assert all(f.plane.always_exact for f in got)
 
 
 @given(

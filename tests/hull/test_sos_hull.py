@@ -10,10 +10,13 @@ from repro.geometry.hyperplane import exact_mode
 from repro.geometry.perturb import sos_mode
 from repro.hull import (
     facet_sets_global,
+    make_certificate,
     parallel_hull,
     robust_hull,
     sequential_hull,
+    soa_hull,
     validate_hull,
+    verify_certificate,
 )
 from repro.runtime import RoundExecutor, SerialExecutor, ThreadExecutor
 from repro.runtime.chaos import ChaosThreadExecutor
@@ -72,6 +75,22 @@ class TestCanonicalAcrossDisciplines:
             verts = run.vertex_indices()
             assert corners <= verts
             assert verts <= boundary
+
+
+class TestSoaRunOutlivesSosBlock:
+    @pytest.mark.parametrize("family", corpus_names())
+    def test_facets_read_after_the_block_keep_sos(self, family):
+        # An SoA run builds its facets on first access; they must carry
+        # the SoS flag in force when the run finished, not the one in
+        # force when they are first read.
+        pts = corpus_case(family, seed=0)
+        order = np.random.default_rng(3).permutation(len(pts))
+        with sos_mode():
+            run = soa_hull(pts, order=order)
+        validate_hull(run.facets, run.points)
+        cert = make_certificate(run, "sos")
+        assert cert.sos
+        verify_certificate(cert, pts)
 
 
 class TestRobustLadderOnCorpus:
