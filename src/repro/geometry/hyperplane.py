@@ -8,7 +8,7 @@ conflict relation of the paper's configuration space (Table 1).
 
 The hot loop of every hull algorithm is "filter a candidate array down
 to the visible points", so :meth:`Hyperplane.visible_mask` is fully
-vectorized: one matrix-vector product per facet plus an exact rational
+vectorized: one matrix-vector product per facet plus an exact integer
 recheck only for candidates whose float margin is inside the error
 envelope.
 

@@ -12,7 +12,7 @@ The fast path is *filtered*, exactly like the scalar predicates: each
 batched margin comes with the same conservative forward error envelope
 that :class:`~repro.geometry.hyperplane.Hyperplane` attaches to its
 float normal, and every entry whose margin falls inside the envelope is
-re-decided by the existing scalar ladder (exact rational arithmetic,
+re-decided by the existing scalar ladder (exact integer arithmetic,
 then Simulation-of-Simplicity tie-breaking on SoS planes).  The batch
 kernel therefore cannot *silently* disagree with the scalar oracle: it
 either proves a sign with the float filter or delegates the entry to
@@ -249,7 +249,7 @@ def orient_batch(simplices: np.ndarray, queries: np.ndarray) -> np.ndarray:
 
     One einsum sweep computes all ``F x Q`` float margins; entries whose
     margin falls inside the (per-plane, per-query) error envelope are
-    re-decided by the exact rational path -- the same
+    re-decided by the exact integer path -- the same
     :func:`~repro.geometry.predicates.orient_exact` the scalar predicate
     escalates to, so agreement with the scalar oracle is structural, not
     statistical.
@@ -284,7 +284,7 @@ def orient_batch(simplices: np.ndarray, queries: np.ndarray) -> np.ndarray:
     if n_fall:
         # The exact-fallback loop IS the filter design: only the
         # envelope-ambiguous entries (a vanishing fraction) take the
-        # per-element rational ladder.
+        # per-element exact ladder.
         for f, q in zip(*np.nonzero(uncertain)):
             signs[f, q] = orient_exact(simplices[f], queries[q])  # repro: noqa: RPRHOT002
     KERNEL_STATS.count_sweep(n_signs, n_fall)
@@ -406,7 +406,7 @@ def visible_flat(
     STATS.count_float(n_signs)
     if n_fall:
         # Envelope-ambiguous (or forced-exact) entries only: the
-        # by-design per-element rational ladder, as in orient_batch.
+        # by-design per-element exact ladder, as in orient_batch.
         for m in np.nonzero(uncertain)[0]:  # repro: noqa: RPRHOT001
             r = int(ranks[m])
             mask[m] = plane_for(int(owner[m]))._side_exact(pts[r], r) > 0  # repro: noqa: RPRHOT002

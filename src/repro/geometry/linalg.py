@@ -5,11 +5,15 @@ whose side length is the (constant) ambient dimension ``d``, so none of
 these routines try to be asymptotically clever.  What they do provide:
 
 * a fast floating-point determinant with a conservative forward error
-  bound (used as the *filter* stage of the adaptive predicates), and
+  bound (used as the *filter* stage of the adaptive predicates),
+* exact integer determinants (:func:`det_int`: closed form up to 3x3,
+  fraction-free Bareiss with exact ``//`` beyond), the *fallback* stage
+  of the predicates, which scale a determinant's float entries to
+  Python ints by their common power of two, and
 * exact rational determinants via fraction-free Bareiss elimination
-  (used as the *fallback* stage -- every Python float is exactly
-  representable as a :class:`fractions.Fraction`, so the fallback is
-  exact for any float input).
+  over :class:`fractions.Fraction` (:func:`det_exact`, kept for the
+  rational solvers below and as the tests' reference -- every Python
+  float is exactly representable as a Fraction).
 """
 
 from __future__ import annotations
@@ -21,6 +25,7 @@ import numpy as np
 
 __all__ = [
     "det_with_error_bound",
+    "det_int",
     "det_exact",
     "sign_exact",
     "cofactor_normal",
@@ -53,7 +58,7 @@ def det_with_error_bound(m: np.ndarray) -> tuple[float, float]:
     entrywise one: ``err = c(n) * eps * prod_i ||row_i||_2`` derived from
     Hadamard's inequality, inflated by a generous constant so that it is
     safe in practice.  Callers must treat ``|det| <= err`` as "sign
-    unknown" and fall back to :func:`sign_exact`.
+    unknown" and fall back to an exact determinant (:func:`det_int`).
     """
     # Envelope derivation, checked by `repro fpcheck` (atoms: ME = max
     # |entry|, AD/BC = the two n=2 product magnitudes, CM = the
@@ -123,6 +128,46 @@ def det_with_error_bound(m: np.ndarray) -> tuple[float, float]:
     # partial-pivoting growth factor.
     err = 16.0 * n * n * n * (2.0 ** (n - 1)) * _EPS * max_el * cof_max + floor
     return det, err
+
+
+def det_int(rows: Sequence[Sequence[int]]) -> int:
+    """Exact determinant of a square matrix of Python ints.
+
+    Closed form for ``n <= 3``; fraction-free Bareiss elimination above,
+    where every division is exact (Sylvester's identity), so ``//``
+    never rounds.
+    """
+    n = len(rows)
+    if n == 0:
+        return 1
+    if n == 1:
+        return rows[0][0]
+    if n == 2:
+        (a, b), (c, d) = rows
+        return a * d - b * c
+    if n == 3:
+        (a, b, c), (d, e, f), (g, h, i) = rows
+        return a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g)
+    m = [list(row) for row in rows]
+    sign = 1
+    prev = 1
+    for k in range(n - 1):
+        if not m[k][k]:
+            for i in range(k + 1, n):
+                if m[i][k]:
+                    m[k], m[i] = m[i], m[k]
+                    sign = -sign
+                    break
+            else:
+                return 0
+        rk = m[k]
+        pivot = rk[k]
+        for ri in m[k + 1:]:
+            f = ri[k]
+            for j in range(k + 1, n):
+                ri[j] = (ri[j] * pivot - f * rk[j]) // prev
+        prev = pivot
+    return sign * m[n - 1][n - 1]
 
 
 def _to_fraction_rows(rows: Sequence[Sequence]) -> list[list[Fraction]]:

@@ -2,11 +2,14 @@
 
 Every predicate follows the classic *filtered* design: a fast
 floating-point evaluation with a conservative forward error bound, and
-an exact :mod:`fractions`-based fallback that is only taken when the
-float result cannot be trusted.  Because IEEE doubles convert to
-:class:`~fractions.Fraction` exactly, the fallback decides *exactly the
-input that was given* -- degeneracies (zero returns) are real, not
-round-off artifacts.
+an exact fallback that is only taken when the float result cannot be
+trusted.  The fallback works on Python ints: every finite double is
+``m * 2**e``, so scaling all of one determinant's entries by their
+common power-of-two denominator (:func:`_scaled_ints`) gives integers
+whose determinant (:func:`~repro.geometry.linalg.det_int`) has exactly
+the sign of the determinant of the given floats.  The fallback thus
+decides *exactly the input that was given* -- degeneracies (zero
+returns) are real, not round-off artifacts.
 
 Counters on :class:`PredicateStats` let the experiment harness account
 for how often the exact path fires (one of the ablations in DESIGN.md).
@@ -14,11 +17,14 @@ for how often the exact path fires (one of the ablations in DESIGN.md).
 
 from __future__ import annotations
 
+import math
+from fractions import Fraction
+
 import numpy as np
 
 from repro.runtime.atomics import ShardedCounter
 
-from .linalg import det_with_error_bound, sign_exact
+from .linalg import det_int, det_with_error_bound
 
 __all__ = [
     "PredicateStats",
@@ -92,20 +98,44 @@ class PredicateStats:
 STATS = PredicateStats()
 
 
-def _lifted_rows(simplex: np.ndarray, query) -> list[list]:
-    """Edge-vector rows for the orientation determinant, with the
-    subtractions done over Fractions: forming differences in floating
-    point first would round away exactly the tiny components the exact
-    fallback exists to decide."""
-    from fractions import Fraction
+def _scaled_ints(values) -> list[int]:
+    """``values`` (each coerced with ``float()``) as Python ints under
+    one common power-of-two scale: every finite double is ``p / 2**k``
+    exactly (``float.as_integer_ratio``), so multiplying all of them by
+    the largest such denominator is exact and positive.  NaN raises
+    ``ValueError`` and inf ``OverflowError``, as ``Fraction`` does."""
+    ratios = [float(x).as_integer_ratio() for x in values]
+    den = max(q for _, q in ratios)
+    return [p * (den // q) for p, q in ratios]
 
-    base = [Fraction(float(x)) for x in simplex[0]]
-    d = len(base)
-    rows = [
-        [Fraction(float(p[j])) - base[j] for j in range(d)] for p in simplex[1:]
-    ]
-    rows.append([Fraction(float(query[j])) - base[j] for j in range(d)])
-    return rows
+
+def _orient_ints(flat: list, d: int, weights: list[int]) -> int:
+    """Exact sign of ``det([s_1 - s_0; ...; s_{d-1} - s_0;
+    sum_i w_i t_i - W s_0])`` with ``W = sum(weights) > 0``: the
+    orientation of the point ``sum_i w_i t_i / W`` (one tail point of
+    weight 1 is a plain query).  ``flat`` holds the ``d`` simplex rows
+    and then the tail points ``t_i``, flattened; they are scaled to ints
+    first and every subtraction happens on the ints -- forming
+    differences in floating point would round away exactly the tiny
+    components the exact fallback exists to decide."""
+    v = _scaled_ints(flat)
+    base = v[:d]
+    tail = v[d * d:]
+    total = sum(weights)
+    rows = [[v[i + j] - base[j] for j in range(d)] for i in range(d, d * d, d)]
+    rows.append([
+        sum(w * t for w, t in zip(weights, tail[j::d])) - total * base[j]
+        for j in range(d)
+    ])
+    det = det_int(rows)
+    return (det > 0) - (det < 0)
+
+
+def _orient_query(simplex: np.ndarray, query) -> int:
+    d = simplex.shape[1]
+    return _orient_ints(
+        simplex.ravel().tolist() + [query[j] for j in range(d)], d, [1]
+    )
 
 
 def orient(simplex: np.ndarray, query) -> int:
@@ -126,48 +156,44 @@ def orient(simplex: np.ndarray, query) -> int:
     if det < -err:
         return -1
     STATS.count_exact()
-    return sign_exact(_lifted_rows(simplex, q))
+    return _orient_query(simplex, q)
 
 
 def orient_exact(simplex, query) -> int:
-    """Exact orientation (always takes the rational path)."""
+    """Exact orientation (always takes the integer path)."""
     simplex = np.asarray(simplex, dtype=np.float64)
     STATS.count_exact()
-    return sign_exact(_lifted_rows(simplex, query))
+    return _orient_query(simplex, query)
 
 
 def orient_exact_combo(simplex, combo_points, weights=None) -> int:
     """Exact orientation of the affine combination ``sum w_i c_i`` of
     ``combo_points`` relative to the hyperplane through ``simplex``.
 
-    The combination is evaluated in rational arithmetic, *not* rounded
-    to a float point first: on nearly-flat inputs a facet plane can pass
-    within ~1e-17 of the true centroid, closer than the rounding error
-    of computing that centroid in float64 -- so the exact sign of the
-    rounded point is the wrong question.  ``weights`` defaults to the
-    uniform combination (the centroid).
+    The combination is evaluated exactly, *not* rounded to a float point
+    first: on nearly-flat inputs a facet plane can pass within ~1e-17 of
+    the true centroid, closer than the rounding error of computing that
+    centroid in float64 -- so the exact sign of the rounded point is the
+    wrong question.  ``weights`` defaults to the uniform combination (the
+    centroid).  The query row is scaled by ``L``, the lcm of the weight
+    denominators (``1/3`` is not dyadic), which keeps it integral and the
+    sign unchanged: ``L (q - s_0) = sum (L w_i) c_i - L s_0``.
     """
-    from fractions import Fraction
-
     simplex = np.asarray(simplex, dtype=np.float64)
     combo_points = np.asarray(combo_points, dtype=np.float64)
     k, d = combo_points.shape
     if weights is None:
-        weights = [Fraction(1, k)] * k
-    weights = [Fraction(w) for w in weights]
-    if sum(weights) != 1:
-        raise ValueError("combination weights must sum to 1 (affine)")
-    base = [Fraction(float(x)) for x in simplex[0]]
-    q = [
-        sum(w * Fraction(float(c[j])) for w, c in zip(weights, combo_points))
-        for j in range(d)
-    ]
-    rows = [
-        [Fraction(float(p[j])) - base[j] for j in range(d)] for p in simplex[1:]
-    ]
-    rows.append([q[j] - base[j] for j in range(d)])
+        scaled = [1] * k  # L = k
+    else:
+        weights = [Fraction(w) for w in weights]
+        if sum(weights) != 1:
+            raise ValueError("combination weights must sum to 1 (affine)")
+        lcm = math.lcm(*(w.denominator for w in weights))
+        scaled = [w.numerator * (lcm // w.denominator) for w in weights]
     STATS.count_exact()
-    return sign_exact(rows)
+    return _orient_ints(
+        simplex.ravel().tolist() + combo_points.ravel().tolist(), d, scaled
+    )
 
 
 def in_circle(a, b, c, q) -> int:
@@ -192,13 +218,14 @@ def in_circle(a, b, c, q) -> int:
     if det < -err:
         return -1
     STATS.count_exact()
-    # Rebuild the rows exactly from the original coordinates.
-    from fractions import Fraction
-
+    # Rebuild the rows exactly from the original coordinates.  Scaling
+    # every coordinate by D scales the columns by D, D and D^2, which
+    # leaves the sign alone.
+    v = _scaled_ints([p[j] for p in pts for j in (0, 1)])
+    qx, qy = v[6], v[7]
     exact_rows = []
-    qx, qy = Fraction(float(qv[0])), Fraction(float(qv[1]))
-    for p in pts[:3]:
-        dx = Fraction(float(p[0])) - qx
-        dy = Fraction(float(p[1])) - qy
+    for i in (0, 2, 4):
+        dx, dy = v[i] - qx, v[i + 1] - qy
         exact_rows.append([dx, dy, dx * dx + dy * dy])
-    return sign_exact(exact_rows)
+    det = det_int(exact_rows)
+    return (det > 0) - (det < 0)

@@ -20,8 +20,16 @@ is a small, serializable claim --
 * a *different* float filter (batched LU determinants with a crude
   norm-product bound, vs construction's cofactor normals with a
   Hadamard envelope);
-* a *different* exact determinant (recursive Laplace expansion over
-  :class:`fractions.Fraction`, vs construction's fraction-free Bareiss);
+* a *different* exact stage.  Both sides scale one determinant's float
+  entries by a common power of two and decide its sign on Python ints,
+  but by different means: here each float is split with
+  :func:`math.frexp` into an integer mantissa and an exponent, shifted
+  to the least exponent, and the determinant is a recursive Laplace
+  expansion; construction (``geometry.predicates``) uses
+  ``float.as_integer_ratio`` and ``geometry.linalg.det_int`` (closed
+  form up to 3x3, fraction-free Bareiss beyond).  The interior
+  reference enters as the integer row ``sum(p_i) - (d+1) p_0``, its
+  centroid's row scaled by ``d+1``;
 * a *different* Simulation-of-Simplicity sign (brute-force permutation
   expansion of the homogeneous perturbed matrix, vs construction's
   sparse-polynomial cofactor recursion).
@@ -55,6 +63,7 @@ SCHEMA = "repro-hull-certificate/1"
 
 _EPS = float(np.finfo(np.float64).eps)
 _TINY = float(np.finfo(np.float64).tiny)
+_TWO53 = float(1 << 53)
 
 
 class CertificateError(AssertionError):
@@ -180,17 +189,30 @@ def make_certificate(run, mode: str = "float") -> HullCertificate:
 # --------------------------------------------------------------------------
 # The independent verifier.  Everything below deliberately reimplements
 # the predicate stack with different algorithms -- keep it free of
-# imports from geometry.hyperplane / geometry.perturb / geometry.linalg.
+# imports from repro.geometry (tests/hull/test_certify.py enforces it).
 # --------------------------------------------------------------------------
 
-def _laplace_det(rows: list[list[Fraction]]) -> Fraction:
+def _frexp_ints(values: list[float]) -> list[int]:
+    """``values`` as exact Python ints under one common power-of-two
+    scale, from ``math.frexp``: ``x = m * 2**e`` with ``m * 2**53`` an
+    integer, every value shifted to the least exponent present.  NaN
+    raises ``ValueError`` and inf ``OverflowError``."""
+    parts = []
+    for x in values:
+        m, e = math.frexp(x)
+        parts.append((int(m * _TWO53), e))
+    low = min((e for m, e in parts if m), default=0)
+    return [m << (e - low) if m else 0 for m, e in parts]
+
+
+def _laplace_det(rows: list[list[int]]) -> int:
     """Exact determinant by recursive Laplace expansion along the first
     row (quadratic-factorial but independent of Bareiss; matrices are
     (d x d))."""
     n = len(rows)
     if n == 1:
         return rows[0][0]
-    total = Fraction(0)
+    total = 0
     for j, x in enumerate(rows[0]):
         if not x:
             continue
@@ -200,14 +222,20 @@ def _laplace_det(rows: list[list[Fraction]]) -> Fraction:
     return total
 
 
-def _orient_exact_rows(base: np.ndarray, q_exact: list[Fraction]) -> int:
-    rows = []
-    b0 = [Fraction(float(x)) for x in base[0]]
-    for p in base[1:]:
-        rows.append([Fraction(float(x)) - b for x, b in zip(p, b0)])
-    rows.append([x - b for x, b in zip(q_exact, b0)])
+def _orient_exact_rows(base: np.ndarray, tail: np.ndarray) -> int:
+    """Exact sign of ``det([b_1 - b_0; ...; b_{d-1} - b_0; sum_i t_i -
+    k b_0])`` for the ``k`` rows ``t_i`` of ``tail``: the orientation of
+    their centroid (of the point itself when ``k == 1``), with the query
+    row scaled by ``k > 0``."""
+    d = base.shape[1]
+    k = tail.shape[0]
+    v = _frexp_ints(base.ravel().tolist() + tail.ravel().tolist())
+    b0 = v[:d]
+    t = v[d * d:]
+    rows = [[v[i + j] - b0[j] for j in range(d)] for i in range(d, d * d, d)]
+    rows.append([sum(t[j::d]) - k * b0[j] for j in range(d)])
     det = _laplace_det(rows)
-    # Exact Fraction sign, not a float comparison; RPR004's heuristic
+    # Exact integer sign, not a float comparison; RPR004's heuristic
     # cannot see the type.
     return (det > 0) - (det < 0)  # repro: noqa: RPR004
 
@@ -371,9 +399,12 @@ def verify_certificate(cert: HullCertificate, points: np.ndarray) -> None:
     if d == 3 and fcount != 2 * v - 4:
         _fail(f"simplicial 3D hull needs F = 2V - 4; got F={fcount}, V={v}")
 
-    # Interior reference: exact uniform combination of the claimed ranks.
+    # Interior reference: exact uniform combination of the claimed ranks
+    # (the exact stage orients it as the integer row sum(p_i) - (d+1) p_0;
+    # the SoS stage takes its rational coordinates).
     if cert.interior_ranks != tuple(range(d + 1)):
         _fail(f"unsupported interior combination {cert.interior_ranks}")
+    interior_pts = pts[list(cert.interior_ranks)]
     w = Fraction(1, d + 1)
     interior_exact = [
         sum(w * Fraction(float(pts[i][j])) for i in cert.interior_ranks)
@@ -388,7 +419,7 @@ def verify_certificate(cert: HullCertificate, points: np.ndarray) -> None:
 
         # Orientation claim: the interior reference must be strictly on
         # the non-visible side.
-        s_ref = _orient_exact_rows(base, interior_exact)
+        s_ref = _orient_exact_rows(base, interior_pts)
         if s_ref == 0:
             if not cert.sos:
                 _fail(f"facet {f} is degenerate (interior on its plane)")
@@ -413,8 +444,7 @@ def verify_certificate(cert: HullCertificate, points: np.ndarray) -> None:
             i = int(i)
             if i in f:
                 continue
-            q_exact = [Fraction(float(x)) for x in pts[i]]
-            s = _orient_exact_rows(base, q_exact)
+            s = _orient_exact_rows(base, pts[i:i + 1])
             if s == 0 and cert.sos:
                 s = _orient_sos_bruteforce(base, f, pts[i], i)
             if s == vis:

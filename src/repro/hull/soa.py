@@ -348,7 +348,8 @@ class SoAHullRun:
     rest of its float plane and error envelope, ``support``/
     ``pivot_points``/``rounds_created`` the dependence DAG, and
     ``conflict_lens`` its window of ``conflict_pool``.  All are copies,
-    so stepping or restoring the engine afterwards cannot reach them.
+    as are ``counters`` and ``tracker``, so stepping or restoring the
+    engine afterwards cannot reach them.
 
     ``facets`` are the alive hull facets as regular
     :class:`~repro.geometry.simplex.Facet` objects (same planes, same
@@ -979,8 +980,9 @@ class SoAHullEngine:
         """Close the run and return its result in column form
         (idempotent once the frontier is empty).  No ``Facet`` is built
         here: the run gets copies of the columns, the scalar-ladder
-        planes of the alive always-exact rows and the SoS flag in force
-        now, and builds its facets from those on first access."""
+        planes of the alive always-exact rows, the counters and the
+        work/span tracker, and the SoS flag in force now, and builds its
+        facets from those on first access."""
         self._finished = True
         self.stats.kernel_stats = self._kernel_snapshot()
         nf = self.store.size
@@ -994,9 +996,9 @@ class SoAHullEngine:
         return SoAHullRun(
             points=self.pts,
             order=self.order,
-            counters=self.counters,
+            counters=copy.copy(self.counters),
             exec_stats=self.stats,
-            tracker=self.tracker,
+            tracker=self.tracker.copy(),
             interior=self.interior,
             base_size=self.base_size,
             created_indices=self.store.indices[:nf].copy(),

@@ -118,6 +118,16 @@ class WorkSpanTracker:
     def __len__(self) -> int:
         return len(self._tasks)
 
+    def copy(self) -> "WorkSpanTracker":
+        """An independent tracker with the same task log: a later
+        :meth:`rollback` or :meth:`add_task` on either leaves the other
+        alone (logged tasks are never mutated, so they are shared)."""
+        out = WorkSpanTracker()
+        with self._mutex:
+            out._tasks = dict(self._tasks)
+            out._next = self._next
+        return out
+
     def checkpoint(self) -> int:
         """Mark for :meth:`rollback`: the next task id to be issued."""
         with self._mutex:

@@ -1,13 +1,22 @@
 """Tests for the adaptive-exact orientation and in-circle predicates."""
 
+import math
 import os
+from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from repro.geometry.predicates import STATS, in_circle, orient, orient_exact
+from repro.geometry.linalg import sign_exact
+from repro.geometry.predicates import (
+    STATS,
+    in_circle,
+    orient,
+    orient_exact,
+    orient_exact_combo,
+)
 
 coord = st.floats(min_value=-100, max_value=100, allow_nan=False, allow_infinity=False)
 
@@ -143,3 +152,169 @@ class TestInCircle:
             assert s == 1
         elif r2 > 9 + 1e-9:
             assert s == -1
+
+
+# -- the integer exact path against the Fraction reference -----------------
+#
+# The reference forms every row over Fractions and decides it with
+# Bareiss over Fractions (linalg.sign_exact).  The inputs stress the
+# scaling to ints: subnormals, signed zeros, magnitudes near 1e308 (whose
+# float differences overflow), and exponents mixed within one simplex,
+# drawn from small integer mantissas so that exact ties are common.
+
+_SPECIAL = (
+    0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308,
+    1e308, -1e308, 1.7976931348623157e308, -8.98846567431158e307,
+)
+_EXPONENTS = (-1074, -1070, -1022, -600, -52, 0, 1, 52, 600, 960, 1020)
+
+
+@st.composite
+def _coords(draw, count):
+    """``count`` floats: small-int mantissas on one shared exponent
+    (many exact ties) or on mixed exponents, salted with specials."""
+    shared = draw(st.booleans())
+    e0 = draw(st.sampled_from(_EXPONENTS))
+    out = []
+    for _ in range(count):
+        kind = draw(st.integers(0, 9))
+        if kind == 0:
+            out.append(draw(st.sampled_from(_SPECIAL)))
+        elif kind == 1:
+            out.append(draw(st.floats(allow_nan=False, allow_infinity=False)))
+        else:
+            e = e0 if shared else draw(st.sampled_from(_EXPONENTS))
+            out.append(math.ldexp(draw(st.integers(-3, 3)), e))
+    return out
+
+
+@st.composite
+def _simplex_and_query(draw):
+    d = draw(st.integers(2, 5))
+    simplex = np.array(draw(_coords(d * d))).reshape(d, d)
+    mode = draw(st.sampled_from(["free", "vertex", "ulp"]))
+    if mode == "free":
+        q = np.array(draw(_coords(d)))
+    else:
+        # On the hyperplane (a vertex), or one ulp off it.
+        q = simplex[draw(st.integers(0, d - 1))].copy()
+        if mode == "ulp":
+            j = draw(st.integers(0, d - 1))
+            q[j] = math.nextafter(q[j], draw(st.sampled_from([-math.inf, math.inf])))
+            assume(np.isfinite(q[j]))
+    return simplex, q
+
+
+def _fraction_sign(simplex, q_exact) -> int:
+    base = [Fraction(float(x)) for x in simplex[0]]
+    rows = [[Fraction(float(x)) - b for x, b in zip(p, base)] for p in simplex[1:]]
+    rows.append([x - b for x, b in zip(q_exact, base)])
+    return sign_exact(rows)
+
+
+class TestIntegerPathMatchesFractions:
+    @given(_simplex_and_query())
+    @settings(max_examples=400, deadline=None)
+    def test_orient(self, case):
+        simplex, q = case
+        want = _fraction_sign(simplex, [Fraction(float(x)) for x in q])
+        with np.errstate(all="ignore"):
+            assert orient(simplex, q) == want
+        assert orient_exact(simplex, q) == want
+
+    @given(
+        _simplex_and_query(),
+        _coords(5),
+        st.lists(st.integers(-3, 3), min_size=5, max_size=5),
+        st.integers(3, 5),
+        st.sampled_from(["uniform", "weighted", "weighted-tie"]),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_orient_exact_combo(self, case, free, t, k, mode):
+        simplex, q = case
+        d = simplex.shape[0]
+        r = np.array(free[:d])
+        if mode == "weighted-tie":
+            # (q - s_0)/3 + (r - s_0)/7 == 0, so with a vertex as the
+            # third point the combination lies on the hyperplane -- under
+            # these weights only (exactly so when s_0 + 3t and s_0 - 7t
+            # are representable).
+            t = np.array(t[:d], dtype=np.float64)
+            q, r = simplex[0] + 3.0 * t, simplex[0] - 7.0 * t
+        pts = np.vstack([q, r, simplex[1:]])
+        if mode == "uniform":
+            pts = pts[:k]
+            weights = None
+            ws = [Fraction(1, pts.shape[0])] * pts.shape[0]
+        else:
+            pts = pts[:3]
+            weights = ws = [Fraction(1, 3), Fraction(1, 7), Fraction(11, 21)]
+        combo = [
+            sum(w * Fraction(float(c[j])) for w, c in zip(ws, pts))
+            for j in range(d)
+        ]
+        with np.errstate(all="ignore"):
+            got = orient_exact_combo(simplex, pts, weights)
+        assert got == _fraction_sign(simplex, combo)
+
+    # Lattice points on the circle of radius 5 about the origin.
+    _CIRCLE = [
+        (5, 0), (4, 3), (3, 4), (0, 5), (-3, 4), (-4, 3),
+        (-5, 0), (-4, -3), (-3, -4), (0, -5), (3, -4), (4, -3),
+    ]
+
+    @given(
+        st.permutations(range(12)),
+        st.sampled_from(_EXPONENTS),
+        st.integers(-8, 8),
+        st.integers(-8, 8),
+        st.sampled_from([0, 1, -1]),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_in_circle_cocircular(self, perm, e, cx, cy, nudge):
+        # Four cocircular points, scaled and translated; ``nudge`` moves
+        # the query one ulp in x (near-cocircular) or not at all.
+        a, b, c, q = (
+            [math.ldexp(x, e) + cx, math.ldexp(y, e) + cy]
+            for x, y in (self._CIRCLE[i] for i in perm[:4])
+        )
+        if nudge:
+            q[0] = math.nextafter(q[0], nudge * math.inf)
+        qx, qy = Fraction(q[0]), Fraction(q[1])
+        rows = []
+        for p in (a, b, c):
+            dx, dy = Fraction(p[0]) - qx, Fraction(p[1]) - qy
+            rows.append([dx, dy, dx * dx + dy * dy])
+        want = sign_exact(rows)
+        if not nudge and (cx, cy) == (0, 0):
+            assert want == 0
+        with np.errstate(all="ignore"):
+            assert in_circle(a, b, c, q) == want
+
+
+class TestNonFiniteInputs:
+    """The exact path rejects what it cannot decide, with the exception
+    types ``Fraction`` raises: NaN -> ValueError, inf -> OverflowError."""
+
+    S2 = np.array([[0.0, 0.0], [1.0, 0.0]])
+    S3 = np.array([[0.0, 0, 0], [1, 0, 0], [0, 1, 0]])
+
+    @pytest.mark.parametrize("bad, exc", [(np.nan, ValueError), (np.inf, OverflowError)])
+    def test_orient(self, bad, exc):
+        with np.errstate(all="ignore"):
+            with pytest.raises(exc):
+                orient(self.S2, [0.5, bad])
+            with pytest.raises(exc):
+                orient(self.S3, [0.2, bad, 1.0])
+        with pytest.raises(exc):
+            orient_exact(self.S3, [bad, 0.0, 0.0])
+        with pytest.raises(exc):
+            orient_exact(np.array([[bad, 0.0], [1.0, 0.0]]), [0.5, 0.5])
+
+    @pytest.mark.parametrize("bad, exc", [(np.nan, ValueError), (np.inf, OverflowError)])
+    def test_combo_and_in_circle(self, bad, exc):
+        with pytest.raises(exc):
+            orient_exact_combo(self.S3, [[0.0, 0, 1], [bad, 0, 1]])
+        with np.errstate(all="ignore"):
+            with pytest.raises(exc):
+                in_circle([1, 0], [0, 1], [-1, 0], [bad, 0.0])

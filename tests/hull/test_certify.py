@@ -2,7 +2,11 @@
 independent exact checker, and -- the part that matters -- *rejected*
 when corrupted in any of the four adversarial ways."""
 
+import ast
+import importlib.util
 import json
+import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -14,6 +18,7 @@ from repro.hull import (
     parallel_hull,
     robust_hull,
 )
+from repro.hull import certify
 from repro.hull.certify import (
     CORRUPTION_MODES,
     CertificateError,
@@ -112,3 +117,50 @@ class TestRobustIntegration:
         pts = uniform_ball(40, 2, seed=9)
         res = robust_hull(pts, seed=0, certify=False)
         assert res.certificate is None
+
+
+class TestIndependentExactStage:
+    """The verifier's exact stage is its own code, and it decides
+    containment down to the last bit of a coordinate."""
+
+    def test_verifier_imports_nothing_from_geometry(self):
+        tree = ast.parse(Path(certify.__file__).read_text())
+        imported = []
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                imported += [a.name for a in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                mod = importlib.util.resolve_name(
+                    "." * node.level + (node.module or ""), "repro.hull"
+                )
+                imported += [mod] + [f"{mod}.{a.name}" for a in node.names]
+        assert "numpy" in imported
+        geometry = [m for m in imported
+                    if m == "repro.geometry" or m.startswith("repro.geometry.")]
+        assert geometry == []
+
+    # A tetrahedron plus (1, 1, 0), inserted last, on its z = 0 facet;
+    # lifted by 0.1 the coordinates carry full 53-bit mantissas.
+    TETRA = np.array([[0.0, 0, 0], [4, 0, 0], [0, 4, 0], [0, 0, 4], [1, 1, 0]])
+
+    def _moved(self, lift, z):
+        pts = self.TETRA + np.array([0.0, 0.0, lift])
+        cert = make_certificate(parallel_hull(pts, order=np.arange(5)))
+        pts[4, 2] = z
+        return cert, pts
+
+    @pytest.mark.parametrize("lift, z", [
+        (0.0, 0.0), (0.0, 5e-324), (0.1, 0.1), (0.1, math.nextafter(0.1, 1.0)),
+    ])
+    def test_on_or_just_inside_accepted(self, lift, z):
+        cert, pts = self._moved(lift, z)
+        assert len(cert.facets) == 4
+        verify_certificate(cert, pts)
+
+    @pytest.mark.parametrize("lift, z", [
+        (0.0, -5e-324), (0.0, -1e-300), (0.1, math.nextafter(0.1, 0.0)),
+    ])
+    def test_just_outside_rejected(self, lift, z):
+        cert, pts = self._moved(lift, z)
+        with pytest.raises(CertificateError, match="strictly outside"):
+            verify_certificate(cert, pts)

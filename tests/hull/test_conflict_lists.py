@@ -199,7 +199,8 @@ def test_finished_run_outlives_engine_restore(exact):
     """A finished run owns its result: rewinding the engine to its
     bootstrap snapshot after finish() leaves ``run.facets`` (built on
     first access) equal to the facets materialized before finish --
-    planes, always-exact flags and conflicts alike."""
+    planes, always-exact flags and conflicts alike -- and leaves the
+    run's counters, work/span tracker and execution stats untouched."""
     with exact_mode() if exact else contextlib.nullcontext():
         eng = _engine(200, 3, seed=31)
         snap = eng.snapshot()
@@ -208,8 +209,13 @@ def test_finished_run_outlives_engine_restore(exact):
         alive = np.nonzero(eng.store.alive[: eng.store.size])[0]
         want = list(map(eng._facet_of, alive))
         run = eng.finish()
+        accounting = (run.counters.as_dict(), run.tracker.work,
+                      run.tracker.span, run.exec_stats.rounds)
         eng.restore(snap)
         got = run.facets
+    assert (run.counters.as_dict(), run.tracker.work, run.tracker.span,
+            run.exec_stats.rounds) == accounting
+    assert run.tracker.work == run.counters.visibility_tests > 0
     assert [f.fid for f in got] == [f.fid for f in want]
     for a, b in zip(got, want):
         assert a.indices == b.indices

@@ -1,6 +1,7 @@
 """Tests for the hull validators themselves (they must catch broken
 hulls, not just bless good ones)."""
 
+import math
 import os
 
 import numpy as np
@@ -80,6 +81,38 @@ class TestNegative:
         dup = replace(f, fid=max(x.fid for x in good_run.facets) + 1)
         with pytest.raises(HullValidationError):
             check_ridge_manifold(good_run.facets + [dup])
+
+
+class TestUlpContainment:
+    """Containment is decided exactly: a point one ulp outside a facet
+    is outside.  A tetrahedron plus (1, 1, 0), inserted last, on its
+    z = 0 facet (lifted by 0.1 the coordinates carry full 53-bit
+    mantissas); the validator sees that point moved to ``z``."""
+
+    TETRA = np.array([[0.0, 0, 0], [4, 0, 0], [0, 4, 0], [0, 0, 4], [1, 1, 0]])
+
+    def _moved(self, lift, z):
+        run = sequential_hull(self.TETRA + np.array([0.0, 0.0, lift]),
+                              order=np.arange(5))
+        pts = run.points.copy()
+        pts[list(run.order).index(4), 2] = z
+        return run.facets, pts
+
+    @pytest.mark.parametrize("lift, z", [
+        (0.0, 0.0), (0.0, 5e-324), (0.1, 0.1), (0.1, math.nextafter(0.1, 1.0)),
+    ])
+    def test_on_or_just_inside_passes(self, lift, z):
+        facets, pts = self._moved(lift, z)
+        assert len(facets) == 4
+        validate_hull(facets, pts)
+
+    @pytest.mark.parametrize("lift, z", [
+        (0.0, -5e-324), (0.0, -1e-300), (0.1, math.nextafter(0.1, 0.0)),
+    ])
+    def test_just_outside_rejected(self, lift, z):
+        facets, pts = self._moved(lift, z)
+        with pytest.raises(HullValidationError, match="strictly outside"):
+            validate_hull(facets, pts)
 
 
 class TestBruteForce:
