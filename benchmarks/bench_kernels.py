@@ -1,4 +1,4 @@
-"""E19: batched predicate kernels vs the scalar oracle -- standalone
+"""E19: the flat visibility sweep vs the scalar oracle -- standalone
 runner.
 
 Unlike the pytest-benchmark modules in this directory, this is a plain
@@ -45,8 +45,6 @@ def main(argv: list[str] | None = None) -> int:
               f"(criterion >= 3x: {'PASS' if s['criterion_3x_at_1e4'] else 'FAIL'})")
     print(f"max filter-fallback rate: {s['max_fallback_rate']:.4f}")
     print(f"hull facet sets identical: {s['all_hulls_identical']}")
-    for n, ratio in s["hull_speedup_by_n"].items():
-        print(f"end-to-end batch/scalar at n={n}: {ratio:.2f}x")
     for key, ratio in s["soa_speedup_by_n"].items():
         print(f"end-to-end soa/scalar at {key}: {ratio:.2f}x")
     if not report["smoke"]:

@@ -1,12 +1,13 @@
-"""E19: batched predicate kernels vs the scalar oracle.
+"""E19: the flat visibility sweep vs the scalar oracle.
 
-The batched kernel (:mod:`repro.geometry.kernels`) claims two things:
-bit-identical signs to the scalar path, and a large constant-factor
-speedup on the visibility tests that dominate hull work.  This module
-measures the second claim (the first is the differential suite's job,
-but every measurement here re-asserts agreement anyway): for each
-``(n, d)`` it times three engines deciding the *same* (facet x
-candidate) visibility block --
+The flat sweep (:func:`~repro.geometry.kernels.visible_flat`, the SoA
+engine's only visibility path) claims two things: bit-identical signs
+to the scalar path, and a large constant-factor speedup on the
+visibility tests that dominate hull work.  This module measures the
+second claim (the first is the differential suite's job, but every
+measurement here re-asserts agreement anyway): for each ``(n, d)`` it
+times three engines deciding the *same* (facet x candidate) visibility
+block --
 
 ``scalar``
     one :meth:`~repro.geometry.hyperplane.Hyperplane.side` call per
@@ -14,17 +15,18 @@ candidate) visibility block --
     specified against;
 ``masked``
     one :meth:`~repro.geometry.hyperplane.Hyperplane.visible_mask`
-    call per facet: the pre-existing per-facet vectorized path;
-``batch``
-    one :meth:`~repro.geometry.kernels.BatchKernel.visible_blocks`
-    sweep for the whole ragged block.
+    call per facet: the object drivers' per-facet vectorized path;
+``flat``
+    one :func:`~repro.geometry.kernels.visible_flat` sweep over the
+    whole flattened block, its plane columns stacked once beforehand
+    (the SoA store holds them that way).
 
 and reports median wall times, speedups, and the filter-fallback rate
 (the fraction of signs the float envelope could not certify).  An
-end-to-end section runs ``sequential_hull`` under both ``kernel=``
-engines along an ``n`` trajectory (2e3 / 2e4 / 1e5 in the full run),
-checking facet-set equality and recording the batch/scalar ratio per
-``n`` -- the number the hot-path analyzer's findings have to explain.
+end-to-end section runs ``sequential_hull`` (the scalar object driver)
+and :func:`~repro.hull.soa.soa_hull` along an ``n`` trajectory
+(2e3 / 2e4 / 1e5 in the full run, plus SoA alone at 1e6), checking
+facet-set equality and recording the soa/scalar ratio per ``(n, d)``.
 
 Results are JSON-shaped for ``BENCH_kernels.json`` (consumed by
 EXPERIMENTS.md's E19 table and the ``kernels-smoke`` CI job via
@@ -41,19 +43,19 @@ from typing import Sequence
 import numpy as np
 
 from ..geometry.hyperplane import Hyperplane
-from ..geometry.kernels import BatchKernel
+from ..geometry.kernels import KernelStats, visible_flat
 from ..geometry.points import uniform_ball
 from ..hull.sequential import sequential_hull
 from ..hull.soa import soa_hull
 
 __all__ = ["run_kernel_bench", "KERNEL_BENCH_SCHEMA"]
 
-KERNEL_BENCH_SCHEMA = "repro.bench.kernels/1"
+KERNEL_BENCH_SCHEMA = "repro.bench.kernels/2"
 
 
 def _facet_specs(
     pts: np.ndarray, n_facets: int, rng: np.random.Generator
-) -> tuple[list[Hyperplane], list[tuple[int, ...]], list[np.ndarray]]:
+) -> tuple[list[Hyperplane], list[np.ndarray]]:
     """Build ``n_facets`` well-defined planes through random d-subsets,
     each tested against every other point -- the dense analogue of the
     hull's ragged conflict blocks.
@@ -66,7 +68,6 @@ def _facet_specs(
     n, d = pts.shape
     interior = pts.mean(axis=0)
     planes: list[Hyperplane] = []
-    idx_list: list[tuple[int, ...]] = []
     cand_list: list[np.ndarray] = []
     everything = np.arange(n, dtype=np.int64)
     while len(planes) < n_facets:
@@ -80,9 +81,8 @@ def _facet_specs(
         keep = np.ones(n, dtype=bool)  # repro: noqa: RPRHOT003
         keep[list(idx)] = False
         planes.append(plane)  # repro: noqa: RPRHOT003
-        idx_list.append(idx)
         cand_list.append(everything[keep])  # repro: noqa: RPRHOT003
-    return planes, idx_list, cand_list
+    return planes, cand_list
 
 
 def _time(fn, repeats: int) -> tuple[float, object]:
@@ -111,11 +111,19 @@ def _time(fn, repeats: int) -> tuple[float, object]:
 
 def _predicate_row(
     n: int, d: int, n_facets: int, repeats: int, seed: int
-) -> dict:
+) -> dict:  # repro: hot-entry
     rng = np.random.default_rng(seed)
     pts = uniform_ball(n, d, seed=seed)
-    planes, idx_list, cand_list = _facet_specs(pts, n_facets, rng)
-    tests = sum(int(c.size) for c in cand_list)
+    planes, cand_list = _facet_specs(pts, n_facets, rng)
+    # The flat stream and its plane columns, built once outside the
+    # stopwatch: entry i tests ranks[i] against plane owner[i].
+    sizes = [int(c.size) for c in cand_list]
+    ranks = np.concatenate(cand_list)
+    owner = np.repeat(np.arange(len(planes), dtype=np.int64), sizes)
+    normals = np.stack([p.normal for p in planes])
+    offsets = np.array([p.offset for p in planes])
+    err_scale = np.array([p.err_scale for p in planes])
+    err_base = np.array([p.err_base for p in planes])
 
     def scalar() -> list[np.ndarray]:
         out = []
@@ -131,66 +139,57 @@ def _predicate_row(
             for plane, cands in zip(planes, cand_list)
         ]
 
-    def batch() -> list[np.ndarray]:
-        # Fresh cache-less kernel per run: timings measure the sweep,
-        # not cache replay of the previous repeat.
-        kern = BatchKernel(pts, cache=False)
-        return kern.visible_blocks(planes, idx_list, cand_list)  # repro: noqa: RPRHOT006
+    def batch(stats: KernelStats | None = None) -> np.ndarray:
+        return visible_flat(  # repro: noqa: RPRHOT006
+            pts, normals, offsets, err_scale, err_base, owner, ranks,
+            plane_for=planes.__getitem__, stats=stats,
+        )
 
     scalar_s, scalar_masks = _time(scalar, repeats)
     masked_s, masked_masks = _time(masked, repeats)
-    batch_s, batch_masks = _time(batch, repeats)
+    flat_s, flat_mask = _time(batch, repeats)
 
-    for a, b, c in zip(scalar_masks, masked_masks, batch_masks):
+    flat_masks = np.split(flat_mask, np.cumsum(sizes)[:-1])
+    for a, b, c in zip(scalar_masks, masked_masks, flat_masks):
         if not (np.array_equal(a, b) and np.array_equal(a, c)):
             raise AssertionError(f"engine disagreement at n={n} d={d}")
 
-    # Fallback + cache statistics from one instrumented cached sweep.
-    kern = BatchKernel(pts, cache=True)
-    kern.visible_blocks(planes, idx_list, cand_list)  # repro: noqa: RPRHOT006
-    kern.visible_blocks(planes, idx_list, cand_list)  # repro: noqa: RPRHOT006 (pure cache replay)
-    snap = kern.snapshot()
-    cache = kern.cache.snapshot() if kern.cache is not None else {}
+    # Fallback statistics from one instrumented sweep.
+    stats = KernelStats()
+    batch(stats)
     return {
         "n": n,
         "d": d,
         "facets": len(planes),
-        "tests": tests,
+        "tests": sum(sizes),
         "scalar_s": scalar_s,
         "masked_s": masked_s,
-        "batch_s": batch_s,
-        "speedup_vs_scalar": scalar_s / batch_s if batch_s else float("inf"),
-        "speedup_vs_masked": masked_s / batch_s if batch_s else float("inf"),
-        "fallbacks": snap["fallbacks"],
-        "fallback_rate": snap["fallbacks"] / max(1, snap["batched_signs"]),
-        "cache_hits": cache.get("cache_hits", 0),
-        "cache_misses": cache.get("cache_misses", 0),
+        "flat_s": flat_s,
+        "speedup_vs_scalar": scalar_s / flat_s if flat_s else float("inf"),
+        "speedup_vs_masked": masked_s / flat_s if flat_s else float("inf"),
+        "fallbacks": stats.fallbacks,
+        "fallback_rate": stats.fallbacks / max(1, stats.batched_signs),
     }
 
 
-def _hull_row(n: int, d: int, repeats: int, seed: int) -> dict:
-    """One end-to-end point of the hull trajectory.
+def _hull_row(n: int, d: int, repeats: int, seed: int) -> dict:  # repro: hot-entry
+    """One end-to-end point of the hull trajectory: the scalar object
+    driver (:func:`~repro.hull.sequential.sequential_hull`) against the
+    conflict-list SoA engine (:func:`~repro.hull.soa.soa_hull`) on the
+    identical instance, facet sets asserted equal.
 
     Large instances get one repeat: a full ``sequential_hull`` at
-    ``n=1e5, d=3`` runs ~15 s per engine, and the trajectory's job is
-    the *trend* of the batch/scalar ratio across n (does the per-facet
-    driver overhead wash out as sweeps grow?), not a tight median.
-    Each point also times the conflict-list SoA engine
-    (:func:`~repro.hull.soa.soa_hull`) on the identical instance -- the
-    ``hull_end_to_end_soa`` trajectory -- and asserts its facet set
-    matches both object-driver engines."""
+    ``n=1e5, d=3`` runs ~15 s, and the trajectory's job is the *trend*
+    of the soa/scalar ratio across n, not a tight median."""
     repeats = repeats if n < 10_000 else 1
     pts = uniform_ball(n, d, seed=seed + 17)
     order = np.random.default_rng(seed).permutation(n)
 
     scalar_s, scalar_res = _time(
-        lambda: sequential_hull(pts, order=order.copy(), kernel="scalar"), repeats
-    )
-    batch_s, batch_res = _time(
-        lambda: sequential_hull(pts, order=order.copy(), kernel="batch"), repeats
+        lambda: sequential_hull(pts, order=order.copy()), repeats
     )
     soa_s, soa_res = _time(
-        lambda: soa_hull(pts, order=order.copy(), kernel="batch"), repeats
+        lambda: soa_hull(pts, order=order.copy()), repeats
     )
     keys = scalar_res.facet_keys()
     return {
@@ -198,12 +197,9 @@ def _hull_row(n: int, d: int, repeats: int, seed: int) -> dict:
         "d": d,
         "repeats": repeats,
         "scalar_s": scalar_s,
-        "batch_s": batch_s,
         "soa_s": soa_s,
-        "speedup": scalar_s / batch_s if batch_s else float("inf"),
         "soa_speedup": scalar_s / soa_s if soa_s else float("inf"),
-        "same_facets": keys == batch_res.facet_keys()
-        and keys == soa_res.facet_keys(),
+        "same_facets": keys == soa_res.facet_keys(),
         "hull_facets": len(keys),
     }
 
@@ -225,7 +221,7 @@ def _soa_contained(run, sample: int, seed: int) -> bool:
     return bool(np.all(margins <= env))
 
 
-def _soa_only_row(n: int, d: int, seed: int, sample: int = 20_000) -> dict:
+def _soa_only_row(n: int, d: int, seed: int, sample: int = 20_000) -> dict:  # repro: hot-entry
     """The trajectory's far point (``n = 1e6``): the scalar oracle is
     intractable here (hours), so ``scalar_s`` is ``None`` and
     correctness is a sampled containment check instead of a facet-set
@@ -233,17 +229,13 @@ def _soa_only_row(n: int, d: int, seed: int, sample: int = 20_000) -> dict:
     where the oracle still runs."""
     pts = uniform_ball(n, d, seed=seed + 17)
     order = np.random.default_rng(seed).permutation(n)
-    soa_s, res = _time(
-        lambda: soa_hull(pts, order=order.copy(), kernel="batch"), 1
-    )
+    soa_s, res = _time(lambda: soa_hull(pts, order=order.copy()), 1)
     return {
         "n": n,
         "d": d,
         "repeats": 1,
         "scalar_s": None,
-        "batch_s": None,
         "soa_s": soa_s,
-        "speedup": None,
         "soa_speedup": None,
         "same_facets": None,
         "sampled_containment": _soa_contained(res, sample, seed + 1),
@@ -266,7 +258,7 @@ def run_kernel_bench(
 
     ``smoke=True`` shrinks sizes/repeats for CI (correctness of the
     harness, not meaningful timings).  The full run covers ``n >= 1e4``
-    where the acceptance criterion (batched >= 3x scalar median
+    where the acceptance criterion (flat sweep >= 3x scalar median
     speedup on visibility testing) is evaluated.
     """
     if smoke:
@@ -311,14 +303,6 @@ def run_kernel_bench(
         "all_containment_checks_passed": all(
             r.get("sampled_containment", True) is not False for r in hull_rows
         ),
-        # end-to-end batch/scalar ratio per n (median across ds): the
-        # trend EXPERIMENTS E21 reads against the hotpath findings
-        "hull_speedup_by_n": {
-            str(n): float(median(
-                r["speedup"] for r in diffed if r["n"] == n
-            ))
-            for n in sorted({r["n"] for r in diffed})
-        },
         # E24: the conflict-list SoA engine's end-to-end trajectory,
         # per dimension (the 2-D and 3-D regimes differ structurally;
         # blending them into one median would hide both).

@@ -1,27 +1,27 @@
 """The hot-path discipline analyzer behind ``repro hotpath``.
 
-``BENCH_kernels.json`` records the problem this pass exists to guard:
-the batched predicate kernels win 20-36x on raw sweeps, yet end-to-end
-hulls at n=2000 run at 0.76-0.80x -- the per-facet Python driver in
-``hull/`` swallows the vectorized win.  The coming SoA conflict-list
-refactor (ROADMAP Open item 1) removes those driver loops; this
-analyzer *finds* them today (the committed ``hotpath-baseline.json``
-is exactly that worklist) and, through the baseline ratchet, forbids
-their reintroduction tomorrow.
+The visibility sweep is where hull work lives (Theorem 5.4 counts
+visibility tests), and ``BENCH_kernels.json`` records how easily a
+Python driver swallows a vectorized win: the raw flat sweep runs
+30-60x over the scalar oracle, but only the conflict-list SoA engine
+(:mod:`repro.hull.soa`), which runs whole rounds as a few flat sweeps,
+carries that win end to end.  This analyzer keeps it that way: it
+*finds* per-element driver loops on the path into the kernels (the
+committed ``hotpath-baseline.json`` is the remaining worklist, outside
+the SoA engine, which must analyze finding-free) and, through the
+baseline ratchet, forbids their reintroduction.
 
-Mechanics: functions on the batch-kernel path ("hot" functions) are
+Mechanics: functions on the kernel path ("hot" functions) are
 discovered by a BFS over the bare-name call graph from the kernel
-entry points (anything with a ``kernel=`` parameter, anything that
-constructs :class:`~repro.geometry.kernels.BatchKernel` or passes
-``kernel="batch"``, and every shape-annotated or ``# repro: hot-entry``
-function), with RPREFF002-style provenance chains.  Inside each hot
-function the rules run over the loop-depth-stamped CFG
-(:mod:`repro.analyze.cfg`) and the NumPy shape abstraction
-(:mod:`repro.analyze.shapes`):
+entry points (anything with a ``kernel=`` parameter, and every
+shape-annotated or ``# repro: hot-entry`` function), with
+RPREFF002-style provenance chains.  Inside each hot function the rules
+run over the loop-depth-stamped CFG (:mod:`repro.analyze.cfg`) and the
+NumPy shape abstraction (:mod:`repro.analyze.shapes`):
 
 ``RPRHOT001`` per-element loop
     A Python ``for`` over facet/point/conflict data (inferred array,
-    or matching the hot-data lexicon) on the batch-reachable path.
+    or matching the hot-data lexicon) on the kernel-reachable path.
 ``RPRHOT002`` scalar predicate in a loop
     ``orient`` / ``side`` / ``visible_mask`` / per-facet ``Hyperplane``
     construction at loop depth >= 1: exactly the amortization failure
@@ -36,7 +36,7 @@ function the rules run over the loop-depth-stamped CFG
     einsum/matmul/broadcast operands that *definitely* cannot agree
     under the inferred symbolic dims.
 ``RPRHOT006`` unaccounted batched sweep
-    A ``visible_blocks``/``orient_batch`` call in a function with no
+    A ``visible_flat``/``orient_batch`` call in a function with no
     work-span accounting marker, which would silently falsify E2/E13.
 
 The scalar exact-arithmetic ladder (``geometry/predicates.py``,
@@ -162,7 +162,7 @@ ALLOC_NP = frozenset({
 LIST_GROW = frozenset({"append", "extend", "insert"})
 
 #: batched sweep entry points that must be work-span accounted
-BATCH_SWEEPS = frozenset({"visible_blocks", "orient_batch"})
+BATCH_SWEEPS = frozenset({"visible_flat", "orient_batch"})
 
 #: presence of any of these names/attrs in a function counts as
 #: accounting for its sweeps
@@ -269,17 +269,6 @@ def _entry_reason(info: FunctionInfo, annotated: bool) -> str | None:
         return "shape-annotated kernel boundary"
     if "kernel" in info.param_names:
         return "has a kernel= parameter"
-    node = info.node
-    if isinstance(node, ast.Lambda):
-        return None
-    for n in ast.walk(node):
-        if isinstance(n, ast.Name) and n.id == "BatchKernel":
-            return "constructs BatchKernel"
-        if isinstance(n, ast.Call):
-            for kw in n.keywords:
-                if kw.arg == "kernel" and isinstance(kw.value, ast.Constant) \
-                        and kw.value.value == "batch":
-                    return "calls with kernel='batch'"
     return None
 
 

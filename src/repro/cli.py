@@ -17,8 +17,8 @@ Commands
               atomic-step discipline (rules RPREFF001-RPREFF004, E20)
 ``race-check``  dynamic happens-before race check of the multimap (E16)
 ``chaos``     fault-injection suite: stall sweeps + crash/delay roundtrips (E17)
-``bench-kernels``  scalar vs batched predicate kernels, filter-fallback
-              rates, sign-cache stats (E19)
+``bench-kernels``  scalar vs flat-sweep predicate kernels, filter-fallback
+              rates, SoA vs scalar end to end (E19)
 ``noisy``     noisy-oracle campaign: output error vs flip rate p, vote
               overhead, certificate validator power (E23)
 
@@ -95,18 +95,17 @@ def cmd_hull(args) -> None:
 
         try:
             nk = NoisyKernel(p=args.noise, votes=parse_votes(args.votes),
-                             seed=args.seed, base=args.kernel)
+                             seed=args.seed)
         except ValueError as exc:
             raise SystemExit(str(exc))
         res = robust_hull(pts, seed=args.seed + 1, noise=nk,
                           executor=executor, multimap=multimap,
-                          kernel=args.kernel, engine=args.engine)
+                          engine=args.engine)
         run = res.run
         extra = {"mode": res.mode, "escalations": res.escalations}
     else:
         run = parallel_hull(pts, seed=args.seed + 1, executor=executor,
-                            multimap=multimap, kernel=args.kernel,
-                            engine=args.engine)
+                            multimap=multimap, engine=args.engine)
     validate_hull(run.facets, run.points)
     out = {
         "n": args.n,
@@ -601,13 +600,12 @@ def build_parser() -> argparse.ArgumentParser:
     common(p)
     p.add_argument("--executor", default="rounds", choices=sorted(EXECUTORS))
     p.add_argument("--workers", type=int, default=2)
-    p.add_argument("--kernel", default="scalar", choices=["scalar", "batch"],
-                   help="visibility engine: per-facet scalar oracle or "
-                        "batched einsum sweeps with exact fallback")
     p.add_argument("--engine", default="objects", choices=["objects", "soa"],
-                   help="hull core: per-facet object task driver or the "
-                        "round-vectorized conflict-list SoA engine "
-                        "(requires the default rounds executor)")
+                   help="hull core, and with it the visibility path: "
+                        "per-facet object task driver (scalar oracle) or "
+                        "the round-vectorized conflict-list SoA engine "
+                        "(one flat sweep per round; requires the default "
+                        "rounds executor)")
     p.add_argument("--noise", type=float, default=0.0, metavar="P",
                    help="flip each visibility decision with probability P "
                         "(seeded noisy oracle; runs through the "
@@ -704,7 +702,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser(
         "hotpath",
         help="static vectorization & hot-path discipline analysis of the "
-             "batch-kernel arc (rules RPRHOT001-006)",
+             "visibility kernels and their drivers (rules RPRHOT001-006)",
     )
     p.add_argument("paths", nargs="*",
                    help="files/dirs to analyse (default: src)")

@@ -9,11 +9,14 @@ wrongly.  This module reproduces that regime for the visibility
 predicate (the unit of work Theorem 5.4 counts, and by far the dominant
 predicate traffic of every hull in this repo).
 
-:class:`NoisyKernel` is a *kernel mode*: passed as the ``kernel=``
-argument of any hull driver it wraps the chosen base engine
-(``"scalar"`` per-facet sweeps or the ``"batch"`` einsum kernel) and
-perturbs each visibility decision after the true sign is computed.
-Three properties make the wrapper honest and testable:
+:class:`NoisyKernel` is the one value the ``kernel=`` argument of the
+hull drivers takes (besides ``None``): it perturbs each visibility
+decision after the true sign is computed by whichever path the engine
+already runs -- per-facet :meth:`~repro.geometry.hyperplane.Hyperplane.visible_mask`
+calls in the object drivers, the flat sweep
+(:func:`~repro.geometry.kernels.visible_flat`) in the SoA engine.  The
+noise needs only the true sign, so it adds no visibility path of its
+own.  Three properties make the wrapper honest and testable:
 
 * **Deterministic noise.** Every flip is a pure function of
   ``(seed, site, attempt)`` via the keyed blake2b idiom of
@@ -32,13 +35,13 @@ Three properties make the wrapper honest and testable:
   ``L`` with ``(p/(1-p))^L <= confidence`` -- so easy decisions stay
   cheap and hard ones escalate, capped at ``max_votes``.
 * **Exact identity at p=0.** With ``p == 0.0`` the wrapper returns the
-  base engine's masks untouched (no voting, no counters), so a zero-
-  noise run is bit-identical to the unwrapped kernel -- facet sets,
-  fids, counters, and the work/span DAG (the differential suite pins
-  this for both base engines).
+  true masks untouched (no voting, no counters), so a zero-noise run is
+  bit-identical to the noise-free run -- facet sets, fids, counters,
+  and the work/span DAG (the differential suite pins this for every
+  driver, the SoA engine included).
 
 Scope (honest): only the *visibility/conflict* predicate is wrapped --
-the ``visible_mask`` / ``visible_blocks`` traffic that decides conflict
+the ``visible_mask`` / ``visible_flat`` traffic that decides conflict
 sets.  Plane construction, initial-simplex rank selection, validation
 and certification stay exact; in particular the independent
 :mod:`repro.hull.certify` checker shares no code with this module and
@@ -84,7 +87,7 @@ def parse_votes(text) -> int | str:
 
 
 class NoisyKernel:
-    """A seeded lying oracle over a base visibility engine.
+    """A seeded lying oracle over the engine's true visibility masks.
 
     Parameters
     ----------
@@ -98,9 +101,6 @@ class NoisyKernel:
     seed:
         Noise seed.  Same seed, same site, same attempt -> same flip,
         across processes and executors.
-    base:
-        The engine that computes the *true* answers: ``"scalar"`` or
-        ``"batch"`` (see :class:`~repro.hull.common.FacetFactory`).
     epoch:
         Retry epoch, folded into every site string: the robust ladder
         bumps it per attempt so an escalated re-run draws independent
@@ -118,7 +118,6 @@ class NoisyKernel:
         p: float,
         votes: int | str = 1,
         seed: int = 0,
-        base: str = "scalar",
         epoch: int = 0,
         confidence: float = 1e-3,
         max_votes: int = 33,
@@ -130,8 +129,6 @@ class NoisyKernel:
             votes = parse_votes(votes)
             if votes < 1 or votes % 2 == 0:
                 raise ValueError(f"votes must be a positive odd integer, got {votes}")
-        if base not in ("scalar", "batch"):
-            raise ValueError(f"unknown base kernel {base!r}; use 'scalar' or 'batch'")
         if not 0.0 < confidence < 0.5:
             raise ValueError(f"confidence must be in (0, 0.5), got {confidence}")
         if max_votes < 1:
@@ -139,7 +136,6 @@ class NoisyKernel:
         self.p = p
         self.votes = votes
         self.seed = int(seed)
-        self.base = base
         self.epoch = int(epoch)
         self.confidence = float(confidence)
         self.max_votes = int(max_votes) | 1  # keep odd: no majority ties
@@ -160,7 +156,6 @@ class NoisyKernel:
             p=self.p,
             votes=self.votes if votes is None else votes,
             seed=self.seed,
-            base=self.base,
             epoch=self.epoch if epoch is None else epoch,
             confidence=self.confidence,
             max_votes=self.max_votes,
@@ -207,7 +202,7 @@ class NoisyKernel:
     def decide(self, site: str, truth: bool) -> bool:
         """The repaired decision: majority (or adaptive) vote over
         independent noisy invocations.  ``truth`` is the exact answer
-        the base engine computed; the caller never sees it directly
+        the engine computed; the caller never sees it directly
         once ``p > 0``."""
         truth = bool(truth)
         if self.p == 0.0:
@@ -243,10 +238,11 @@ class NoisyKernel:
         cand_list: Sequence[np.ndarray],
         masks: Sequence[np.ndarray],
     ) -> list[np.ndarray]:
-        """Perturb a ragged block of true visibility masks (the output
-        shape of ``visible_blocks`` / per-facet ``visible_mask`` calls).
-        Input masks are never mutated; with ``p == 0`` they are returned
-        as-is (bit-identity fast path)."""
+        """Perturb a ragged block of true visibility masks, one per
+        facet: ``indices_list[k]`` is facet ``k``'s sorted defining
+        ranks and ``cand_list[k]`` its candidate ranks, which together
+        name each decision's site.  Input masks are never mutated; with
+        ``p == 0`` they are returned as-is (bit-identity fast path)."""
         if self.p == 0.0:
             return list(masks)
         out: list[np.ndarray] = []
@@ -305,4 +301,4 @@ class NoisyKernel:
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (f"NoisyKernel(p={self.p!r}, votes={self.votes!r}, "
-                f"seed={self.seed}, base={self.base!r}, epoch={self.epoch})")
+                f"seed={self.seed}, epoch={self.epoch})")

@@ -18,7 +18,6 @@ import numpy as np
 
 from ..analyze.shapes import observe
 from ..geometry.hyperplane import Hyperplane
-from ..geometry.kernels import BatchKernel
 from ..geometry.noisy import NoisyKernel
 from ..geometry.perturb import sos_active
 from ..geometry.simplex import Facet
@@ -191,29 +190,20 @@ class FacetFactory:
 
     One factory per run; it owns the interior reference point (the
     centroid of the initial simplex, strictly inside every intermediate
-    hull) and the work counters.
+    hull) and the work counters.  Visibility is the scalar oracle: one
+    :meth:`Hyperplane.visible_mask` call per facet.
 
-    ``kernel`` picks the visibility engine: ``"scalar"`` (the default
-    oracle -- one :meth:`Hyperplane.visible_mask` call per facet) or
-    ``"batch"`` (the :class:`~repro.geometry.kernels.BatchKernel`:
-    candidate blocks of many facets are swept in one einsum, uncertain
-    entries escalate to the same exact ladder, and decisions are cached
-    per (facet identity, rank)).  A
-    :class:`~repro.geometry.noisy.NoisyKernel` instance is also
-    accepted: its ``base`` names one of the two engines above, whose
-    *true* masks are then perturbed by the seeded lying oracle before
-    conflict sets are built (the sign cache, when active, stores true
-    signs -- noise is a deterministic re-application, so caching does
-    not accidentally de-noise or double-noise a decision).  Work
-    accounting is kernel-invariant: ``counters.visibility_tests``
-    counts scalar-equivalent *questions* either way (vote repetitions
-    land in the noisy kernel's own counters), so E2/E13 comparisons are
-    unaffected by the engine choice.
+    ``kernel`` is ``None`` or a :class:`~repro.geometry.noisy.NoisyKernel`,
+    whose seeded lying oracle perturbs the *true* masks before conflict
+    sets are built.  Work accounting is noise-invariant:
+    ``counters.visibility_tests`` counts scalar-equivalent *questions*
+    (vote repetitions land in the noisy kernel's own counters), so
+    E2/E13 comparisons are unaffected.
     """
 
     def __init__(self, pts: np.ndarray, interior: np.ndarray, counters: Counters,
                  interior_ranks: tuple[int, ...] | None = None,
-                 kernel: str | NoisyKernel = "scalar"):
+                 kernel: NoisyKernel | None = None):
         self.pts = pts
         self.interior = np.asarray(interior, dtype=np.float64)
         self.counters = counters
@@ -225,24 +215,19 @@ class FacetFactory:
         self._interior_combo = (pts[list(interior_ranks)], interior_ranks)
         self._mutex = Mutex()
         self._next_fid = 0
-        self.noisy = kernel if isinstance(kernel, NoisyKernel) else None
-        kernel = self.noisy.base if self.noisy is not None else kernel
-        if kernel not in ("scalar", "batch"):
-            raise ValueError(f"unknown kernel {kernel!r}; use 'scalar' or 'batch'")
-        self.kernel = kernel
-        self.batch_kernel = BatchKernel(pts) if kernel == "batch" else None
+        if kernel is not None and not isinstance(kernel, NoisyKernel):
+            raise ValueError(
+                f"unknown kernel {kernel!r}: kernel= takes None or a "
+                "NoisyKernel; the engine picks the visibility path"
+            )
+        self.noisy = kernel
 
     def kernel_snapshot(self) -> dict:
-        """Kernel counters for ``exec_stats`` (empty-ish for scalar)."""
-        snap: dict = {"kernel": self.kernel}
-        if self.batch_kernel is not None:
-            snap.update(self.batch_kernel.snapshot())
-            if self.batch_kernel.cache is not None:
-                snap.update(self.batch_kernel.cache.snapshot())
-        if self.noisy is not None:
-            snap["kernel"] = f"noisy[{self.kernel}]"
-            snap.update(self.noisy.snapshot())
-        return snap
+        """Kernel provenance for ``exec_stats``: the visibility path,
+        plus the noise model and vote counters of a noisy run."""
+        if self.noisy is None:
+            return {"kernel": "scalar"}
+        return {"kernel": "noisy[scalar]", **self.noisy.snapshot()}
 
     def _plane_for(self, indices: tuple[int, ...]) -> Hyperplane:
         return Hyperplane.through(
@@ -280,13 +265,9 @@ class FacetFactory:
         self, specs: list[tuple[tuple[int, ...], np.ndarray]]
     ) -> list[Facet]:
         """Build several facets at once; ``specs`` is a list of
-        ``(indices, candidates)`` pairs.
-
-        With ``kernel="batch"`` every candidate block in the call is
-        evaluated in one flattened einsum sweep (plus the shared exact
-        fallback); with ``kernel="scalar"`` each facet runs its own
-        :meth:`Hyperplane.visible_mask`.  Facet ids are allocated in
-        spec order, so the two engines produce identical runs.
+        ``(indices, candidates)`` pairs.  Each facet runs its own
+        :meth:`Hyperplane.visible_mask`; facet ids are allocated in spec
+        order.
         """
         # Canonicalize to sorted rank order *before* building the plane,
         # so plane.base_points rows always match Facet.indices -- the
@@ -300,18 +281,15 @@ class FacetFactory:
             for idx, (_, cands) in zip(idx_list, specs)
         ]
         n_tests = sum(int(c.size) for c in cand_list)
-        if self.batch_kernel is not None:
-            masks = self.batch_kernel.visible_blocks(planes, idx_list, cand_list)
-        else:
-            masks = [
-                plane.visible_mask(self.pts[cands], indices=cands)
-                if cands.size else np.zeros(0, dtype=bool)
-                for plane, cands in zip(planes, cand_list)
-            ]
+        masks = [
+            plane.visible_mask(self.pts[cands], indices=cands)
+            if cands.size else np.zeros(0, dtype=bool)
+            for plane, cands in zip(planes, cand_list)
+        ]
         if self.noisy is not None:
-            # Perturb *after* the true masks exist: both engines (and the
-            # sign cache) stay exact underneath, and the flip for a given
-            # (facet, rank) site is the same whichever engine computed it.
+            # Perturb *after* the true masks exist: the flip for a given
+            # (facet, rank) site is the same whichever engine computed
+            # the true sign (the SoA engine keys its noise identically).
             masks = self.noisy.noisy_masks(idx_list, cand_list, masks)
         with self._mutex:
             fid0 = self._next_fid

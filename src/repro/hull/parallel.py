@@ -185,11 +185,8 @@ def _build_base_hull(
     factory: FacetFactory,
 ) -> list[Facet]:
     """Facets of the hull of the first ``base_size`` ranks, with
-    conflict sets over all later points.
-
-    One ``make_batch`` call either way: under ``kernel="batch"`` the
-    whole (base-facet x later-point) block -- the largest single
-    conflict computation of the run -- is one einsum sweep."""
+    conflict sets over all later points, made in one ``make_batch``
+    call."""
     n, d = pts.shape
     later = np.arange(base_size, n, dtype=np.int64)
     if base_size == d + 1:
@@ -209,7 +206,7 @@ def _soa_parallel_run(
     order: np.ndarray | None,
     seed: int | None,
     base_size: int | None,
-    kernel: str | NoisyKernel,
+    kernel: NoisyKernel | None,
 ) -> ParallelHullRun:
     """Run the conflict-list SoA engine and adapt its column state into
     a full :class:`ParallelHullRun` (facets, support DAG, events).
@@ -298,7 +295,7 @@ def parallel_hull(
     multimap: str = "dict",
     base_size: int | None = None,
     fault_plan: FaultPlan | None = None,
-    kernel: str | NoisyKernel = "scalar",
+    kernel: NoisyKernel | None = None,
     engine: str = "objects",
 ) -> ParallelHullRun:
     """Run Algorithm 3 on ``points``.
@@ -334,31 +331,27 @@ def parallel_hull(
         chaos use :class:`repro.runtime.chaos.ChaosThreadExecutor`
         directly.
     kernel:
-        Visibility engine, ``"scalar"`` (the default oracle) or
-        ``"batch"`` (einsum sweeps over facet x candidate blocks with
-        the exact-filter fallback, plus the per-run sign cache of
-        :mod:`repro.geometry.kernels` -- under chaos rollbacks a
-        re-created facet reuses its previously decided signs).  The
-        kernel's sweep/fallback/cache counters land in
+        ``None`` or a :class:`~repro.geometry.noisy.NoisyKernel`, which
+        perturbs each visibility decision at its seeded flip rate (with
+        majority-vote repair); anything else raises ``ValueError``.
+        The noise model and vote counters land in
         ``exec_stats.kernel_stats``; ``counters`` and the work-span log
-        stay kernel-invariant (scalar-equivalent accounting).  A
-        :class:`~repro.geometry.noisy.NoisyKernel` runs its base engine
-        and perturbs each visibility decision at its seeded flip rate
-        (with majority-vote repair); not combinable with
-        :class:`ProcessExecutor`, whose workers evaluate sweeps outside
-        the factory the noise hooks into.
+        stay noise-invariant (scalar-equivalent accounting).  Not
+        combinable with :class:`ProcessExecutor`, whose workers
+        evaluate sweeps outside the factory the noise hooks into.
     engine:
-        ``"objects"`` (this module's per-facet task driver) or
-        ``"soa"`` (the round-vectorized conflict-list engine of
-        :mod:`repro.hull.soa`, adapted back into a
-        :class:`ParallelHullRun`).  The SoA engine is round-synchronous
-        by construction, so it accepts only the default execution
-        discipline: no custom executor/multimap and no fault plan
-        (chaos-test the SoA core through its own snapshot/restore API).
-        ``kernel`` keeps its meaning: ``"batch"`` runs the flat
-        one-sweep-per-round fast path, ``"scalar"`` routes facet
-        creation through the shared ``FacetFactory`` oracle; the
-        produced run is facet- and conflict-identical either way.
+        Picks the visibility path along with the driver: ``"objects"``
+        (this module's per-facet task driver, one
+        :meth:`~repro.geometry.hyperplane.Hyperplane.visible_mask` call
+        per facet -- the scalar oracle) or ``"soa"`` (the
+        round-vectorized conflict-list engine of :mod:`repro.hull.soa`,
+        one flat sweep per round, adapted back into a
+        :class:`ParallelHullRun`; the run is facet- and
+        conflict-identical to the object driver's).  The SoA engine is
+        round-synchronous by construction, so it accepts only the
+        default execution discipline: no custom executor/multimap and
+        no fault plan (chaos-test the SoA core through its own
+        snapshot/restore API).
     """
     if engine == "soa":
         if executor is not None and not isinstance(executor, RoundExecutor):
@@ -391,10 +384,6 @@ def parallel_hull(
     counters = Counters()
     interior = pts[: d + 1].mean(axis=0)
     factory = FacetFactory(pts, interior, counters, kernel=kernel)
-    # The engine actually running underneath (a NoisyKernel names its
-    # base); the work-span bootstrap below keys off this so a p=0 noisy
-    # run logs the exact same DAG as its unwrapped counterpart.
-    kernel_name = factory.kernel
     tracker = WorkSpanTracker()
 
     if executor is None:
@@ -433,19 +422,9 @@ def parallel_hull(
     def _logcost(w: int) -> int:
         return max(1, int(math.log2(w + 2)))
 
-    if kernel_name == "batch":
-        # The base bootstrap ran as ONE batched sweep; log it as one
-        # task at its scalar-equivalent work (sum of the per-facet
-        # blocks) so W is identical to the scalar run's, with the
-        # sweep's internally-parallel span (log of the widest block).
-        block = max(1, n - base_size)
-        sweep_tid = tracker.add_batched_sweep([block] * len(base_facets))
-        for f in base_facets:
-            creator_tid[f.fid] = sweep_tid
-    else:
-        for f in base_facets:
-            cost = max(1, n - base_size)
-            creator_tid[f.fid] = tracker.add_task(cost=cost, span_cost=_logcost(cost))
+    for f in base_facets:
+        cost = max(1, n - base_size)
+        creator_tid[f.fid] = tracker.add_task(cost=cost, span_cost=_logcost(cost))
 
     # Seed: one ProcessRidge per ridge of the base hull (Lines 5-6).
     ridge_pairs: dict[Ridge, list[Facet]] = {}

@@ -116,7 +116,9 @@ def robust_hull(
     rung (noisy, float, exact, sos) on the round-vectorized
     conflict-list engine; the ladder semantics are unchanged because
     the SoA engine raises, validates, and certifies exactly as the
-    object driver does.
+    object driver does.  A forwarded ``kernel`` must be ``None`` or a
+    :class:`NoisyKernel`; anything else raises ``ValueError`` before
+    any rung runs.
 
     ``noise`` prepends noisy rungs: the hull runs against the given
     :class:`NoisyKernel` (``noise_retries`` attempts per vote level,
@@ -128,6 +130,14 @@ def robust_hull(
     (recorded by type), whereas the noise-free rungs keep their strict
     catch list so genuine bugs still surface.
     """
+    kernel = hull_kwargs.get("kernel")
+    if kernel is not None and not isinstance(kernel, NoisyKernel):
+        # Checked up front: the rungs below read a ValueError as a
+        # geometric failure and would escalate past a bad argument.
+        raise ValueError(
+            f"unknown kernel {kernel!r}: kernel= takes None or a "
+            "NoisyKernel; the engine picks the visibility path"
+        )
     points = np.asarray(points, dtype=np.float64)
     escalations: list[str] = []
     rung_attempts: dict[str, int] = {}

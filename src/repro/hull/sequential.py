@@ -73,7 +73,7 @@ def _soa_sequential_run(
     points: np.ndarray,
     order: np.ndarray | None,
     seed: int | None,
-    kernel: str | NoisyKernel,
+    kernel: NoisyKernel | None,
 ) -> SequentialHullResult:
     """Run the conflict-list SoA engine and adapt it into a
     :class:`SequentialHullResult` (determinism makes the created-facet
@@ -106,7 +106,7 @@ def sequential_hull(
     points: np.ndarray,
     order: np.ndarray | None = None,
     seed: int | None = None,
-    kernel: str | NoisyKernel = "scalar",
+    kernel: NoisyKernel | None = None,
     engine: str = "objects",
 ) -> SequentialHullResult:
     """Run Algorithm 2 on ``points``.
@@ -120,19 +120,18 @@ def sequential_hull(
         Explicit insertion order (a permutation of ``range(n)``); random
         when omitted, drawn from ``seed``.
     kernel:
-        Visibility engine: ``"scalar"`` (the per-facet oracle) or
-        ``"batch"`` (every insertion step's new facets share one
-        einsum sweep; see :mod:`repro.geometry.kernels`).  The two
-        engines produce identical facets, conflicts, and counters.  A
-        :class:`~repro.geometry.noisy.NoisyKernel` perturbs its base
-        engine's visibility answers at a seeded flip rate (see
-        :mod:`repro.geometry.noisy`).
+        ``None`` or a :class:`~repro.geometry.noisy.NoisyKernel`, which
+        perturbs the engine's visibility answers at a seeded flip rate
+        (see :mod:`repro.geometry.noisy`); anything else raises
+        ``ValueError``.
     engine:
-        ``"objects"`` (this module's per-insertion driver, the scalar
-        oracle of the differential suites) or ``"soa"`` (the
-        round-vectorized conflict-list engine of
-        :mod:`repro.hull.soa`, adapted back into a
-        :class:`SequentialHullResult`).  Note the SoA adaptation keeps
+        Picks the visibility path along with the driver: ``"objects"``
+        (this module's per-insertion driver, one
+        :meth:`~repro.geometry.hyperplane.Hyperplane.visible_mask` call
+        per facet -- the scalar oracle of the differential suites) or
+        ``"soa"`` (the round-vectorized conflict-list engine of
+        :mod:`repro.hull.soa`, one flat sweep per round, adapted back
+        into a :class:`SequentialHullResult`).  Note the SoA adaptation keeps
         the *intrinsic* quantities identical (created facets, conflict
         sets, ``visibility_tests``/``facets_created``); the
         order-dependent ridge counters it also fills
@@ -189,8 +188,7 @@ def sequential_hull(
                     del inverse[int(v)]
 
     # Bootstrap simplex: every d-subset of the first d+1 points is a
-    # facet.  One make_batch call: with kernel="batch" all d+1 conflict
-    # sets come out of a single einsum sweep.
+    # facet.
     first = list(range(d + 1))
     boot = factory.make_batch([
         (tuple(i for i in first if i != leave_out), all_later)
@@ -205,10 +203,10 @@ def sequential_hull(
         if not visible_ids:
             continue  # v is inside the current hull
         visible = {fid: facets[fid] for fid in visible_ids}
-        # Horizon: ridges with exactly one incident facet visible from v.
-        # Specs are collected first so the whole insertion step is one
-        # batched sweep under kernel="batch" (the facet x candidate
-        # block of Theorem 5.4's per-step work).
+        # Horizon: ridges with exactly one incident facet visible from v;
+        # the whole insertion step's new facets are made in one
+        # make_batch call (the facet x candidate block of Theorem 5.4's
+        # per-step work).
         specs: list[tuple[tuple[int, ...], np.ndarray]] = []
         for fid, t1 in visible.items():
             for r in facet_ridges(t1.indices):

@@ -67,8 +67,8 @@ def run_summary(run) -> dict[str, Any]:
                 "heartbeats": int(run.exec_stats.heartbeats),
             },
         },
-        # Visibility-kernel provenance (batched sweeps, filter
-        # fallbacks, sign-cache hits); {"kernel": "scalar"} by default.
+        # Visibility-path provenance (the SoA engine's flat-sweep and
+        # filter-fallback counts); {"kernel": "scalar"} by default.
         "kernel": kernel_stats,
         "noise": noise or None,
         "depth": int(run.dependence_depth()),

@@ -133,16 +133,16 @@ def scale(a, w):
 '''
 
 UNACCOUNTED_SWEEP = '''
-def sweep_all(kern, pts):
+def sweep_all(pts, cols, owner, ranks):
     # repro: hot-entry
-    return kern.visible_blocks(pts)
+    return visible_flat(pts, *cols, owner, ranks)
 '''
 
 ACCOUNTED_SWEEP_CLEAN = '''
-def sweep_all(kern, pts, tracker):
+def sweep_all(pts, cols, owner, ranks, blocks, tracker):
     # repro: hot-entry
-    out = kern.visible_blocks(pts)
-    tracker.add_batched_sweep(len(out))
+    out = visible_flat(pts, *cols, owner, ranks)
+    tracker.add_batched_sweep(blocks)
     return out
 '''
 
@@ -219,7 +219,7 @@ class TestBadFixtures:
         r = _run(UNACCOUNTED_SWEEP)
         assert _rules(r) == ["RPRHOT006"]
         (f,) = r.findings
-        assert "visible_blocks" in f.message
+        assert "visible_flat" in f.message
 
     def test_syntax_error_is_rprhot999(self):
         r = analyze_hotpaths([], sources={"bad.py": "def f(:\n"})
@@ -266,14 +266,6 @@ class TestHotRegion:
     def test_kernel_param_is_an_entry(self):
         r = _run("def f(kernel):\n    return kernel\n")
         assert r.entries == {"fixture.f": "has a kernel= parameter"}
-
-    def test_batchkernel_construction_is_an_entry(self):
-        r = _run("def f(pts):\n    return BatchKernel(pts)\n")
-        assert r.entries == {"fixture.f": "constructs BatchKernel"}
-
-    def test_kernel_batch_literal_is_an_entry(self):
-        r = _run("def f(pts):\n    return hull(pts, kernel='batch')\n")
-        assert r.entries == {"fixture.f": "calls with kernel='batch'"}
 
     def test_exempt_files_propagate_hotness_but_never_report(self):
         r = _run(PER_ELEMENT_LEXICON, name="geometry/hyperplane.py")

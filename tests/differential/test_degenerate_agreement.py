@@ -2,10 +2,11 @@
 
 Every family in :data:`repro.geometry.degenerate.CORPUS` is a designed
 trap for float predicates -- exact ties (duplicates, grids, cocircular
-points) or near-ties inside naive tolerances.  The batched kernel must
-*escalate* on these, never silently disagree: its float filter may only
-certify signs outside the error envelope, so every exact tie lands in
-the fallback counter and comes back with the scalar ladder's answer.
+points) or near-ties inside naive tolerances.  The batched kernels
+(``orient_batch``, and the flat sweep the SoA engine runs) must
+*escalate* on these, never silently disagree: their float filter may
+only certify signs outside the error envelope, so every exact tie lands
+in the fallback counter and comes back with the scalar ladder's answer.
 """
 
 import numpy as np
@@ -60,12 +61,14 @@ def test_predicate_agreement_on_corpus(name):
 @pytest.mark.parametrize("name", sorted(CORPUS))
 def test_hull_agreement_on_corpus(name):
     """The escalation ladder lands on the same rung and the same facet
-    set whichever visibility engine runs underneath."""
+    set whichever engine -- and so whichever visibility path -- runs
+    underneath: the object driver's per-facet ``visible_mask`` or the
+    SoA engine's flat sweep."""
     pts = CORPUS[name](1)
-    scalar = robust_hull(pts, seed=2, certify=False, kernel="scalar")
+    objects = robust_hull(pts, seed=2, certify=False, engine="objects")
     KERNEL_STATS.reset()
-    batch = robust_hull(pts, seed=2, certify=False, kernel="batch")
-    assert batch.mode == scalar.mode, name
-    assert batch.run.facet_keys() == scalar.run.facet_keys(), name
+    soa = robust_hull(pts, seed=2, certify=False, engine="soa")
+    assert soa.mode == objects.mode, name
+    assert soa.run.facet_keys() == objects.run.facet_keys(), name
     if name in TIE_FAMILIES:
         assert KERNEL_STATS.fallbacks > 0, name

@@ -1,31 +1,21 @@
-"""Differential tests: the batched kernel vs the scalar oracle.
+"""Differential tests: the batched sign kernel vs the scalar oracle.
 
-Structure-preserving claim under test: ``kernel="batch"`` is a pure
-engine swap -- for any input, any executor, and any multimap, the hull
-run produces the *same facets with the same conflict sets and the same
-work counters* as the scalar path, because every batched sign is either
+Claim under test: :func:`~repro.geometry.kernels.orient_batch` returns
+exactly scalar :func:`~repro.geometry.predicates.orient` on every
+(simplex, query) pair, because every batched sign is either
 float-certified inside the same error envelope the scalar predicates
 use or re-decided by the very same exact ladder.  Hypothesis drives the
-instances; the executor matrix covers sequential, round-synchronous
-(ordered and shuffled), threaded, fault-injected rounds, and thread
-chaos.
+instances, on float data and on small-integer grids full of exact ties.
+(Hull-level agreement of the flat sweep with the scalar object drivers
+lives in ``test_soa_vs_scalar.py``.)
 """
 
 import numpy as np
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.geometry import uniform_ball, uniform_cube
 from repro.geometry.kernels import orient_batch
 from repro.geometry.predicates import orient
-from repro.hull import parallel_hull, sequential_hull
-from repro.hull.point_parallel import point_parallel_hull
-from repro.runtime import RoundExecutor, SerialExecutor, ThreadExecutor
-from repro.runtime.chaos import ChaosThreadExecutor
-from repro.runtime.faults import FaultPlan
-
-# -- predicate level ---------------------------------------------------------
 
 blocks = st.tuples(
     st.integers(2, 4),          # d
@@ -63,120 +53,3 @@ def test_orient_batch_equals_orient_integer_grids(params):
         [[orient(simplices[f], queries[q]) for q in range(nq)] for f in range(nf)]
     )
     assert np.array_equal(got, want)
-
-
-# -- hull level: executor matrix --------------------------------------------
-
-EXECUTORS = [
-    ("serial", lambda: (SerialExecutor(), "dict", None)),
-    ("rounds", lambda: (RoundExecutor(), "dict", None)),
-    ("rounds-shuffled", lambda: (RoundExecutor(seed=5), "dict", None)),
-    ("threads-cas", lambda: (ThreadExecutor(2), "cas", None)),
-    (
-        "rounds-faults",
-        lambda: (RoundExecutor(), "dict", FaultPlan(seed=3, crash_rate=0.2)),
-    ),
-    (
-        "chaos-threads",
-        lambda: (
-            ChaosThreadExecutor(2, plan=FaultPlan(seed=7, crash_rate=0.15)),
-            "cas",
-            None,
-        ),
-    ),
-]
-
-hull_instances = st.tuples(
-    st.integers(0, 5_000),                    # seed
-    st.integers(12, 70),                      # n
-    st.sampled_from([2, 3]),                  # d
-)
-
-
-def _reference(pts, order):
-    return sequential_hull(pts, order=order.copy(), kernel="scalar")
-
-
-@pytest.mark.parametrize("name,make", EXECUTORS, ids=[e[0] for e in EXECUTORS])
-@given(hull_instances)
-@settings(max_examples=10, deadline=None)
-def test_batch_hull_matches_scalar_reference(name, make, params):
-    seed, n, d = params
-    pts = uniform_ball(n, d, seed=seed)
-    order = np.random.default_rng(seed + 1).permutation(n)
-    ref = _reference(pts, order)
-    executor, multimap, plan = make()
-    run = parallel_hull(
-        pts,
-        order=order.copy(),
-        executor=executor,
-        multimap=multimap,
-        fault_plan=plan,
-        kernel="batch",
-    )
-    assert run.facet_keys() == ref.facet_keys()
-    assert run.exec_stats.kernel_stats["kernel"] == "batch"
-    assert run.exec_stats.kernel_stats["batched_signs"] > 0
-
-
-@given(hull_instances)
-@settings(max_examples=10, deadline=None)
-def test_batch_sequential_identical_counters(params):
-    """Same engine-for-engine run: facets, conflicts, and every counter
-    must be bit-identical, not just the final hull."""
-    seed, n, d = params
-    pts = uniform_cube(n, d, seed=seed)
-    order = np.random.default_rng(seed + 2).permutation(n)
-    a = sequential_hull(pts, order=order.copy(), kernel="scalar")
-    b = sequential_hull(pts, order=order.copy(), kernel="batch")
-    assert a.facet_keys() == b.facet_keys()
-    assert a.created_keys() == b.created_keys()
-    assert a.counters.as_dict() == b.counters.as_dict()
-    for fa, fb in zip(a.created, b.created):
-        assert fa.fid == fb.fid
-        assert np.array_equal(fa.conflicts, fb.conflicts)
-
-
-@given(hull_instances)
-@settings(max_examples=8, deadline=None)
-def test_batch_point_parallel_matches_scalar(params):
-    seed, n, d = params
-    pts = uniform_ball(n, d, seed=seed + 9)
-    order = np.random.default_rng(seed + 3).permutation(n)
-    a = point_parallel_hull(pts, order=order.copy(), kernel="scalar")
-    b = point_parallel_hull(pts, order=order.copy(), kernel="batch")
-    assert a.facet_keys() == b.facet_keys()
-
-
-def test_chaos_rollback_hits_sign_cache():
-    """A crash-heavy fault plan forces facet re-creation; the re-created
-    facets must answer from the sign cache and still match the
-    fault-free hull."""
-    pts = uniform_ball(80, 2, seed=13)
-    order = np.random.default_rng(14).permutation(80)
-    clean = parallel_hull(pts, order=order.copy(), kernel="batch")
-    plan = FaultPlan(seed=21, crash_rate=0.4)
-    run = parallel_hull(
-        pts,
-        order=order.copy(),
-        executor=RoundExecutor(),
-        fault_plan=plan,
-        kernel="batch",
-    )
-    assert run.facet_keys() == clean.facet_keys()
-    assert run.exec_stats.rollbacks > 0, "plan injected no faults; bump rates"
-    assert run.exec_stats.kernel_stats["cache_hits"] > 0
-
-
-# -- external oracle ---------------------------------------------------------
-
-@given(st.tuples(st.integers(0, 2_000), st.integers(16, 60), st.sampled_from([2, 3])))
-@settings(max_examples=8, deadline=None)
-def test_batch_hull_matches_scipy_vertices(params):
-    scipy_spatial = pytest.importorskip("scipy.spatial")
-    seed, n, d = params
-    pts = uniform_ball(n, d, seed=seed + 77)
-    run = parallel_hull(pts, seed=seed, kernel="batch")
-    ours = set(map(int, run.vertex_indices()))
-    theirs = set(map(int, scipy_spatial.ConvexHull(pts).vertices))
-    assert ours == theirs

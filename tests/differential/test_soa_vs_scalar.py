@@ -8,9 +8,14 @@ scalar driver, emits byte-identical certificates, and accounts the same
 scalar-equivalent work -- because every float-certain sign is proven by
 the shared error envelope and every ambiguous sign takes the same exact
 ladder.  Hypothesis drives the instances; fixed sweeps cover the
-degenerate corpus, both kernels, the noisy p=0 bit-identity, and the
-driver adapters.
+degenerate corpus, the noisy p=0 bit-identity, and the driver
+adapters.  The oracle-identity and noisy checks run the flat sweep
+twice: as shipped ("batch": the float filter decides, the scalar ladder
+only takes envelope-ambiguous entries) and with the envelope inflated
+until every entry takes the per-plane scalar ladder ("scalar").
 """
+
+import contextlib
 
 import numpy as np
 import pytest
@@ -19,6 +24,7 @@ from hypothesis import strategies as st
 
 from repro.geometry import uniform_ball, uniform_cube
 from repro.geometry.degenerate import corpus_case, corpus_names
+from repro.geometry.kernels import filter_scale
 from repro.geometry.noisy import NoisyKernel
 from repro.hull import (
     make_certificate,
@@ -38,8 +44,28 @@ hull_instances = st.tuples(
 )
 
 
+# An envelope no float margin of a unit-scale input can clear: under it
+# the flat sweep decides every entry with the scalar ladder.
+_ALL_SCALAR = 1e300
+
+
 def _oracle(pts, order):
-    return sequential_hull(pts, order=order.copy(), kernel="scalar")
+    return sequential_hull(pts, order=order.copy())
+
+
+def _sweep(path):
+    """The flat sweep as shipped ("batch") or forced through the scalar
+    ladder entry by entry ("scalar")."""
+    if path == "scalar":
+        return filter_scale(_ALL_SCALAR)
+    return contextlib.nullcontext()
+
+
+def _assert_path_taken(soa, path):
+    ks = soa.exec_stats.kernel_stats
+    assert ks["batched_signs"] == soa.counters.visibility_tests
+    if path == "scalar":
+        assert ks["fallbacks"] == ks["batched_signs"]
 
 
 def _assert_equivalent(soa, ref):
@@ -59,16 +85,18 @@ def _assert_equivalent(soa, ref):
     assert soa.counters.facets_created == ref.counters.facets_created
 
 
-@pytest.mark.parametrize("kernel", ["batch", "scalar"])
+@pytest.mark.parametrize("path", ["batch", "scalar"])
 @given(hull_instances)
 @settings(max_examples=10, deadline=None)
-def test_soa_matches_scalar_oracle(kernel, params):
+def test_soa_matches_scalar_oracle(path, params):
     seed, n, d = params
     pts = uniform_ball(n, d, seed=seed)
     order = np.random.default_rng(seed + 1).permutation(n)
     ref = _oracle(pts, order)
-    soa = soa_hull(pts, order=order.copy(), kernel=kernel)
+    with _sweep(path):
+        soa = soa_hull(pts, order=order.copy())
     _assert_equivalent(soa, ref)
+    _assert_path_taken(soa, path)
 
 
 @given(hull_instances)
@@ -135,24 +163,25 @@ def test_soa_robust_ladder_reaches_same_rung(name):
     surviving rung and facet set as the object-engined one."""
     pts = corpus_case(name, 0)
     a = robust_hull(pts, seed=0)
-    b = robust_hull(pts, seed=0, engine="soa", kernel="batch")
+    b = robust_hull(pts, seed=0, engine="soa")
     assert a.mode == b.mode
     assert a.escalations == b.escalations
     assert a.run.facet_keys() == b.run.facet_keys()
 
 
-@pytest.mark.parametrize("base", ["scalar", "batch"])
-def test_soa_noisy_p0_bit_identity(base):
+@pytest.mark.parametrize("path", ["batch", "scalar"])
+def test_soa_noisy_p0_bit_identity(path):
     """A p=0 NoisyKernel must be a no-op wrapper: facets, counters, and
     the flat conflict pool are bit-identical to the unwrapped engine,
     which in turn matches the scalar oracle."""
     pts = uniform_ball(64, 3, seed=21)
     order = np.random.default_rng(22).permutation(64)
-    plain = soa_hull(pts, order=order.copy(), kernel=base)
-    noisy = soa_hull(
-        pts, order=order.copy(),
-        kernel=NoisyKernel(p=0.0, votes=3, seed=7, base=base),
-    )
+    with _sweep(path):
+        plain = soa_hull(pts, order=order.copy())
+        noisy = soa_hull(
+            pts, order=order.copy(), kernel=NoisyKernel(p=0.0, votes=3, seed=7),
+        )
+    _assert_path_taken(noisy, path)
     assert plain.facet_keys() == noisy.facet_keys()
     assert plain.counters.as_dict() == noisy.counters.as_dict()
     assert np.array_equal(plain.conflict_pool, noisy.conflict_pool)
@@ -164,7 +193,7 @@ def test_soa_noisy_ladder_self_heals():
     """With real noise, the certificate-gated ladder over the SoA engine
     must land on a verified hull (possibly after escalation)."""
     pts = uniform_ball(90, 3, seed=31)
-    nk = NoisyKernel(p=0.05, votes=3, seed=9, base="batch")
+    nk = NoisyKernel(p=0.05, votes=3, seed=9)
     res = robust_hull(pts, seed=0, noise=nk, engine="soa")
     assert res.certificate is not None
     ref = robust_hull(pts, seed=0)
@@ -180,7 +209,7 @@ def test_parallel_adapter_matches_object_driver(params):
     pts = uniform_ball(n, d, seed=seed + 41)
     order = np.random.default_rng(seed + 6).permutation(n)
     a = parallel_hull(pts, order=order.copy())
-    b = parallel_hull(pts, order=order.copy(), engine="soa", kernel="batch")
+    b = parallel_hull(pts, order=order.copy(), engine="soa")
     assert a.facet_keys() == b.facet_keys()
     assert a.created_keys() == b.created_keys()
     ca = {f.key(): f.conflicts for f in a.created}
@@ -201,7 +230,7 @@ def test_sequential_adapter_matches_object_driver(params):
     pts = uniform_cube(n, d, seed=seed + 51)
     order = np.random.default_rng(seed + 7).permutation(n)
     a = sequential_hull(pts, order=order.copy())
-    b = sequential_hull(pts, order=order.copy(), engine="soa", kernel="batch")
+    b = sequential_hull(pts, order=order.copy(), engine="soa")
     assert a.facet_keys() == b.facet_keys()
     assert a.created_keys() == b.created_keys()
     steps_a = {f.key(): a.creation_step[f.fid] for f in a.created}

@@ -8,7 +8,7 @@ import pytest
 from repro.analysis.noisybench import _validator_corrupted, _validator_noisy
 from repro.geometry import uniform_ball
 from repro.geometry.noisy import ADAPTIVE, NoisyKernel
-from repro.hull import parallel_hull, robust_hull, sequential_hull
+from repro.hull import parallel_hull, robust_hull, sequential_hull, soa_hull
 from repro.hull.point_parallel import point_parallel_hull
 from repro.hull.serialize import run_summary
 from repro.runtime.procexec import ProcessExecutor
@@ -21,32 +21,51 @@ def _global_keys(run) -> set:
     return {tuple(sorted(int(order[r]) for r in f.indices)) for f in run.facets}
 
 
-class TestBitIdentityAtPZero:
-    """A p=0 NoisyKernel must be a bit-identical no-op wrapper: same
-    facets, same fids, same counters, same work/span DAG."""
+# The visibility path a run takes is picked by its engine alone: the
+# object drivers' per-facet scalar oracle, or the SoA engine's batched
+# flat sweep.  point_parallel_hull has only the first, soa_hull only the
+# second.
+_PATH_ENGINE = {"scalar": "objects", "batch": "soa"}
 
-    @pytest.mark.parametrize("base", ["scalar", "batch"])
-    @pytest.mark.parametrize(
-        "driver", [sequential_hull, parallel_hull, point_parallel_hull]
-    )
-    def test_identical_runs(self, base, driver):
+
+class TestBitIdentityAtPZero:
+    """A p=0 NoisyKernel must be a bit-identical no-op wrapper on either
+    visibility path: same facets, same fids, same counters, same
+    work/span DAG."""
+
+    @pytest.mark.parametrize("driver, path", [
+        pytest.param(sequential_hull, "scalar", id="sequential_hull-scalar"),
+        pytest.param(sequential_hull, "batch", id="sequential_hull-batch"),
+        pytest.param(parallel_hull, "scalar", id="parallel_hull-scalar"),
+        pytest.param(parallel_hull, "batch", id="parallel_hull-batch"),
+        pytest.param(point_parallel_hull, "scalar", id="point_parallel_hull-scalar"),
+        pytest.param(soa_hull, "batch", id="soa_hull-batch"),
+    ])
+    def test_identical_runs(self, driver, path):
         pts = uniform_ball(70, 3, seed=2)
         order = np.random.default_rng(3).permutation(70)
-        ref = driver(pts, order=order.copy(), kernel=base)
-        nk = NoisyKernel(p=0.0, votes=3, seed=9, base=base)
-        run = driver(pts, order=order.copy(), kernel=nk)
+        kw = {}
+        if driver in (sequential_hull, parallel_hull):
+            kw["engine"] = _PATH_ENGINE[path]
+        ref = driver(pts, order=order.copy(), **kw)
+        nk = NoisyKernel(p=0.0, votes=3, seed=9)
+        run = driver(pts, order=order.copy(), kernel=nk, **kw)
         assert run.facet_keys() == ref.facet_keys()
         if hasattr(ref, "created"):  # point-parallel keeps no creation log
             assert [f.fid for f in run.created] == [f.fid for f in ref.created]
+        if hasattr(ref, "conflict_pool"):  # the SoA run's flat pool
+            assert np.array_equal(run.conflict_pool, ref.conflict_pool)
+            assert np.array_equal(run.created_indices, ref.created_indices)
         assert run.counters.as_dict() == ref.counters.as_dict()
         assert nk.decisions == 0  # noise layer never even sampled
 
-    @pytest.mark.parametrize("base", ["scalar", "batch"])
-    def test_work_span_dag_identical(self, base):
+    @pytest.mark.parametrize("path", ["scalar", "batch"])
+    def test_work_span_dag_identical(self, path):
         pts = uniform_ball(60, 3, seed=4)
-        ref = parallel_hull(pts, seed=1, kernel=base)
+        engine = _PATH_ENGINE[path]
+        ref = parallel_hull(pts, seed=1, engine=engine)
         run = parallel_hull(
-            pts, seed=1, kernel=NoisyKernel(p=0.0, seed=5, base=base)
+            pts, seed=1, kernel=NoisyKernel(p=0.0, seed=5), engine=engine,
         )
         assert run.tracker.work == ref.tracker.work
         assert run.tracker.span == ref.tracker.span
@@ -55,13 +74,14 @@ class TestBitIdentityAtPZero:
     def test_snapshot_still_records_noisy_provenance(self):
         # Even a p=0 run is labeled: the archive must show which oracle
         # model produced it.
-        run = parallel_hull(
-            uniform_ball(40, 3, seed=0), seed=1,
-            kernel=NoisyKernel(p=0.0, seed=5, base="batch"),
-        )
-        snap = run.exec_stats.kernel_stats
-        assert snap["kernel"] == "noisy[batch]"
-        assert snap["noise_p"] == 0.0
+        pts = uniform_ball(40, 3, seed=0)
+        for engine, label in (("objects", "noisy[scalar]"), ("soa", "noisy[flat]")):
+            run = parallel_hull(
+                pts, seed=1, kernel=NoisyKernel(p=0.0, seed=5), engine=engine,
+            )
+            snap = run.exec_stats.kernel_stats
+            assert snap["kernel"] == label
+            assert snap["noise_p"] == 0.0
 
 
 class TestNoisyRuns:

@@ -28,10 +28,10 @@ from repro.hull.serialize import (
 )
 
 
-@pytest.mark.parametrize("d,kernel", [(2, "scalar"), (2, "batch"), (3, "batch")])
-def test_run_summary_roundtrip(tmp_path, d, kernel):
+@pytest.mark.parametrize("d,engine", [(2, "objects"), (2, "soa"), (3, "soa")])
+def test_run_summary_roundtrip(tmp_path, d, engine):
     pts = uniform_ball(90, d, seed=d)
-    run = parallel_hull(pts, seed=7, kernel=kernel)
+    run = parallel_hull(pts, seed=7, engine=engine)
     path = tmp_path / "run.json"
     save_run(run, path)
     loaded = load_summary(path)
@@ -44,10 +44,13 @@ def test_run_summary_roundtrip(tmp_path, d, kernel):
     assert {frozenset(f) for f in loaded["hull_facets"]} == {
         frozenset(f.indices) for f in run.facets
     }
-    # Kernel provenance survives the trip.
-    assert loaded["kernel"]["kernel"] == kernel
-    if kernel == "batch":
-        assert loaded["kernel"]["batched_signs"] > 0
+    # Visibility-path provenance survives the trip.
+    assert loaded["kernel"] == run.exec_stats.kernel_stats
+    if engine == "soa":
+        assert loaded["kernel"]["kernel"] == "flat"
+        assert loaded["kernel"]["batched_signs"] == run.counters.visibility_tests
+    else:
+        assert loaded["kernel"] == {"kernel": "scalar"}
 
     # The dependence graph rebuilt from disk reproduces the depth.
     graph = graph_from_summary(loaded)
@@ -74,10 +77,10 @@ def test_load_summary_rejects_wrong_schema(tmp_path):
         load_summary(path)
 
 
-@pytest.mark.parametrize("d,kernel", [(2, "scalar"), (3, "batch")])
-def test_certificate_roundtrip_reverifies(d, kernel):
+@pytest.mark.parametrize("d,engine", [(2, "objects"), (3, "soa")])
+def test_certificate_roundtrip_reverifies(d, engine):
     pts = uniform_ball(60, d, seed=d + 10)
-    run = parallel_hull(pts, seed=5, kernel=kernel)
+    run = parallel_hull(pts, seed=5, engine=engine)
     cert = make_certificate(run)
     payload = json.dumps(cert.to_dict())
     back = HullCertificate.from_dict(json.loads(payload))
@@ -100,7 +103,7 @@ def test_certificate_rejects_wrong_schema():
 )
 def test_corrupted_certificate_fails_verification(mode):
     pts = uniform_ball(50, 2, seed=4)
-    cert = make_certificate(parallel_hull(pts, seed=9, kernel="batch"))
+    cert = make_certificate(parallel_hull(pts, seed=9, engine="soa"))
     verify_certificate(cert, pts)  # sanity: the honest one passes
     bad = corrupt_certificate(cert, mode, seed=3)
     # The tampered payload still parses (schema intact) ...

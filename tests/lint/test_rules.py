@@ -373,8 +373,8 @@ class TestNoqaAudit:
         "RPR": {"halfspaces.py": 1, "certify.py": 1},
         "RPREFF": {},
         "RPRHOT": {
-            "kernels.py": 7,
-            "kernelbench.py": 10,
+            "kernels.py": 3,
+            "kernelbench.py": 8,
             "noisy.py": 2,
         },
         "RPRFP": {},

@@ -41,10 +41,12 @@ order must produce the identical facet set over original indices.
 
 ``--kernels`` fuzzes the batched predicate kernels
 (:mod:`repro.geometry.kernels`) over random (input, dimension,
-filter-threshold) triples: hulls built with ``kernel="batch"`` under a
-randomly inflated float-filter envelope must stay facet- and
-counter-identical to the scalar oracle, and sampled ``orient_batch``
-blocks must agree elementwise with scalar ``orient``.
+filter-threshold) triples: ``soa_hull`` and the ``engine="soa"``
+adapters, whose only visibility path is the flat sweep, must stay
+facet-, conflict- and intrinsic-counter-identical to the scalar oracle
+under a randomly inflated float-filter envelope, and sampled
+``orient_batch`` blocks must agree elementwise with scalar
+``orient``.
 
 ``--effects`` mutation-fuzzes the static effect analyzer
 (:mod:`repro.analyze`): random structural mutations of seed programs
@@ -97,7 +99,6 @@ from repro.hull import (
 from repro.hull.online import OnlineHull
 from repro.runtime import (
     CASMultimap,
-    MultimapFullError,
     RoundExecutor,
     SerialExecutor,
     TASMultimap,
@@ -371,9 +372,10 @@ def one_degenerate_case(rng: np.random.Generator, verbose: bool) -> str | None:
 
 def one_kernel_case(rng: np.random.Generator, verbose: bool) -> str | None:
     """Fuzz one (input, dimension, filter-threshold) triple through the
-    batched kernels; returns an error description or None."""
+    flat sweep; returns an error description or None."""
     from repro.geometry.kernels import filter_scale, orient_batch
     from repro.geometry.predicates import orient
+    from repro.hull import soa_hull
 
     name, gen, dims = GENERATORS[int(rng.integers(0, len(GENERATORS)))]
     d = int(rng.choice(dims))
@@ -388,40 +390,33 @@ def one_kernel_case(rng: np.random.Generator, verbose: bool) -> str | None:
     pts = gen(n, d, seed=seed)
     order = np.random.default_rng(seed + 1).permutation(n)
     try:
-        seq = sequential_hull(pts, order=order.copy(), kernel="scalar")
+        seq = sequential_hull(pts, order=order.copy())
         ref = facet_sets_global(seq.facets, seq.order)
+        ref_conf = {f.key(): f.conflicts for f in seq.created}
         with filter_scale(env_scale):
-            batch_seq = sequential_hull(pts, order=order.copy(), kernel="batch")
-            if facet_sets_global(batch_seq.facets, batch_seq.order) != ref:
-                return f"{label}: batch sequential differs from scalar"
-            if batch_seq.counters.as_dict() != seq.counters.as_dict():
-                return (f"{label}: counters differ: {batch_seq.counters.as_dict()} "
-                        f"vs {seq.counters.as_dict()}")
-            ex = [SerialExecutor(), RoundExecutor(), ThreadExecutor(2)][
-                int(rng.integers(0, 3))
-            ]
-            mm = "cas" if isinstance(ex, ThreadExecutor) else "dict"
-            try:
-                par = parallel_hull(pts, order=order.copy(), executor=ex,
-                                    multimap=mm, kernel="batch")
-            except MultimapFullError:
-                # Fixed-capacity table overflow is a property of the
-                # input (quartic facet counts on d=4 moment curves), not
-                # of the engine: scalar must overflow identically.
-                try:
-                    parallel_hull(pts, order=order.copy(), executor=ex,
-                                  multimap=mm, kernel="scalar")
-                    return f"{label}: only the batch engine overflowed the multimap"
-                except MultimapFullError:
-                    par = None
-            if par is not None:
-                validate_hull(par.facets, par.points)
-                if facet_sets_global(par.facets, par.order) != ref:
-                    return f"{label}: batch parallel[{type(ex).__name__}] differs"
-
-            pp = point_parallel_hull(pts, order=order.copy(), kernel="batch")
-            if facet_sets_global(pp.facets, pp.order) != ref:
-                return f"{label}: batch point-parallel differs"
+            runs = {
+                "soa_hull": soa_hull(pts, order=order.copy()),
+                "sequential_hull[soa]": sequential_hull(
+                    pts, order=order.copy(), engine="soa"),
+                "parallel_hull[soa]": parallel_hull(
+                    pts, order=order.copy(), engine="soa"),
+            }
+            for engine, run in runs.items():
+                validate_hull(run.facets, run.points)
+                if facet_sets_global(run.facets, run.order) != ref:
+                    return f"{label}: {engine} differs from scalar"
+                # The intrinsic counters are execution-order independent
+                # (the order-dependent ridge counters are not compared).
+                for counter in ("visibility_tests", "facets_created"):
+                    got = getattr(run.counters, counter)
+                    want = getattr(seq.counters, counter)
+                    if got != want:
+                        return f"{label}: {engine} {counter} {got} != scalar {want}"
+            conf = runs["soa_hull"].created_conflicts()
+            if set(conf) != set(ref_conf) or any(
+                not np.array_equal(conf[k], v) for k, v in ref_conf.items()
+            ):
+                return f"{label}: soa_hull conflict sets differ from scalar"
 
             # Predicate-level sample: a random block must agree sign-for-
             # sign with the scalar oracle under the inflated envelope.
@@ -445,9 +440,10 @@ def one_noisy_case(rng: np.random.Generator, verbose: bool) -> str | None:
     """Fuzz one (input, p, votes, noise-seed) tuple through the noisy
     oracle; returns an error description or None.
 
-    Three claims per case: p=0 is bit-identical to the unwrapped
-    kernel; a given noise seed is exactly reproducible; and the
+    Three claims per case: p=0 is bit-identical to the noise-free run;
+    a given noise seed is exactly reproducible; and the
     certificate-gated ladder always lands on the exact oracle's hull.
+    Each case runs on a coin-picked engine (object driver or SoA).
     """
     from repro.geometry.noisy import NoisyKernel
     from repro.hull.robust import robust_hull
@@ -459,21 +455,21 @@ def one_noisy_case(rng: np.random.Generator, verbose: bool) -> str | None:
     nseed = int(rng.integers(0, 2**31))
     p = float(rng.choice([0.001, 0.01, 0.05, 0.1]))
     votes = [1, 3, 5, "adaptive"][int(rng.integers(0, 4))]
-    base = "batch" if rng.integers(0, 2) else "scalar"
+    engine = "soa" if rng.integers(0, 2) else "objects"
     label = (f"noisy[{name}](n={n}, d={d}, seed={seed}, p={p}, "
-             f"votes={votes}, base={base}, nseed={nseed})")
+             f"votes={votes}, engine={engine}, nseed={nseed})")
     if verbose:
         print(f"  {label}")
     pts = gen(n, d, seed=seed)
     order = np.random.default_rng(seed + 1).permutation(n)
     try:
-        ref = sequential_hull(pts, order=order.copy(), kernel=base)
+        ref = sequential_hull(pts, order=order.copy(), engine=engine)
         ref_keys = facet_sets_global(ref.facets, ref.order)
 
         # p=0: the wrapper must be a bit-identical no-op.
         zero = sequential_hull(
-            pts, order=order.copy(),
-            kernel=NoisyKernel(p=0.0, votes=votes, seed=nseed, base=base),
+            pts, order=order.copy(), engine=engine,
+            kernel=NoisyKernel(p=0.0, votes=votes, seed=nseed),
         )
         if facet_sets_global(zero.facets, zero.order) != ref_keys:
             return f"{label}: p=0 noisy differs from unwrapped"
@@ -483,9 +479,10 @@ def one_noisy_case(rng: np.random.Generator, verbose: bool) -> str | None:
         # Determinism: one noise seed, one outcome (crash type counts
         # as an outcome -- a lying oracle may break invariants).
         def raw_outcome():
-            nk = NoisyKernel(p=p, votes=votes, seed=nseed, base=base)
+            nk = NoisyKernel(p=p, votes=votes, seed=nseed)
             try:
-                run = sequential_hull(pts, order=order.copy(), kernel=nk)
+                run = sequential_hull(pts, order=order.copy(), kernel=nk,
+                                      engine=engine)
             except Exception as exc:  # noqa: BLE001 - fuzzing surface
                 return ("crash", type(exc).__name__)
             return ("ok", facet_sets_global(run.facets, run.order))
@@ -495,8 +492,9 @@ def one_noisy_case(rng: np.random.Generator, verbose: bool) -> str | None:
 
         # Self-healing: the ladder must land on the exact oracle's hull
         # and record how it got there.
-        nk = NoisyKernel(p=p, votes=votes, seed=nseed, base=base)
-        res = robust_hull(pts, seed=seed, order=order.copy(), noise=nk)
+        nk = NoisyKernel(p=p, votes=votes, seed=nseed)
+        res = robust_hull(pts, seed=seed, order=order.copy(), noise=nk,
+                          engine=engine)
         exact = robust_hull(pts, seed=seed, order=order.copy())
         # Compare in global-index space: different surviving rungs may
         # promote/rank points differently for the same geometric hull.
@@ -801,7 +799,8 @@ def main() -> int:
     ap.add_argument("--degenerate", action="store_true",
                     help="fuzz the adversarial degenerate corpus instead")
     ap.add_argument("--kernels", action="store_true",
-                    help="fuzz the batched predicate kernels instead")
+                    help="fuzz the flat-sweep SoA engine and orient_batch "
+                         "against the scalar oracle instead")
     ap.add_argument("--noisy", action="store_true",
                     help="fuzz the noisy-oracle ladder with random "
                          "(input, p, votes, seed) tuples instead")
