@@ -30,12 +30,17 @@ facet-set equality and recording the soa/scalar ratio per ``(n, d)``.
 
 Results are JSON-shaped for ``BENCH_kernels.json`` (consumed by
 EXPERIMENTS.md's E19 table and the ``kernels-smoke`` CI job via
-``benchmarks/bench_kernels.py`` or ``repro bench-kernels``).
+``benchmarks/bench_kernels.py`` or ``repro bench-kernels``).  Each
+report records the environment it was measured in (``cpu_count``,
+Python and NumPy versions): timings from different machines are not
+one trajectory.
 """
 
 from __future__ import annotations
 
 import gc
+import os
+import platform
 import time
 from statistics import median
 from typing import Sequence
@@ -116,10 +121,11 @@ def _predicate_row(
     pts = uniform_ball(n, d, seed=seed)
     planes, cand_list = _facet_specs(pts, n_facets, rng)
     # The flat stream and its plane columns, built once outside the
-    # stopwatch: entry i tests ranks[i] against plane owner[i].
+    # stopwatch: plane k tests the blocks[k] consecutive ranks of its
+    # candidate block.
     sizes = [int(c.size) for c in cand_list]
     ranks = np.concatenate(cand_list)
-    owner = np.repeat(np.arange(len(planes), dtype=np.int64), sizes)
+    blocks = np.asarray(sizes, dtype=np.int64)
     normals = np.stack([p.normal for p in planes])
     offsets = np.array([p.offset for p in planes])
     err_scale = np.array([p.err_scale for p in planes])
@@ -141,7 +147,7 @@ def _predicate_row(
 
     def batch(stats: KernelStats | None = None) -> np.ndarray:
         return visible_flat(  # repro: noqa: RPRHOT006
-            pts, normals, offsets, err_scale, err_base, owner, ranks,
+            pts, normals, offsets, err_scale, err_base, blocks, ranks,
             plane_for=planes.__getitem__, stats=stats,
         )
 
@@ -313,6 +319,11 @@ def run_kernel_bench(
     }
     return {
         "schema": KERNEL_BENCH_SCHEMA,
+        "environment": {
+            "cpu_count": os.cpu_count(),
+            "python": platform.python_version(),
+            "numpy": np.__version__,
+        },
         "smoke": smoke,
         "seed": seed,
         "repeats": repeats,

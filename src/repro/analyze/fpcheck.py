@@ -109,10 +109,16 @@ _IDENTITY_CALLS = {
 _NONFP_CALLS = {
     "int", "len", "bool", "range", "zip", "enumerate", "sign",
     "argmin", "argmax", "nonzero", "flatnonzero", "arange",
-    "searchsorted", "repeat", "cumsum", "any", "all", "count_nonzero",
+    "searchsorted", "cumsum", "any", "all", "count_nonzero",
     "isfinite", "isnan", "isinf", "array_equal", "unique", "sort",
     "argsort", "lexsort", "bincount", "print",
 }
+
+#: gathers: the result only selects or repeats entries of the gathered
+#: operand (``np.take(a, i)``, ``a.take(i)``, ``np.repeat(a, r,
+#: axis=0)``), so it carries that operand's magnitude and error, like
+#: the subscript ``a[i]``.
+_GATHER_CALLS = {"take", "repeat"}
 
 #: stacking calls: result bounds join the (flattened) operands.
 _JOIN_CALLS = {"stack", "concatenate", "hstack", "vstack",
@@ -531,6 +537,10 @@ class _Interp:
             flat.extend(v) if isinstance(v, tuple) else flat.append(v)
         fpargs = [v for v in flat if isinstance(v, fe.FpVal)]
 
+        if bare in _GATHER_CALLS:
+            if receiver is not None:
+                return receiver
+            return args[0] if args else fe.TOP
         if bare in _NONFP_CALLS:
             return fe.NONFP
         if bare in _IDENTITY_CALLS:

@@ -305,7 +305,7 @@ def visible_flat(
     offsets: np.ndarray,
     err_scale: np.ndarray,
     err_base: np.ndarray,
-    owner: np.ndarray,
+    blocks: np.ndarray,
     ranks: np.ndarray,
     force_exact: np.ndarray | None = None,
     plane_for=None,
@@ -314,13 +314,16 @@ def visible_flat(
 ) -> np.ndarray:
     """Strict-visibility mask for a flat (facet, point) stream.
 
-    ``ranks`` are point ranks into ``pts`` and ``owner[i]`` the row of
-    the plane stack that entry ``i`` is tested against -- the flattened
-    form of a whole round's (ready facet x conflict point) block.  One
-    einsum computes every float margin; entries inside the per-plane
-    error envelope -- plus every entry of a plane flagged in
-    ``force_exact`` (always-exact planes carry no trustworthy float
-    sign) -- are re-decided by the scalar ladder of the materialized
+    ``ranks`` are point ranks into ``pts``, grouped by plane: the first
+    ``blocks[0]`` entries are tested against plane 0, the next
+    ``blocks[1]`` against plane 1, and so on (``blocks`` has one
+    non-negative count per row of the plane stack, zeros allowed, and
+    sums to ``len(ranks)``) -- the flattened form of a whole round's
+    (ready facet x conflict point) block.  One einsum computes every
+    float margin; entries inside the per-plane error envelope -- plus
+    every entry of a plane flagged in ``force_exact`` (always-exact
+    planes carry no trustworthy float sign) -- are re-decided by the
+    scalar ladder of the materialized
     :class:`~repro.geometry.hyperplane.Hyperplane` that ``plane_for(k)``
     returns, so the flat sweep cannot silently disagree with the scalar
     oracle: identical filter, identical fallback.  ``pts_inf``, when
@@ -328,7 +331,7 @@ def visible_flat(
     many rounds precomputes it once instead of re-reducing the gathered
     coordinate block every call.
     """
-    # repro: shape: ranks=(M,):int64, owner=(M,):int64
+    # repro: shape: ranks=(M,):int64, blocks=(K,):int64
     # repro: shape: pts_flat=(M,d):float64, margins=(M,):float64
     # repro: shape: env=(M,):float64, mask=(M,):bool
     #
@@ -346,26 +349,28 @@ def visible_flat(
         return np.zeros(0, dtype=bool)
     d = pts.shape[1]
     # repro: fp-bound: in pts ~ Q
-    pts_flat = pts[ranks]
+    pts_flat = np.take(pts, ranks, axis=0)
     # Pack every per-plane scalar the sweep needs into one (K, d+3)
-    # matrix so the per-entry stream costs a *single* wide gather
-    # instead of five separate fancy-indexed passes (normals, offsets,
-    # err_scale, err_base): columns are [normal | offset | scale |
+    # matrix so the per-entry stream costs a *single* wide expansion
+    # instead of five separate passes (normals, offsets, err_scale,
+    # err_base): columns are [normal | offset | scale |
     # scale*err_base].  K (planes) is small; M (entries) is the round.
+    # Each plane's entries are contiguous, so the expansion is a
+    # repeat, not a gather.
     packed = np.empty((normals.shape[0], d + 3), dtype=np.float64)
     packed[:, :d] = normals
     packed[:, d] = offsets
     scale = _FILTER_SCALE * err_scale
     packed[:, d + 1] = scale
     packed[:, d + 2] = scale * err_base
-    g = packed[owner]
+    g = np.repeat(packed, blocks, axis=0)
     gn = g[:, :d]    # repro: fp-bound: in gn ~ NRM err 6*H
     go = g[:, d]     # repro: fp-bound: in go ~ OFF err 6*d*H*B + 2*d^2*NRM*B
     margins = np.einsum("md,md->m", pts_flat, gn)
     margins -= go
     # repro: fp-bound: claim margins <= 16*d*(d*d*H + NRM + 1)*(B + Q)
     q_inf = (np.abs(pts_flat).max(axis=1) if pts_inf is None
-             else pts_inf[ranks])
+             else np.take(pts_inf, ranks))
     env = g[:, d + 1] * q_inf
     env += g[:, d + 2]
     mask = margins > env
@@ -373,8 +378,8 @@ def visible_flat(
     # not needed past this point.
     np.abs(margins, out=margins)
     uncertain = margins <= env
-    if force_exact is not None:
-        forced = force_exact[owner]
+    if force_exact is not None and force_exact.any():
+        forced = np.repeat(force_exact, blocks)
         mask &= ~forced
         uncertain |= forced
     n_signs = int(ranks.shape[0])
@@ -382,14 +387,17 @@ def visible_flat(
     STATS.count_float(n_signs)
     if n_fall:
         # Envelope-ambiguous (or forced-exact) entries only: the
-        # by-design per-element exact ladder, as in orient_batch.
-        for m in np.nonzero(uncertain)[0]:  # repro: noqa: RPRHOT001
+        # by-design per-element exact ladder, as in orient_batch.  An
+        # entry's plane is the block its position falls in.
+        fall = np.nonzero(uncertain)[0]
+        plane_of = np.searchsorted(np.cumsum(blocks), fall, side="right")
+        for m, k in zip(fall.tolist(), plane_of.tolist()):  # repro: noqa: RPRHOT001
             r = int(ranks[m])
-            mask[m] = plane_for(int(owner[m]))._side_exact(pts[r], r) > 0  # repro: noqa: RPRHOT002
+            mask[m] = plane_for(k)._side_exact(pts[r], r) > 0  # repro: noqa: RPRHOT002
     KERNEL_STATS.count_sweep(n_signs, n_fall)
     if stats is not None:
         stats.count_sweep(n_signs, n_fall)
     observe("repro.geometry.kernels.visible_flat",
-            ranks=ranks, owner=owner, pts_flat=pts_flat,
+            ranks=ranks, blocks=blocks, pts_flat=pts_flat,
             margins=margins, env=env, mask=mask)
     return mask

@@ -86,8 +86,15 @@ def prepare_points(
     if order is None:
         order = np.random.default_rng(seed).permutation(n)
     else:
-        order = np.asarray(order, dtype=np.int64)
-        if sorted(order.tolist()) != list(range(n)):
+        order = np.asarray(order)
+        if order.dtype.kind not in "iu":
+            # A float or string order would be truncated or parsed into
+            # some permutation the caller never wrote.
+            raise HullSetupError(
+                f"order must hold integers, got dtype {order.dtype}"
+            )
+        order = order.astype(np.int64, copy=False)
+        if order.shape != (n,) or not np.array_equal(np.sort(order), np.arange(n)):
             raise HullSetupError("order must be a permutation of range(n)")
     return points[order], order
 

@@ -36,18 +36,26 @@ Memory layout (the parlaylib-style conflict-list representation):
   ``lexsort`` over (pending + new) ridge rows pairs adjacent equal rows
   in arrival order and is semantically identical to
   ``DictMultimap.insert_and_set`` -- a run of three equal rows would be
-  a structural bug and raises.
+  a structural bug and raises.  The sort runs on fused int64 keys,
+  ridge columns two at a time (``c_j * n + c_{j+1}``), which order like
+  the rows and cannot collide.
 
 The round transaction (all vectorized, no per-facet Python loop):
 
 1. gather both pivot columns, classify every ready ridge into the
    paper's four cases with boolean masks (final / bury / flip /
    create);
-2. gather every creating ridge's two parent conflict segments in one
-   indexed load (:func:`~repro.geometry.kernels.gather_segments`),
-   filter to ranks strictly above the pivot, and dedupe by a
-   ``lexsort`` -- exactly ``FacetFactory.merge_candidates`` +
-   ``_clean_candidates``, but for all facets of the round at once;
+2. gather every creating ridge's two parent conflict windows in one
+   segment gather (:func:`~repro.geometry.kernels.gather_segments`)
+   and one ``np.take`` of the pool, the smaller-pivot parent's window
+   from its second entry, and merge + dedupe them by one stable sort
+   of fused ``(row, rank)`` keys -- exactly
+   ``FacetFactory.merge_candidates`` + ``_clean_candidates``, but for
+   all facets of the round at once and with no per-entry filter: the
+   skipped head is the pivot, the only entry the "strictly above the
+   pivot" filter would drop, and no window ever holds a defining rank
+   of its own facet, so there is nothing to clean.  The result is the
+   flat candidate ranks plus ``blocks``, the per-facet counts;
 3. build all new planes in one :func:`batch_planes` call, orienting
    float-certain rows against the interior point in place; ambiguous
    rows (or all rows under :func:`~repro.geometry.hyperplane.exact_mode`)
@@ -56,9 +64,13 @@ The round transaction (all vectorized, no per-facet Python loop):
 4. decide all (facet x candidate) visibilities in one flat einsum
    sweep (:func:`~repro.geometry.kernels.visible_flat`) with the same
    envelope filter and the same per-entry exact fallback as the
-   scalar path;
-5. prefix-sum partition the survivors into the new facets' conflict
-   segments, append to the store and pool, and pair the new ridges.
+   scalar path; each facet's candidates are one contiguous block, so
+   the sweep takes ``blocks`` and repeats the plane rows instead of
+   gathering them through a per-entry owner column;
+5. count each facet's survivors with one segmented sum of the mask
+   (``np.add.reduceat`` over the non-empty blocks), prefix-sum
+   partition them into the new facets' conflict segments, append to
+   the store and pool, and pair the new ridges.
 
 :meth:`SoAHullEngine.finish` hands back an :class:`SoAHullRun` in the
 same column form -- copies of the store columns and the pool, with no
@@ -537,8 +549,7 @@ class SoAHullEngine:
     def _create_block(
         self,
         new_idx: np.ndarray,       # (K, d) sorted defining ranks
-        vals: np.ndarray,          # flat cleaned candidate ranks
-        owner: np.ndarray,         # (len(vals),) row in 0..K-1
+        vals: np.ndarray,          # flat cleaned candidate ranks, by row
         blocks: np.ndarray,        # (K,) candidate counts per row
         support: np.ndarray,       # (K, 2) support fids (-1 for base)
         pivot_point: np.ndarray,   # (K,) creating pivot (-1 for base)
@@ -547,10 +558,20 @@ class SoAHullEngine:
         one visibility sweep, prefix-sum partition into the pool.
         Returns the first new fid."""
         k = int(new_idx.shape[0])
-        surv_vals, surv_owner, cols = self._facets_flat(new_idx, vals, owner, blocks)
+        vis, cols = self._facets_flat(new_idx, vals, blocks)
         normals, offsets, e_scale, e_base, exact_rows = cols
 
-        lens = np.bincount(surv_owner, minlength=k)
+        # Survivors per row: one segmented sum of the mask over the
+        # starts of the non-empty blocks (reduceat needs strictly
+        # increasing starts; empty blocks keep their zero).
+        # np.compress, not vals[vis]: at the mid-range densities a
+        # sweep's mask has, boolean indexing runs ~4x slower.
+        surv_vals = np.compress(vis, vals)
+        lens = np.zeros(k, dtype=np.int64)
+        full = np.nonzero(blocks)[0]
+        if full.size:
+            starts = np.cumsum(blocks) - blocks
+            lens[full] = np.add.reduceat(vis, starts[full], dtype=np.int64)
         starts_local = np.cumsum(lens) - lens
         pool_start = self.pool.extend(surv_vals)
         pivots = np.full(k, _INF, dtype=np.int64)
@@ -566,9 +587,10 @@ class SoAHullEngine:
         )
         return fid0
 
-    def _facets_flat(self, new_idx, vals, owner, blocks):
+    def _facets_flat(self, new_idx, vals, blocks):
         """Batch planes + one flat einsum sweep (+ the lying oracle's
-        flips on a noisy run)."""
+        flips on a noisy run).  Returns the visibility mask over
+        ``vals`` and the new rows' plane columns."""
         # The filter boundary of the flat path: the orientation margin
         # below must clear the same committed envelope as
         # Hyperplane.through, with the plane bounds flowing out of the
@@ -615,7 +637,7 @@ class SoAHullEngine:
             return plane
 
         vis = visible_flat(
-            self.pts, normals, offsets, e_scale, e_base, owner, vals,
+            self.pts, normals, offsets, e_scale, e_base, blocks, vals,
             force_exact=exact_rows, plane_for=plane_for, stats=self.kstats,
             pts_inf=self._pts_inf,
         )
@@ -636,7 +658,7 @@ class SoAHullEngine:
             zip((fid0 + r for r in ks.tolist()),
                 map(row_planes.__getitem__, ks.tolist()))
         )
-        return vals[vis], owner[vis], (normals, offsets, e_scale, e_base, exact_rows)
+        return vis, (normals, offsets, e_scale, e_base, exact_rows)
 
     # -- ridge pairing (the multimap M, per round) -------------------------
 
@@ -650,7 +672,11 @@ class SoAHullEngine:
         alone yields that order, because pending rows precede the new
         ones in the concatenation, new rows come in registration order,
         and at most one pending row per key survives a round (pairing
-        leaves at most one single per run of equal keys).  Noise-free,
+        leaves at most one single per run of equal keys).  The sort and
+        the equality test run on fused keys, ridge columns taken two at
+        a time as ``c_j * n + c_{j+1}``: ranks are below ``n``, so the
+        keys order lexicographically like the rows and cannot collide
+        (``n**2 < 2**63``, as the candidate dedupe assumes).  Noise-free,
         every ridge key is registered at most twice over the whole run
         (a proven invariant of the algorithm), so a longer run raises;
         under a lying oracle (``p > 0``) the invariant can genuinely
@@ -663,10 +689,19 @@ class SoAHullEngine:
         if m == 0:
             empty = np.zeros(0, dtype=np.int64)
             return empty, empty, np.zeros((0, self.d - 1), dtype=np.int64)
-        ordx = np.lexsort(tuple(all_rows.T[::-1]))
+        n = np.int64(self.n)
+        cols = all_rows.T
+        keys = [cols[j] * n + cols[j + 1] for j in range(0, self.d - 2, 2)]
+        if (self.d - 1) % 2:
+            keys.append(cols[-1])
+        ordx = np.lexsort(keys[::-1])
         sr = all_rows[ordx]
         sf = all_fids[ordx]
-        eq = (sr[1:] == sr[:-1]).all(axis=1)
+        sk = keys[0][ordx]
+        eq = sk[1:] == sk[:-1]
+        for key in keys[1:]:
+            sk = key[ordx]
+            eq &= sk[1:] == sk[:-1]
         if eq.size > 1 and bool(np.any(eq[1:] & eq[:-1])):
             if self._strict_pairs:
                 raise AssertionError(
@@ -712,11 +747,10 @@ class SoAHullEngine:
         nb = int(base_rows.shape[0])
         later = np.arange(base, n, dtype=np.int64)
         vals = np.tile(later, nb)
-        owner = np.repeat(np.arange(nb, dtype=np.int64), later.shape[0])
         blocks = np.full(nb, later.shape[0], dtype=np.int64)
         no_sup = np.full((nb, 2), -1, dtype=np.int64)
         no_piv = np.full(nb, -1, dtype=np.int64)
-        fid0 = self._create_block(base_rows, vals, owner, blocks, no_sup, no_piv)
+        fid0 = self._create_block(base_rows, vals, blocks, no_sup, no_piv)
         if int(blocks.sum()):
             self._last_tid = self.tracker.add_batched_sweep(blocks)
         # Seed: one ProcessRidge per ridge of the base hull.
@@ -796,40 +830,48 @@ class SoAHullEngine:
 
         new_idx = np.sort(np.concatenate([rc, pc[:, None]], axis=1), axis=1)
 
-        # Candidate gather: both parents' conflict segments in two
-        # indexed loads, filtered strictly above the pivot, cleaned of
-        # defining ranks, merged and deduped by one lexsort -- exactly
-        # merge_candidates + _clean_candidates for the whole round.
-        pos_a, own_a = gather_segments(
-            self.store.conf_start[t1c], self.store.conf_len[t1c]
+        # Candidate gather: both parents' conflict windows in one
+        # segment gather, merged and deduped by one sort -- exactly
+        # merge_candidates + _clean_candidates for the whole round, with
+        # no per-entry filter, because skipping t1c's head filters
+        # exactly:
+        # - "strictly above pc": pc is the head of t1c's ascending
+        #   window, and t2c's pivot is larger (equal pivots were
+        #   buried), so all of t2c's window is above pc;
+        # - "not a defining rank": no window holds a defining rank of
+        #   its own facet (bootstrap candidates start at base_size,
+        #   later windows by induction), and rc is a subset of both
+        #   parents' ranks.
+        cs, cl = self.store.conf_start, self.store.conf_len
+        pos, owner = gather_segments(
+            np.concatenate([cs[t1c] + 1, cs[t2c]]),
+            np.concatenate([cl[t1c] - 1, cl[t2c]]),
         )
-        pos_b, own_b = gather_segments(
-            self.store.conf_start[t2c], self.store.conf_len[t2c]
-        )
-        vals = np.concatenate([self.pool.buf[pos_a], self.pool.buf[pos_b]])
-        owner = np.concatenate([own_a, own_b])
-        keep = vals > pc[owner]
-        for j in range(self.d - 1):
-            keep &= vals != rc[owner, j]
-        vals, owner = vals[keep], owner[keep]
-        # Group by owner, ascending and unique within each group: one
-        # radix sort of the fused (owner, rank) key (owner < K <= n and
-        # rank < n, so owner*n + rank is collision-free in int64),
-        # then adjacent-equal dedupe on the key itself.
-        fused = owner * np.int64(self.n) + vals
+        vals = np.take(self.pool.buf, pos)
+        # Group by new facet, ascending and unique within each group:
+        # one stable sort of the fused (row, rank) key (row < K <= n
+        # and rank < n, so row*n + rank is collision-free in int64;
+        # segment s of the gather is row s mod K), then adjacent-equal
+        # dedupe on the key itself.  Both halves arrive sorted, so the
+        # sort is a single merge.
+        n = np.int64(self.n)
+        fused = owner * n
+        fused[int(cl[t1c].sum()) - k:] -= k * n
+        fused += vals
         fused.sort(kind="stable")
         if fused.shape[0]:
-            keep2 = np.ones(fused.shape[0], dtype=bool)
-            np.not_equal(fused[1:], fused[:-1], out=keep2[1:])
-            fused = fused[keep2]
-        owner, vals = np.divmod(fused, np.int64(self.n))
-        blocks = np.bincount(owner, minlength=k)
-        # repro: shape: vals=(M,):int64, owner=(M,):int64, blocks=(K,):int64
+            keep = np.ones(fused.shape[0], dtype=bool)
+            np.not_equal(fused[1:], fused[:-1], out=keep[1:])
+            fused = np.compress(keep, fused)
+        row0 = np.arange(k + 1, dtype=np.int64) * n
+        blocks = np.diff(np.searchsorted(fused, row0))
+        vals = fused - np.repeat(row0[:-1], blocks)
+        # repro: shape: vals=(M,):int64, blocks=(K,):int64
         observe("repro.hull.soa.SoAHullEngine._candidates",
-                vals=vals, owner=owner, blocks=blocks)
+                vals=vals, blocks=blocks)
 
         fid0 = self._create_block(
-            new_idx, vals, owner, blocks,
+            new_idx, vals, blocks,
             support=np.stack([t1c, t2c], axis=1), pivot_point=pc,
         )
         self.store.alive[t1c] = False

@@ -83,6 +83,29 @@ class TestEnvelopeUnderDerived:
         assert [c.ok for c in bad.claims] == [False]
         assert [c.ok for c in good.claims] == [True]
 
+    def test_gathers_carry_the_gathered_bounds(self):
+        # np.take / a.take / np.repeat only select entries of `a`, so
+        # they must derive exactly what the subscript a[k] derives --
+        # not top, which leaves the claim unchecked (RPRFP001 "cannot
+        # be checked") in both the bad and the clean twin.
+        def gathered(src, expr):
+            return "import numpy as np\n" + src.replace(
+                "def residual(a, b):", "def residual(a, b, k):"
+            ).replace("s = a + b", f"s = {expr} + b")
+
+        want = {}
+        for expr in ("a[k]", "np.take(a, k)", "a.take(k)",
+                     "np.repeat(a, k, axis=0)"):
+            bad = _run(gathered(UNDER_CLAIMED_SUM, expr))
+            good = _run(gathered(UNDER_CLAIMED_SUM_CLEAN, expr))
+            assert _rules(bad) == ["RPRFP001"], expr
+            assert _rules(good) == [], expr
+            assert [c.ok for c in bad.claims] == [False], expr
+            assert [c.ok for c in good.claims] == [True], expr
+            got = [(c.derived, c.derived_mag) for c in bad.claims + good.claims]
+            assert got[0][0], expr
+            assert want.setdefault("bounds", got) == got, expr
+
     def test_fact_closes_the_gap(self):
         # Without the fact the derived NRM monomial has no budget in
         # the committed 6*H bound; the fact NRM <= 6*H (the cofactor

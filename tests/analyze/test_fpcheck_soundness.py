@@ -189,15 +189,15 @@ class TestMarginSweeps:
         normals, offsets, e_scale, e_base = batch_planes(sims)
         atoms = _plane_atoms(sims, normals, offsets, e_base)
         nf, nq = sims.shape[0], qs.shape[0]
-        owner = np.repeat(np.arange(nf), nq)
+        blocks = np.full(nf, nq)
         ranks = np.tile(np.arange(nq), nf)
         # visible_flat's gathered sweep, operand for operand.
-        gn = normals[owner]
-        go = offsets[owner]
-        margins = np.einsum("md,md->m", qs[ranks], gn) - go
+        gn = np.repeat(normals, blocks, axis=0)
+        go = np.repeat(offsets, blocks)
+        margins = np.einsum("md,md->m", np.take(qs, ranks, axis=0), gn) - go
         c = _claim("kernels.visible_flat", "margins", d)
         for m in range(margins.shape[0]):
-            fi, qi = int(owner[m]), int(ranks[m])
+            fi, qi = m // nq, int(ranks[m])
             n_ex, off_ex = _exact_plane(sims[fi])
             a = dict(atoms[fi])
             a["Q"] = float(np.abs(qs[qi]).max(initial=0.0))

@@ -127,7 +127,7 @@ def _flat_masks(pts, facets, stats=None):
         np.array([p.offset for p in planes]),
         np.array([p.err_scale for p in planes]),
         np.array([p.err_base for p in planes]),
-        np.repeat(np.arange(len(planes)), sizes),
+        np.asarray(sizes, dtype=np.int64),
         np.concatenate(cand_list),
         force_exact=np.array([p.always_exact for p in planes]),
         plane_for=planes.__getitem__,
@@ -153,6 +153,76 @@ def test_make_batch_matches_scalar_factory(d):
         assert np.array_equal(f.conflicts, c[m])
     assert fs.counters.visibility_tests == sum(c.size for c in cand_list)
     assert KERNEL_STATS.batched_signs == fs.counters.visibility_tests
+
+
+def test_visible_flat_blocks_contract():
+    """Empty blocks at the start, middle and end, an always-exact
+    (forced) plane between float ones, and an envelope fallback in a
+    later block: every entry is decided exactly like its own plane's
+    ``visible_mask``, each exact decision asks ``plane_for`` for the
+    plane whose block holds the entry, and the counters charge one
+    fallback per forced or envelope-ambiguous entry."""
+    d = 3
+    n = 60
+    pts = uniform_ball(n, d, seed=21)
+    specs = [tuple(range(k, k + d)) for k in range(0, 6 * d, d)]
+    empty = np.zeros(0, dtype=np.int64)
+    planes = [f.plane for f in _factory(pts).make_batch([(s, empty) for s in specs])]
+    with exact_mode():
+        planes[3] = _factory(pts).make(specs[3], empty).plane
+    forced = [p.always_exact for p in planes]
+    # REPRO_FORCE_EXACT=1 makes every plane always-exact.
+    assert forced == [False] * 3 + [True] + [False] * 2 or all(forced)
+    rng = np.random.default_rng(5)
+
+    def off_plane(k, size):
+        pool = np.setdiff1d(np.arange(n), specs[k])
+        return np.sort(rng.choice(pool, size=size, replace=False))
+
+    # Block 4 also tests one of its plane's own vertices: an exact zero
+    # margin, so a certain fallback.
+    cands = [empty, off_plane(1, 20), empty, off_plane(3, 9),
+             np.union1d(off_plane(4, 15), [specs[4][1]]), empty]
+    blocks = np.array([c.size for c in cands], dtype=np.int64)
+    asked = []
+
+    def plane_for(k):
+        asked.append(k)
+        return planes[k]
+
+    stats = KernelStats()
+    mask = visible_flat(
+        pts,
+        np.stack([p.normal for p in planes]),
+        np.array([p.offset for p in planes]),
+        np.array([p.err_scale for p in planes]),
+        np.array([p.err_base for p in planes]),
+        blocks,
+        np.concatenate(cands),
+        force_exact=np.array([p.always_exact for p in planes]),
+        plane_for=plane_for,
+        stats=stats,
+    )
+    got = np.split(mask, np.cumsum(blocks)[:-1])
+    for p, c, m in zip(planes, cands, got):
+        assert np.array_equal(m, p.visible_mask(pts[c], indices=c))
+
+    def n_exact(p, c):
+        """Entries the plane's own filter leaves to the exact ladder."""
+        if p.always_exact or not c.size:
+            return int(c.size)
+        env = p.err_scale * (p.err_base + np.abs(pts[c]).max(axis=1))
+        return int((np.abs(p.margins(pts[c])) <= env).sum())
+
+    exact = [n_exact(p, c) for p, c in zip(planes, cands)]
+    if not all(forced):
+        assert exact == [0, 0, 0, int(blocks[3]), 1, 0]
+    assert sorted(asked) == [k for k, e in enumerate(exact) for _ in range(e)]
+    assert stats.snapshot() == {
+        "batched_sweeps": 1,
+        "batched_signs": int(blocks.sum()),
+        "fallbacks": sum(exact),
+    }
 
 
 def test_make_batch_empty_candidates():

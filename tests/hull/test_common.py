@@ -34,6 +34,38 @@ class TestPreparePoints:
         out, o = prepare_points(pts, order=order)
         assert np.array_equal(out[0], pts[9])
 
+    @pytest.mark.parametrize("order", [
+        [0.0, 1.9, 2.2, 3.7, 4.0, 5.5],         # floats: used to truncate
+        np.arange(6, dtype=np.float64),          # integral, still floats
+        ["0", "1", "2", "3", "4", "5"],          # digit strings
+        [True, False, True, False, True, False],
+        np.arange(6).reshape(2, 3),              # 2-D
+        [0, 1, 2, 3, 4, 4],                      # duplicate
+        [0, 1, 2, 3, 4, 6],                      # out of range
+        [-1, 0, 1, 2, 3, 4],
+        [0, 1, 2, 3, 4],                         # too short
+    ], ids=["float", "float-integral", "str", "bool", "2d", "duplicate",
+            "out-of-range", "negative", "short"])
+    @pytest.mark.parametrize("driver", ["soa_hull", "parallel_hull"])
+    def test_bad_order_rejected(self, order, driver):
+        from repro.hull import parallel_hull, soa_hull
+        run = {"soa_hull": soa_hull, "parallel_hull": parallel_hull}[driver]
+        pts = uniform_ball(6, 2, seed=0)
+        with pytest.raises(HullSetupError, match="order must"):
+            run(pts, order=order)
+
+    @pytest.mark.parametrize("order", [
+        [5, 4, 3, 2, 1, 0],
+        np.arange(6, dtype=np.int32)[::-1],
+        np.arange(6, dtype=np.uint16),
+    ])
+    def test_integer_orders_of_any_width_accepted(self, order):
+        pts = uniform_ball(6, 2, seed=0)
+        out, o = prepare_points(pts, order=order)
+        assert o.dtype == np.int64
+        assert np.array_equal(o, np.asarray(order))
+        assert np.array_equal(out, pts[np.asarray(order)])
+
 
 class TestInitialSimplex:
     def test_general_position_takes_prefix(self):

@@ -9,9 +9,17 @@ White-box invariants checked at *every round boundary* of real runs:
 - **justification** -- every stored conflict is *earned*: the point is
   strictly visible from its facet under the exact predicate, is not a
   defining vertex, and (for round-created facets) exceeds the creating
-  pivot's rank.  Note a point may legitimately sit in several live
-  lists at once -- the bootstrap point alone lands in up to ``d+1``
-  base-facet lists -- so no uniqueness is asserted;
+  pivot's rank.  The last two hold for every facet ever created, buried
+  and replaced ones included: a round gathers exactly those dead
+  windows.  Note a point may legitimately sit in several live lists at
+  once -- the bootstrap point alone lands in up to ``d+1`` base-facet
+  lists -- so no uniqueness is asserted;
+- **head skip** -- for every ridge the next round creates from, the
+  candidate filter of the scalar driver (ranks strictly above the pivot
+  ``pc``, ridge ranks dropped) would remove exactly the head of the
+  ``t1`` window, which is ``pc``, and nothing else: the reason the
+  round gathers ``t1``'s window from its second entry and filters
+  nothing;
 - **pivot consistency** -- ``pivot[f]`` is the minimum (= first) entry
   of the window, or the +inf sentinel for empty windows;
 - **termination** -- when the frontier drains, every live facet's
@@ -31,6 +39,7 @@ from hypothesis import strategies as st
 from repro.geometry import uniform_ball, uniform_cube
 from repro.geometry.hyperplane import exact_mode
 from repro.geometry.kernels import gather_segments
+from repro.geometry.noisy import NoisyKernel
 from repro.hull.soa import _INF, SoAHullEngine
 
 
@@ -63,24 +72,45 @@ def _check_segments(eng):
             assert eng.store.pivot[fid] == _INF
 
 
-def _check_justified(eng):
-    """Every live conflict entry is strictly visible (exact), beyond the
-    creating pivot, and never a defining vertex of its own facet."""
+def _check_justified(eng, exact=True):
+    """Every conflict entry of every created facet is beyond the
+    creating pivot and never a defining vertex of its own facet; with
+    ``exact``, every live one is also strictly visible (exact)."""
     buf = eng.pool.buf
-    for fid in np.nonzero(eng.store.alive[: eng.store.size])[0]:
-        fid = int(fid)
+    for fid in range(eng.store.size):
         s = int(eng.store.conf_start[fid])
         seg = buf[s: s + int(eng.store.conf_len[fid])]
         if not seg.size:
             continue
-        facet = eng._facet_of(fid)
-        defining = set(facet.indices)
+        defining = set(map(int, eng.store.indices[fid]))
         piv = int(eng.store.pivot_point[fid])
-        plane = facet.plane
         for v in map(int, seg):
             assert v not in defining
             assert v > piv  # piv is -1 for base facets: trivially true
+        if not (exact and eng.store.alive[fid]):
+            continue
+        plane = eng._facet_of(fid).plane
+        for v in map(int, seg):
             assert plane._side_exact(eng.pts[v], v) > 0
+
+
+def _check_head_skip(eng):
+    """From the frontier state, for each ridge the next round creates
+    from: the pivot filter plus the ridge-rank cleanup would drop exactly
+    the head of the smaller-pivot (``t1c``) window and nothing else, so
+    the round may skip that head and filter nothing."""
+    piv, buf = eng.store.pivot, eng.pool.buf
+    cs, cl = eng.store.conf_start, eng.store.conf_len
+    for a, b, ridge in zip(eng._fr_t1.tolist(), eng._fr_t2.tolist(),
+                           eng._fr_rows.tolist()):
+        if piv[a] == piv[b]:
+            continue  # final (both empty) or bury: nothing is gathered
+        if piv[b] < piv[a]:
+            a, b = b, a  # the symmetry flip
+        pc = int(piv[a])
+        for fid, want in ((a, [pc]), (b, [])):
+            window = buf[cs[fid]: cs[fid] + cl[fid]].tolist()
+            assert [v for v in window if v <= pc or v in ridge] == want
 
 
 def _fingerprint(eng):
@@ -104,14 +134,33 @@ def test_invariants_hold_at_every_round(params):
     eng = _engine(n, d, seed)
     _check_segments(eng)
     _check_justified(eng)
+    _check_head_skip(eng)
     while eng.step_round():
         _check_segments(eng)
         _check_justified(eng)
+        _check_head_skip(eng)
     _check_segments(eng)
     # Termination: frontier drained => every live facet decided.
     live = eng.store.alive[: eng.store.size]
     assert np.all(eng.store.conf_len[: eng.store.size][live] == 0)
     assert np.all(eng.store.pivot[: eng.store.size][live] == _INF)
+
+
+@pytest.mark.parametrize("d,base_size,noise", [
+    (2, None, None), (3, None, None), (4, None, None), (3, 12, None),
+    (3, None, 0.05),
+])
+def test_head_skip_holds_every_round(d, base_size, noise):
+    """The head skip needs only the window structure, so it holds for
+    larger bootstraps and under a lying oracle too (its flips only pick
+    which candidates survive, so only exact visibility may fail)."""
+    kernel = None if noise is None else NoisyKernel(p=noise, seed=3)
+    eng = _engine(90 if d < 4 else 50, d, seed=9,
+                  base_size=base_size, kernel=kernel)
+    _check_head_skip(eng)
+    while eng.step_round():
+        _check_head_skip(eng)
+        _check_justified(eng, exact=kernel is None)
 
 
 def test_bootstrap_conflicts_are_complete():

@@ -44,9 +44,12 @@ order must produce the identical facet set over original indices.
 filter-threshold) triples: ``soa_hull`` and the ``engine="soa"``
 adapters, whose only visibility path is the flat sweep, must stay
 facet-, conflict- and intrinsic-counter-identical to the scalar oracle
-under a randomly inflated float-filter envelope, and sampled
+under a randomly inflated float-filter envelope, sampled
 ``orient_batch`` blocks must agree elementwise with scalar
-``orient``.
+``orient``, and a direct ``visible_flat`` sample -- random block sizes,
+zeros included, against scalar planes, some of them always-exact
+(forced) -- must agree entry by entry with each plane's
+``visible_mask``.
 
 ``--effects`` mutation-fuzzes the static effect analyzer
 (:mod:`repro.analyze`): random structural mutations of seed programs
@@ -373,9 +376,16 @@ def one_degenerate_case(rng: np.random.Generator, verbose: bool) -> str | None:
 def one_kernel_case(rng: np.random.Generator, verbose: bool) -> str | None:
     """Fuzz one (input, dimension, filter-threshold) triple through the
     flat sweep; returns an error description or None."""
-    from repro.geometry.kernels import filter_scale, orient_batch
+    from repro.geometry.hyperplane import exact_mode
+    from repro.geometry.kernels import (
+        KernelStats,
+        filter_scale,
+        orient_batch,
+        visible_flat,
+    )
     from repro.geometry.predicates import orient
     from repro.hull import soa_hull
+    from repro.hull.common import Counters, FacetFactory
 
     name, gen, dims = GENERATORS[int(rng.integers(0, len(GENERATORS)))]
     d = int(rng.choice(dims))
@@ -431,6 +441,47 @@ def one_kernel_case(rng: np.random.Generator, verbose: bool) -> str | None:
                     if got[f, q] != want:
                         return (f"{label}: orient_batch[{f},{q}] = {got[f, q]} "
                                 f"!= orient {want}")
+
+            # Flat-sweep sample: random blocks (a quarter of them empty)
+            # of random ranks, own vertices included, against scalar
+            # planes, a third of them always-exact so their rows are
+            # forced; each block must equal its plane's visible_mask.
+            factory = FacetFactory(pts, pts[: d + 1].mean(axis=0), Counters())
+            empty = np.zeros(0, dtype=np.int64)
+            planes = []
+            for _ in range(int(rng.integers(1, 8))):
+                idx = tuple(sorted(rng.choice(n, size=d, replace=False).tolist()))
+                if rng.integers(0, 3) == 0:
+                    with exact_mode():
+                        planes.append(factory.make(idx, empty).plane)
+                else:
+                    planes.append(factory.make(idx, empty).plane)
+            sizes = rng.integers(0, 2 * n, size=len(planes))
+            sizes[rng.random(len(planes)) < 0.25] = 0
+            cands = [rng.integers(0, n, size=int(s)) for s in sizes]
+            stats = KernelStats()
+            mask = visible_flat(
+                pts,
+                np.stack([p.normal for p in planes]),
+                np.array([p.offset for p in planes]),
+                np.array([p.err_scale for p in planes]),
+                np.array([p.err_base for p in planes]),
+                sizes.astype(np.int64),
+                np.concatenate(cands),
+                force_exact=np.array([p.always_exact for p in planes]),
+                plane_for=planes.__getitem__,
+                stats=stats,
+            )
+            blocks = np.split(mask, np.cumsum(sizes)[:-1])
+            for k, (plane, c, m) in enumerate(zip(planes, cands, blocks)):
+                want = plane.visible_mask(pts[c], indices=c)
+                if not np.array_equal(m, want):
+                    return (f"{label}: visible_flat block {k} of sizes "
+                            f"{sizes.tolist()} differs from visible_mask")
+            forced = int(sum(c.size for p, c in zip(planes, cands) if p.always_exact))
+            if stats.batched_signs != int(sizes.sum()) or stats.fallbacks < forced:
+                return (f"{label}: visible_flat counted {stats.snapshot()} "
+                        f"for sizes {sizes.tolist()}, {forced} forced")
     except Exception as exc:  # noqa: BLE001 - fuzzing surface
         return f"{label}: exception {type(exc).__name__}: {exc}"
     return None
