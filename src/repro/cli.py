@@ -116,7 +116,7 @@ def cmd_hull(args) -> None:
         **extra,
         "hull_facets": len(run.facets),
         "hull_vertices": len(run.vertex_indices()),
-        "facets_created": len(run.created),
+        "facets_created": run.counters.facets_created,
         "visibility_tests": run.counters.visibility_tests,
         "dependence_depth": run.dependence_depth(),
         "rounds": run.exec_stats.rounds,

@@ -310,12 +310,19 @@ class Hyperplane:
                 [self._side_exact(q, rank(i)) > 0 for i, q in enumerate(pts)],
                 dtype=bool,
             )
-        margins = self.margins(pts)
-        env = self.err_scale * (self.err_base + np.abs(pts).max(axis=1))
-        mask = margins > env
-        uncertain = np.abs(margins) <= env
-        STATS.count_float(int(pts.shape[0]))
+        mask, uncertain = self.float_filter(pts)
         if uncertain.any():
             for i in np.nonzero(uncertain)[0]:
                 mask[i] = self._side_exact(pts[i], rank(i)) > 0
         return mask
+
+    def float_filter(self, pts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The float half of :meth:`visible_mask` for a float-certain
+        plane: ``(visible, uncertain)`` masks over ``pts``.  ``visible``
+        holds where the margin clears the error envelope on the visible
+        side; ``uncertain`` where it falls inside the envelope, so only
+        the exact ladder (:meth:`_side_exact`) can decide the row."""
+        margins = self.margins(pts)
+        env = self.err_scale * (self.err_base + np.abs(pts).max(axis=1))
+        STATS.count_float(int(pts.shape[0]))
+        return margins > env, np.abs(margins) <= env

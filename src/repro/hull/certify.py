@@ -17,14 +17,15 @@ is a small, serializable claim --
 
 -- checked here by an independent verifier:
 
-* a *different* float filter (batched LU determinants with a crude
-  norm-product bound, vs construction's cofactor normals with a
-  Hadamard envelope);
+* a *different* float filter (LU determinants, batched over a block
+  of facets against the whole cloud, with a crude norm-product bound,
+  vs construction's cofactor normals with a Hadamard envelope);
 * a *different* exact stage.  Both sides scale one determinant's float
   entries by a common power of two and decide its sign on Python ints,
   but by different means: here each float is split with
-  :func:`math.frexp` into an integer mantissa and an exponent, shifted
-  to the least exponent, and the determinant is a recursive Laplace
+  :func:`math.frexp` into an integer mantissa and an exponent, and
+  every coordinate of the cloud is shifted, once per certificate, to
+  the least exponent present; the determinant is a recursive Laplace
   expansion; construction (``geometry.predicates``) uses
   ``float.as_integer_ratio`` and ``geometry.linalg.det_int`` (closed
   form up to 3x3, fraction-free Bareiss beyond).  The interior
@@ -222,18 +223,17 @@ def _laplace_det(rows: list[list[int]]) -> int:
     return total
 
 
-def _orient_exact_rows(base: np.ndarray, tail: np.ndarray) -> int:
+def _orient_exact_rows(base: list[list[int]], tail: list[list[int]]) -> int:
     """Exact sign of ``det([b_1 - b_0; ...; b_{d-1} - b_0; sum_i t_i -
-    k b_0])`` for the ``k`` rows ``t_i`` of ``tail``: the orientation of
-    their centroid (of the point itself when ``k == 1``), with the query
-    row scaled by ``k > 0``."""
-    d = base.shape[1]
-    k = tail.shape[0]
-    v = _frexp_ints(base.ravel().tolist() + tail.ravel().tolist())
-    b0 = v[:d]
-    t = v[d * d:]
-    rows = [[v[i + j] - b0[j] for j in range(d)] for i in range(d, d * d, d)]
-    rows.append([sum(t[j::d]) - k * b0[j] for j in range(d)])
+    k b_0])`` for the integer rows ``b_i`` of ``base`` and the ``k``
+    rows ``t_i`` of ``tail``: the orientation of their centroid (of the
+    point itself when ``k == 1``), with the query row scaled by
+    ``k > 0``.  Rows are points as :func:`_frexp_ints` converts them,
+    under one power-of-two scale for the whole cloud: the determinant
+    is homogeneous, so a common positive scale keeps its sign."""
+    b0 = base[0]
+    rows = [[x - y for x, y in zip(b, b0)] for b in base[1:]]
+    rows.append([sum(col) - len(tail) * y for col, y in zip(zip(*tail), b0)])
     det = _laplace_det(rows)
     # Exact integer sign, not a float comparison; RPR004's heuristic
     # cannot see the type.
@@ -311,24 +311,38 @@ def _orient_sos_bruteforce(
     return 1 if lead > 0 else -1
 
 
-def _batched_orient_filter(base: np.ndarray, pts: np.ndarray) -> np.ndarray:
-    """Float filter over all query points at once: signs in {-1, 0, +1},
-    with 0 meaning "uncertain, decide exactly".  The bound is a crude
-    norm-product estimate -- deliberately different from (and looser
-    than) construction's Hadamard envelope."""
-    d = base.shape[1]
-    edges = base[1:] - base[0]                       # (d-1, d)
-    qrows = pts - base[0]                            # (n, d)
-    mats = np.broadcast_to(edges, (pts.shape[0], d - 1, d))
-    full = np.concatenate([mats, qrows[:, None, :]], axis=1)   # (n, d, d)
-    dets = np.linalg.det(full)
-    scale = max(1.0, float(np.abs(edges).max(initial=0.0)))
-    qscale = np.maximum(1.0, np.abs(qrows).max(axis=1))
+#: Facet-point pairs per batched filter call.  A block of facets is
+#: swept against the whole cloud at once; this bounds its (pairs, d, d)
+#: determinant stack, so memory stays flat however many facets the
+#: certificate lists (a block holds at least one facet).
+_FILTER_PAIRS = 1 << 16
+
+
+def _batched_orient_filter(bases: np.ndarray, pts: np.ndarray) -> np.ndarray:
+    """Float filter over every (facet, query point) pair of a block at
+    once: ``bases`` is the ``(F, d, d)`` stack of facet vertex rows,
+    the result an ``(F, n)`` array of signs in {-1, 0, +1}, 0 meaning
+    "uncertain, decide exactly".  The bound is a crude norm-product
+    estimate -- deliberately different from (and looser than)
+    construction's Hadamard envelope.  Each pair's matrix, and the
+    order in which its bound is evaluated, are those of a one-facet
+    call, so a sign does not depend on how the facets are blocked."""
+    nf, d = bases.shape[0], bases.shape[2]
+    edges = bases[:, 1:] - bases[:, :1]                   # (F, d-1, d)
+    qrows = pts[None, :, :] - bases[:, None, 0]           # (F, n, d)
+    full = np.empty((nf, pts.shape[0], d, d))
+    full[:, :, : d - 1] = edges[:, None]
+    full[:, :, d - 1] = qrows
+    dets = np.linalg.det(full)                            # (F, n)
+    scale = np.maximum(1.0, np.abs(edges).max(axis=(1, 2), initial=0.0))
+    # Python float powers, as a scalar call takes them.
+    power = np.array([s ** (d - 1) for s in scale.tolist()])[:, None]
+    qscale = np.maximum(1.0, np.abs(qrows).max(axis=2))
     bound = (
-        math.factorial(d) * d * d * _EPS * (scale ** (d - 1)) * qscale
-        + d**3 * (_TINY * scale ** (d - 1) * qscale)
+        math.factorial(d) * d * d * _EPS * power * qscale
+        + d**3 * (_TINY * power * qscale)
     )
-    out = np.zeros(pts.shape[0], dtype=np.int8)
+    out = np.zeros(dets.shape, dtype=np.int8)
     out[dets > bound] = 1
     out[dets < -bound] = -1
     return out
@@ -347,6 +361,16 @@ def verify_certificate(cert: HullCertificate, points: np.ndarray) -> None:
     the canonical simplicial hull of the symbolically perturbed cloud
     (no perturbed point strictly outside any facet, ridges a closed
     manifold, orientations consistent with the interior reference).
+
+    Containment runs on blocks of facets: one batched float filter
+    (:func:`_batched_orient_filter`) decides every (facet, point) pair
+    of a block against the whole cloud, ``_FILTER_PAIRS`` pairs or so
+    per block, so memory stays flat on large certificates.  The exact
+    stage reads integer rows converted once per certificate
+    (:func:`_frexp_ints`, one power-of-two scale for the whole cloud).
+    Checks still run per facet in facet order -- interior orientation,
+    then float violations, then exact rechecks -- so the first claim
+    reported as violated does not depend on the blocking.
     """
     points = np.asarray(points, dtype=np.float64)
     if points.ndim != 2 or points.shape != (cert.n, cert.d):
@@ -404,7 +428,6 @@ def verify_certificate(cert: HullCertificate, points: np.ndarray) -> None:
     # the SoS stage takes its rational coordinates).
     if cert.interior_ranks != tuple(range(d + 1)):
         _fail(f"unsupported interior combination {cert.interior_ranks}")
-    interior_pts = pts[list(cert.interior_ranks)]
     w = Fraction(1, d + 1)
     interior_exact = [
         sum(w * Fraction(float(pts[i][j])) for i in cert.interior_ranks)
@@ -412,43 +435,55 @@ def verify_certificate(cert: HullCertificate, points: np.ndarray) -> None:
     ]
     interior_float = np.array([float(x) for x in interior_exact])
 
-    ranks_all = np.arange(n)
-    for pos, f in enumerate(cert.facets):
-        base = pts[list(f)]
-        vis = cert.vis_signs[pos]
+    # Every coordinate as an exact integer, once, under one common scale.
+    ints = _frexp_ints(pts.ravel().tolist())
+    rows = [ints[i:i + d] for i in range(0, n * d, d)]
+    interior_rows = [rows[i] for i in cert.interior_ranks]
 
-        # Orientation claim: the interior reference must be strictly on
-        # the non-visible side.
-        s_ref = _orient_exact_rows(base, interior_pts)
-        if s_ref == 0:
-            if not cert.sos:
-                _fail(f"facet {f} is degenerate (interior on its plane)")
-            s_ref = _orient_sos_bruteforce(
-                base, f, interior_float, None, q_exact=interior_exact,
-                q_combo=[(k, w) for k in cert.interior_ranks],
-            )
+    facets = np.array(cert.facets, dtype=np.int64)
+    vis_signs = np.array(cert.vis_signs, dtype=np.int8)
+    per_block = max(1, _FILTER_PAIRS // n)
+    for lo in range(0, len(cert.facets), per_block):
+        block = facets[lo:lo + per_block]
+        signs = _batched_orient_filter(pts[block], pts)
+        # A facet's own vertices lie on its plane: mark them on the
+        # invisible side, out of both the violation test and the exact
+        # stage.
+        signs[np.arange(block.shape[0])[:, None], block] = (
+            -vis_signs[lo:lo + per_block, None]
+        )
+        for k, f in enumerate(cert.facets[lo:lo + per_block]):
+            base_rows = [rows[i] for i in f]
+            vis = cert.vis_signs[lo + k]
+
+            # Orientation claim: the interior reference must be strictly
+            # on the non-visible side.
+            s_ref = _orient_exact_rows(base_rows, interior_rows)
             if s_ref == 0:
-                _fail(f"facet {f}: SoS could not orient the interior reference")
-        if s_ref == vis:
-            _fail(f"facet {f} is oriented inside-out (interior on visible side)")
+                if not cert.sos:
+                    _fail(f"facet {f} is degenerate (interior on its plane)")
+                s_ref = _orient_sos_bruteforce(
+                    pts[list(f)], f, interior_float, None, q_exact=interior_exact,
+                    q_combo=[(i, w) for i in cert.interior_ranks],
+                )
+                if s_ref == 0:
+                    _fail(f"facet {f}: SoS could not orient the interior reference")
+            if s_ref == vis:
+                _fail(f"facet {f} is oriented inside-out (interior on visible side)")
 
-        # Containment: no point may be strictly visible.  Batched float
-        # filter first, exact (or SoS) recheck for the uncertain ones.
-        signs = _batched_orient_filter(base, pts)
-        member = np.isin(ranks_all, list(f))
-        violating = (signs == vis) & ~member
-        if violating.any():
-            bad_rank = int(ranks_all[violating][0])
-            _fail(f"point rank {bad_rank} is strictly outside facet {f}")
-        for i in ranks_all[signs == 0]:
-            i = int(i)
-            if i in f:
-                continue
-            s = _orient_exact_rows(base, pts[i:i + 1])
-            if s == 0 and cert.sos:
-                s = _orient_sos_bruteforce(base, f, pts[i], i)
-            if s == vis:
-                _fail(f"point rank {i} is strictly outside facet {f}")
+            # Containment: no point may be strictly visible.  The block's
+            # float filter first, exact (or SoS) recheck for the
+            # uncertain ones.
+            row = signs[k]
+            violating = np.flatnonzero(row == vis)
+            if violating.size:
+                _fail(f"point rank {int(violating[0])} is strictly outside facet {f}")
+            for i in np.flatnonzero(row == 0).tolist():
+                s = _orient_exact_rows(base_rows, [rows[i]])
+                if s == 0 and cert.sos:
+                    s = _orient_sos_bruteforce(pts[list(f)], f, pts[i], i)
+                if s == vis:
+                    _fail(f"point rank {i} is strictly outside facet {f}")
 
 
 # --------------------------------------------------------------------------

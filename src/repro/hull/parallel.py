@@ -23,6 +23,7 @@ created facets), per-facet rounds, counters, and a work-span task log.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
@@ -45,7 +46,10 @@ from .common import (
 )
 from .sequential import sequential_hull
 
-__all__ = ["RidgeTask", "Event", "ParallelHullRun", "parallel_hull", "space_accounting"]
+__all__ = [
+    "RidgeTask", "Event", "ParallelHullRun", "check_engine", "parallel_hull",
+    "space_accounting",
+]
 
 _INF = np.iinfo(np.int64).max
 
@@ -201,6 +205,97 @@ def _build_base_hull(
     return factory.make_batch([(f.indices, later) for f in prefix.facets])
 
 
+class _SoAParallelRun(ParallelHullRun):
+    """A :class:`ParallelHullRun` over a finished SoA run's columns.
+
+    ``points``, ``order``, ``counters``, ``exec_stats``, ``tracker``,
+    ``interior`` and ``base_size`` are the SoA run's own.  The object
+    fields -- ``facets``, ``created``, ``support``, ``pivots``,
+    ``rounds`` and ``events`` -- are built on first read, each once, so
+    a caller that reads only the hull pays for the alive facets alone.
+    """
+
+    def __init__(self, run, exact_planes: dict, records: list[dict]):
+        self.points = run.points
+        self.order = run.order
+        self.counters = run.counters
+        self.exec_stats = run.exec_stats
+        self.tracker = run.tracker
+        self.interior = run.interior
+        self.base_size = run.base_size
+        self._soa = run
+        self._exact_planes = exact_planes   # fid -> scalar-ladder plane, every row
+        self._records = records             # the engine's per-round decision records
+
+    @cached_property
+    def facets(self) -> list[Facet]:
+        return self._soa.facets
+
+    @cached_property
+    def created(self) -> list[Facet]:
+        # Alive rows are the facets objects; buried rows are built from
+        # the same columns, with the scalar-ladder planes of every row.
+        src = self._soa._facet_source(self._exact_planes)
+        alive = iter(self.facets)
+        return [next(alive) if a else src.facet(fid)
+                for fid, a in enumerate(self._soa.created_alive.tolist())]
+
+    @cached_property
+    def support(self) -> dict[int, tuple[int, int]]:
+        return {
+            fid: (s[0], s[1])
+            for fid, s in enumerate(self._soa.support.tolist()) if s[0] >= 0
+        }
+
+    @cached_property
+    def pivots(self) -> dict[int, int]:
+        return {
+            fid: p for fid, p in enumerate(self._soa.pivot_points.tolist()) if p >= 0
+        }
+
+    @cached_property
+    def rounds(self) -> dict[int, int]:
+        return {
+            fid: max(0, r - 1)
+            for fid, r in enumerate(self._soa.rounds_created.tolist())
+        }
+
+    @cached_property
+    def events(self) -> list[Event]:
+        # In (round, frontier-position) order, with the object driver's
+        # round numbering (the bootstrap frontier is round 0).
+        events: list[Event] = []
+        for rec in self._records:
+            rnd = rec["round"] - 1
+            items: list[tuple[int, Event]] = []
+            for pos, row in zip(rec["final_pos"], rec["final_rows"]):
+                items.append((int(pos), Event(
+                    kind="final", round=rnd,
+                    ridge=frozenset(int(x) for x in row),
+                )))
+            for pos, row, pair, piv in zip(
+                rec["bury_pos"], rec["bury_rows"], rec["bury_pairs"], rec["bury_piv"]
+            ):
+                items.append((int(pos), Event(
+                    kind="bury", round=rnd,
+                    ridge=frozenset(int(x) for x in row),
+                    removed_pair=(int(pair[0]), int(pair[1])), pivot=int(piv),
+                )))
+            fid0 = int(rec["create_fid0"])
+            for k, (pos, row, rem, piv) in enumerate(zip(
+                rec["create_pos"], rec["create_rows"],
+                rec["create_removed"], rec["create_piv"],
+            )):
+                items.append((int(pos), Event(
+                    kind="create", round=rnd,
+                    ridge=frozenset(int(x) for x in row),
+                    created=fid0 + k, removed=int(rem), pivot=int(piv),
+                )))
+            items.sort(key=lambda t: t[0])
+            events.extend(e for _, e in items)
+        return events
+
+
 def _soa_parallel_run(
     points: np.ndarray,
     order: np.ndarray | None,
@@ -209,16 +304,19 @@ def _soa_parallel_run(
     kernel: NoisyKernel | None,
 ) -> ParallelHullRun:
     """Run the conflict-list SoA engine and adapt its column state into
-    a full :class:`ParallelHullRun` (facets, support DAG, events).
+    a :class:`ParallelHullRun`.
 
-    The adapter materializes every created facet once as a ``Facet``
-    object (plane construction per facet, no visibility work; the alive
-    ones are shared with ``facets``), so it costs more
-    than :func:`repro.hull.soa.soa_hull` -- use that entry point when
-    only the hull and counters are needed.  Determinism makes the
-    adapted run facet- and conflict-identical to the object driver;
-    events are emitted in (round, frontier-position) order with the
-    object driver's round numbering (the bootstrap frontier is round 0).
+    The adapter is lazy: it keeps the finished run's columns, the
+    engine's scalar-ladder planes and its per-round decision records,
+    and builds nothing more until a field is read.  ``facets`` builds
+    the alive rows only (through :attr:`SoAHullRun.facets`); ``created``
+    builds every row once, sharing the alive ones with ``facets``;
+    ``support``, ``pivots``, ``rounds`` and ``events`` are built from
+    the columns and records.  Read once, every field equals what the
+    object driver builds: determinism makes the run facet- and
+    conflict-identical, and events come in (round, frontier-position)
+    order with the object driver's round numbering.  Use
+    :func:`repro.hull.soa.soa_hull` when the column form is enough.
     """
     from .soa import SoAHullEngine  # local: soa imports this module's peers
 
@@ -227,64 +325,39 @@ def _soa_parallel_run(
     )
     while eng.step_round():
         pass
-    run = eng.finish()
+    return _SoAParallelRun(eng.finish(), eng._exact_planes, eng.events)
 
-    created = list(map(eng._source().facet, range(eng.store.size)))
-    support = {
-        fid: (int(s[0]), int(s[1]))
-        for fid, s in enumerate(run.support) if s[0] >= 0
-    }
-    pivots = {
-        fid: int(p) for fid, p in enumerate(run.pivot_points) if p >= 0
-    }
-    rounds = {
-        fid: max(0, int(r) - 1) for fid, r in enumerate(run.rounds_created)
-    }
-    events: list[Event] = []
-    for rec in eng.events:
-        rnd = rec["round"] - 1
-        items: list[tuple[int, Event]] = []
-        for pos, row in zip(rec["final_pos"], rec["final_rows"]):
-            items.append((int(pos), Event(
-                kind="final", round=rnd,
-                ridge=frozenset(int(x) for x in row),
-            )))
-        for pos, row, pair, piv in zip(
-            rec["bury_pos"], rec["bury_rows"], rec["bury_pairs"], rec["bury_piv"]
-        ):
-            items.append((int(pos), Event(
-                kind="bury", round=rnd,
-                ridge=frozenset(int(x) for x in row),
-                removed_pair=(int(pair[0]), int(pair[1])), pivot=int(piv),
-            )))
-        fid0 = int(rec["create_fid0"])
-        for k, (pos, row, rem, piv) in enumerate(zip(
-            rec["create_pos"], rec["create_rows"],
-            rec["create_removed"], rec["create_piv"],
-        )):
-            items.append((int(pos), Event(
-                kind="create", round=rnd,
-                ridge=frozenset(int(x) for x in row),
-                created=fid0 + k, removed=int(rem), pivot=int(piv),
-            )))
-        items.sort(key=lambda t: t[0])
-        events.extend(e for _, e in items)
 
-    return ParallelHullRun(
-        points=run.points,
-        order=run.order,
-        facets=[f for f in created if f.alive],
-        created=created,
-        support=support,
-        pivots=pivots,
-        rounds=rounds,
-        events=events,
-        counters=run.counters,
-        exec_stats=run.exec_stats,
-        tracker=run.tracker,
-        interior=run.interior,
-        base_size=run.base_size,
-    )
+def check_engine(
+    engine: str,
+    executor: SerialExecutor | RoundExecutor | ThreadExecutor | ProcessExecutor | None = None,
+    multimap: str = "dict",
+    fault_plan: FaultPlan | None = None,
+) -> None:
+    """Raise ``ValueError`` unless ``engine`` can run with these
+    execution arguments.  ``"objects"`` takes them all; ``"soa"`` is
+    round-synchronous and pairs ridges by sort, so it takes no executor
+    but a plain :class:`RoundExecutor`, only the ``"dict"`` multimap,
+    and no fault plan.  :func:`parallel_hull` and
+    :func:`~repro.hull.robust.robust_hull` both check before any work."""
+    if engine == "soa":
+        if executor is not None and not isinstance(executor, RoundExecutor):
+            raise ValueError(
+                "engine='soa' is round-synchronous by construction; pass "
+                "executor=None (or a plain RoundExecutor)"
+            )
+        if multimap != "dict":
+            raise ValueError(
+                "engine='soa' pairs ridges by sort, not a shared multimap; "
+                "multimap must stay 'dict'"
+            )
+        if fault_plan is not None:
+            raise ValueError(
+                "engine='soa' does not take a fault_plan; drive faults "
+                "through SoAHullEngine.snapshot()/restore() instead"
+            )
+    elif engine != "objects":
+        raise ValueError(f"unknown engine {engine!r}; use 'objects' or 'soa'")
 
 
 def parallel_hull(
@@ -346,32 +419,17 @@ def parallel_hull(
         per facet -- the scalar oracle) or ``"soa"`` (the
         round-vectorized conflict-list engine of :mod:`repro.hull.soa`,
         one flat sweep per round, adapted back into a
-        :class:`ParallelHullRun`; the run is facet- and
-        conflict-identical to the object driver's).  The SoA engine is
-        round-synchronous by construction, so it accepts only the
-        default execution discipline: no custom executor/multimap and
-        no fault plan (chaos-test the SoA core through its own
-        snapshot/restore API).
+        :class:`ParallelHullRun` whose object fields are built on first
+        read; the run is facet- and conflict-identical to the object
+        driver's).  The SoA engine is round-synchronous by
+        construction, so it accepts only the default execution
+        discipline: no custom executor/multimap and no fault plan
+        (chaos-test the SoA core through its own snapshot/restore API).
+        :func:`check_engine` holds the rule.
     """
+    check_engine(engine, executor, multimap, fault_plan)
     if engine == "soa":
-        if executor is not None and not isinstance(executor, RoundExecutor):
-            raise ValueError(
-                "engine='soa' is round-synchronous by construction; pass "
-                "executor=None (or a plain RoundExecutor)"
-            )
-        if multimap != "dict":
-            raise ValueError(
-                "engine='soa' pairs ridges by sort, not a shared multimap; "
-                "multimap must stay 'dict'"
-            )
-        if fault_plan is not None:
-            raise ValueError(
-                "engine='soa' does not take a fault_plan; drive faults "
-                "through SoAHullEngine.snapshot()/restore() instead"
-            )
         return _soa_parallel_run(points, order, seed, base_size, kernel)
-    if engine != "objects":
-        raise ValueError(f"unknown engine {engine!r}; use 'objects' or 'soa'")
     pts, order = prepare_points(points, order, seed)
     n, d = pts.shape
     if base_size is None:

@@ -25,7 +25,10 @@ Each rung is attempted, validated, **certified** (a
 exact verifier -- construction bugs cannot self-approve), and on
 failure the next rung is tried.  The escalation path ends up both in
 the result and in the run's ``exec_stats.escalations`` so chaos reports
-and experiment logs can see which inputs needed which tier.
+and experiment logs can see which inputs needed which tier.  Every rung
+but joggle runs on the conflict-list SoA engine unless the call needs
+the object driver (see :func:`robust_hull`); either engine reaches the
+same rung, hull and certificate.
 
 When a :class:`~repro.geometry.noisy.NoisyKernel` is supplied
 (``noise=``), *noisy* rungs run before the exact ladder: the hull is
@@ -49,7 +52,7 @@ from ..geometry.noisy import NoisyKernel
 from ..geometry.perturb import sos_mode
 from .certify import CertificateError, HullCertificate, make_certificate, verify_certificate
 from .joggle import JoggledHull, joggled_hull
-from .parallel import ParallelHullRun, parallel_hull
+from .parallel import ParallelHullRun, check_engine, parallel_hull
 from .validate import HullValidationError, validate_hull
 
 __all__ = ["RobustHullResult", "robust_hull"]
@@ -112,13 +115,23 @@ def robust_hull(
     degenerate points should use
     :func:`~repro.geometry.perturb.merge_coplanar_facets` on an SoS run
     instead).  Extra keyword arguments are forwarded to
-    :func:`parallel_hull` -- in particular ``engine="soa"`` runs every
-    rung (noisy, float, exact, sos) on the round-vectorized
-    conflict-list engine; the ladder semantics are unchanged because
-    the SoA engine raises, validates, and certifies exactly as the
-    object driver does.  A forwarded ``kernel`` must be ``None`` or a
-    :class:`NoisyKernel`; anything else raises ``ValueError`` before
-    any rung runs.
+    :func:`parallel_hull`.
+
+    ``engine`` picks the engine of every rung but the joggle one, which
+    always runs the object driver.  Left out (or ``None``), it is
+    ``"soa"``, the round-vectorized conflict-list engine -- unless the
+    call passes an ``executor``, a ``multimap`` other than ``"dict"``
+    or a ``fault_plan``, which only the object driver takes; then it is
+    ``"objects"``.  The ladder is the same on either engine: the SoA
+    engine raises, validates and certifies exactly as the object driver
+    does, so mode, escalations, facets and certificate agree, and only
+    the run's own accounting (``tracker``, ``kernel_stats``) is the
+    engine's.  The engine arguments are checked before any rung runs,
+    with :func:`~repro.hull.parallel.check_engine`: an unknown engine,
+    or ``engine="soa"`` with an argument it does not take, raises
+    ``ValueError`` -- a rung would read that as a geometric failure and
+    escalate past it.  So does a ``kernel`` that is neither ``None``
+    nor a :class:`NoisyKernel`.
 
     ``noise`` prepends noisy rungs: the hull runs against the given
     :class:`NoisyKernel` (``noise_retries`` attempts per vote level,
@@ -130,14 +143,23 @@ def robust_hull(
     (recorded by type), whereas the noise-free rungs keep their strict
     catch list so genuine bugs still surface.
     """
+    # Arguments are checked up front: the rungs below read a ValueError
+    # as a geometric failure and would escalate past a bad argument.
     kernel = hull_kwargs.get("kernel")
     if kernel is not None and not isinstance(kernel, NoisyKernel):
-        # Checked up front: the rungs below read a ValueError as a
-        # geometric failure and would escalate past a bad argument.
         raise ValueError(
             f"unknown kernel {kernel!r}: kernel= takes None or a "
             "NoisyKernel; the engine picks the visibility path"
         )
+    executor = hull_kwargs.get("executor")
+    multimap = hull_kwargs.get("multimap", "dict")
+    fault_plan = hull_kwargs.get("fault_plan")
+    if hull_kwargs.get("engine") is None:
+        objects_only = (
+            executor is not None or multimap != "dict" or fault_plan is not None
+        )
+        hull_kwargs["engine"] = "objects" if objects_only else "soa"
+    check_engine(hull_kwargs["engine"], executor, multimap, fault_plan)
     points = np.asarray(points, dtype=np.float64)
     escalations: list[str] = []
     rung_attempts: dict[str, int] = {}

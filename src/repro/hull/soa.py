@@ -64,7 +64,9 @@ The round transaction (all vectorized, no per-facet Python loop):
 4. decide all (facet x candidate) visibilities in one flat einsum
    sweep (:func:`~repro.geometry.kernels.visible_flat`) with the same
    envelope filter and the same per-entry exact fallback as the
-   scalar path; each facet's candidates are one contiguous block, so
+   scalar path (a fallback on a float-certain row takes the plane its
+   columns already hold, not a second ``Hyperplane.through``); each
+   facet's candidates are one contiguous block, so
    the sweep takes ``blocks`` and repeats the plane rows instead of
    gathering them through a per-entry owner column;
 5. count each facet's survivors with one segmented sum of the mask
@@ -284,6 +286,37 @@ class _ConflictPool:
         return self.buf[: self.end]
 
 
+def _column_plane(
+    pts: np.ndarray,
+    interior: np.ndarray,
+    idx: tuple,
+    normal: np.ndarray,
+    offset,
+    err_scale,
+    err_base,
+    sos: bool,
+) -> Hyperplane:
+    """The plane of a float-certain row, from its columns.
+
+    The stored columns ARE the plane :meth:`Hyperplane.through` would
+    build (``batch_planes`` is pinned bit-compatible, and the interior
+    flip was applied when the row was created), so this rebuilds it
+    without re-running the cofactor expansion and the interior test.
+    Always-exact rows never come here: their scalar-ladder planes are
+    kept."""
+    return Hyperplane(
+        normal=normal.copy(),
+        offset=float(offset),
+        base_points=pts[list(idx)],
+        ref_point=interior,
+        err_scale=float(err_scale),
+        err_base=float(err_base),
+        always_exact=False,
+        base_indices=idx if sos else None,
+        sos=sos,
+    )
+
+
 class _FacetSource(NamedTuple):
     """What a :class:`~repro.geometry.simplex.Facet` is materialized
     from: per-row defining ranks, float plane, error envelope, alive
@@ -314,23 +347,10 @@ class _FacetSource(NamedTuple):
         idx = tuple(map(int, self.indices[fid]))
         plane = self.exact_planes.get(fid)
         if plane is None:
-            # Float-certain row: the stored columns ARE the plane
-            # Hyperplane.through would build (batch_planes is pinned
-            # bit-compatible, and the interior flip was applied when the
-            # row was created), so rebuild it from the columns instead
-            # of re-running the cofactor expansion per facet.  Ambiguous
-            # rows never reach here: their scalar-ladder planes are
-            # kept in exact_planes.
-            plane = Hyperplane(
-                normal=self.normals[fid].copy(),
-                offset=float(self.offsets[fid]),
-                base_points=self.pts[list(idx)],
-                ref_point=self.interior,
-                err_scale=float(self.err_scale[fid]),
-                err_base=float(self.err_base[fid]),
-                always_exact=False,
-                base_indices=idx if self.sos else None,
-                sos=self.sos,
+            plane = _column_plane(
+                self.pts, self.interior, idx, self.normals[fid],
+                self.offsets[fid], self.err_scale[fid], self.err_base[fid],
+                self.sos,
             )
         s = int(self.conf_start[fid])
         ln = int(self.conf_len[fid])
@@ -387,15 +407,20 @@ class SoAHullRun:
 
     @cached_property
     def facets(self) -> list[Facet]:
+        src = self._facet_source(self.exact_planes)
+        return list(map(src.facet, np.nonzero(self.created_alive)[0].tolist()))
+
+    def _facet_source(self, exact_planes: dict) -> _FacetSource:
+        """These columns as a facet source, with ``exact_planes`` for
+        the always-exact rows it will be asked for."""
         lens = self.conflict_lens
-        src = _FacetSource(
+        return _FacetSource(
             self.points, self.interior, self.created_indices,
             self.created_normals, self.created_offsets,
             self.created_err_scale, self.created_err_base,
             self.created_alive, np.cumsum(lens) - lens, lens,
-            self.conflict_pool, self.exact_planes, self.sos,
+            self.conflict_pool, exact_planes, self.sos,
         )
-        return list(map(src.facet, np.nonzero(self.created_alive)[0].tolist()))
 
     @property
     def dimension(self) -> int:
@@ -532,8 +557,8 @@ class SoAHullEngine:
 
     def _source(self) -> _FacetSource:
         """Live views of the store, for materializing facets of the
-        current state (the ``engine="soa"`` adapters and white-box
-        tests)."""
+        current state (the ``sequential_hull(engine="soa")`` adapter and
+        white-box tests)."""
         s = self.store
         return _FacetSource(
             self.pts, self.interior, s.indices, s.normals, s.offsets,
@@ -630,9 +655,15 @@ class SoAHullEngine:
             row_planes.update(zip(ks.tolist(), planes))
 
         def plane_for(row: int) -> Hyperplane:
+            # An envelope fallback on a float-certain row: its columns
+            # are already its plane.
             plane = row_planes.get(row)
             if plane is None:
-                plane = self._through_row(tuple(map(int, new_idx[row])))
+                plane = _column_plane(
+                    self.pts, self.interior, tuple(map(int, new_idx[row])),
+                    normals[row], offsets[row], e_scale[row], e_base[row],
+                    sos_active(),
+                )
                 row_planes[row] = plane
             return plane
 

@@ -52,13 +52,29 @@ def check_containment(facets: list[Facet], points: np.ndarray) -> None:
     point rank, so containment here means containment of the *perturbed*
     cloud -- on-plane points count as outside exactly when the symbolic
     tie-break says so, making the check as strict as construction.
+
+    Each facet takes the float test of
+    :meth:`~repro.geometry.hyperplane.Hyperplane.visible_mask` over all
+    points, and the exact ladder for the rows it leaves uncertain --
+    except the facet's own vertices (rows of ``points`` equal to the
+    plane's base points).  They lie on the plane, so the ladder can
+    only call them "not visible"; they still take the float test, which
+    reports a plane whose stored normal or offset contradicts them.
     """
-    ranks = np.arange(points.shape[0])
+    n = points.shape[0]
     for f in facets:
-        if f.plane.sos:
-            mask = f.plane.visible_mask(points, indices=ranks)
+        plane = f.plane
+        own = list(f.indices)
+        on_plane = np.zeros(n, dtype=bool)
+        on_plane[own] = (points[own] == plane.base_points).all(axis=1)
+        if plane.always_exact:
+            mask = np.zeros(n, dtype=bool)
+            uncertain = ~on_plane
         else:
-            mask = f.plane.visible_mask(points)
+            mask, uncertain = plane.float_filter(points)
+            uncertain &= ~on_plane
+        for i in np.nonzero(uncertain)[0].tolist():
+            mask[i] = plane._side_exact(points[i], i if plane.sos else None) > 0
         if mask.any():
             bad = int(np.nonzero(mask)[0][0])
             raise HullValidationError(

@@ -12,6 +12,8 @@ in the fallback counter and comes back with the scalar ladder's answer.
 import numpy as np
 import pytest
 
+from repro.configspace.spaces.delaunay2d import lift_to_paraboloid
+from repro.geometry import integer_grid
 from repro.geometry.degenerate import CORPUS
 from repro.geometry.kernels import KERNEL_STATS, orient_batch
 from repro.geometry.predicates import orient
@@ -72,3 +74,26 @@ def test_hull_agreement_on_corpus(name):
     assert soa.run.facet_keys() == objects.run.facet_keys(), name
     if name in TIE_FAMILIES:
         assert KERNEL_STATS.fallbacks > 0, name
+
+
+AGREEMENT_INPUTS = {
+    **{name: (lambda name=name: CORPUS[name](1)) for name in CORPUS},
+    # Cocircular grid points lift to coplanar quadruples, so the sweep's
+    # exact fallback runs on every hull.
+    "lifted-grid-6x6": lambda: lift_to_paraboloid(integer_grid(6, 2, seed=0)),
+    "lifted-grid-10x10": lambda: lift_to_paraboloid(integer_grid(10, 2, seed=1)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(AGREEMENT_INPUTS))
+def test_default_ladder_matches_object_driver(name):
+    """The default ``robust_hull`` (the SoA engine) and the object
+    driver climb the same rungs to the same hull and certificate."""
+    pts = AGREEMENT_INPUTS[name]()
+    default = robust_hull(pts, seed=2)
+    objects = robust_hull(pts, seed=2, engine="objects")
+    assert default.run.exec_stats.kernel_stats["engine"] == "soa"
+    assert default.mode == objects.mode
+    assert default.escalations == objects.escalations
+    assert default.run.facet_keys() == objects.run.facet_keys()
+    assert default.certificate.to_dict() == objects.certificate.to_dict()

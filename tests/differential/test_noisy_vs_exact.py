@@ -27,7 +27,7 @@ def _global_keys(run) -> set:
 
 def _assert_ladder_matches_exact(pts, seed, nk):
     res = robust_hull(pts, seed=seed, noise=nk)
-    exact = robust_hull(pts, seed=seed)
+    exact = robust_hull(pts, seed=seed, engine="objects")
     assert _global_keys(res.run) == _global_keys(exact.run)
     assert res.escalations
     assert res.escalations[-1].split("#")[0].startswith(res.mode)

@@ -162,7 +162,7 @@ def test_soa_robust_ladder_reaches_same_rung(name):
     SoA-engined ladder escalates through the same path to the same
     surviving rung and facet set as the object-engined one."""
     pts = corpus_case(name, 0)
-    a = robust_hull(pts, seed=0)
+    a = robust_hull(pts, seed=0, engine="objects")
     b = robust_hull(pts, seed=0, engine="soa")
     assert a.mode == b.mode
     assert a.escalations == b.escalations
@@ -196,7 +196,7 @@ def test_soa_noisy_ladder_self_heals():
     nk = NoisyKernel(p=0.05, votes=3, seed=9)
     res = robust_hull(pts, seed=0, noise=nk, engine="soa")
     assert res.certificate is not None
-    ref = robust_hull(pts, seed=0)
+    ref = robust_hull(pts, seed=0, engine="objects")
     assert res.run.facet_keys() == ref.run.facet_keys()
 
 
@@ -236,6 +236,37 @@ def test_sequential_adapter_matches_object_driver(params):
     steps_a = {f.key(): a.creation_step[f.fid] for f in a.created}
     steps_b = {f.key(): b.creation_step[f.fid] for f in b.created}
     assert steps_a == steps_b
+
+
+def test_parallel_adapter_is_lazy(monkeypatch):
+    """``parallel_hull(engine="soa")`` builds no facet until a field is
+    read: ``support``, ``pivots``, ``rounds`` and ``events`` come from
+    the columns, ``facets`` builds the alive rows only, and ``created``
+    builds each other row once, sharing the alive objects with
+    ``facets``."""
+    from repro.hull import soa
+
+    built: list[int] = []
+    real = soa._FacetSource.facet
+
+    def counting(self, fid):
+        built.append(int(fid))
+        return real(self, fid)
+
+    monkeypatch.setattr(soa._FacetSource, "facet", counting)
+    run = parallel_hull(uniform_ball(80, 3, seed=3), seed=1, engine="soa")
+    assert built == []
+    assert run.support and run.pivots and run.rounds and run.events
+    assert built == []
+    alive = [f.fid for f in run.facets]
+    assert built == alive
+    assert len(alive) < run.counters.facets_created
+    created = run.created
+    assert sorted(built) == list(range(run.counters.facets_created))
+    assert [f.fid for f in created] == list(range(len(created)))
+    shared = [f for f in created if f.alive]
+    assert len(shared) == len(run.facets)
+    assert all(a is b for a, b in zip(shared, run.facets))
 
 
 def test_engine_argument_is_validated():

@@ -119,7 +119,7 @@ class TestNoisyRuns:
 class TestLadder:
     def test_ladder_lands_on_exact_hull(self):
         pts = uniform_ball(120, 3, seed=5)
-        exact = robust_hull(pts, seed=2)
+        exact = robust_hull(pts, seed=2, engine="objects")
         nk = NoisyKernel(p=0.05, votes=1, seed=4)
         res = robust_hull(pts, seed=2, noise=nk)
         assert _global_keys(res.run) == _global_keys(exact.run)

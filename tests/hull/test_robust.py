@@ -8,6 +8,8 @@ import pytest
 from repro.geometry import integer_grid, uniform_ball
 from repro.geometry.hyperplane import Hyperplane, exact_mode
 from repro.hull import HullSetupError, parallel_hull, robust_hull, validate_hull
+from repro.runtime import RoundExecutor, SerialExecutor, ThreadExecutor
+from repro.runtime.faults import FaultPlan
 
 # Tests below that assert a plane is *not* always-exact outside
 # exact_mode() describe the default configuration; REPRO_FORCE_EXACT
@@ -139,3 +141,51 @@ class TestRobustHull:
         pts = uniform_ball(30, 2, seed=4)
         res = robust_hull(pts, seed=0, executor=SerialExecutor())
         assert res.mode == "float"
+
+
+class TestEngine:
+    """Every rung but joggle runs the SoA engine unless the call needs
+    the object driver, and engine arguments are checked before any
+    rung, so a bad one raises instead of reading as a geometric
+    failure."""
+
+    PTS = uniform_ball(30, 3, seed=4)
+
+    #: Arguments only the object driver takes, each a default-engine call.
+    OBJECT_ONLY = {
+        "serial-executor": lambda: {"executor": SerialExecutor()},
+        "round-executor": lambda: {"executor": RoundExecutor()},
+        "cas-multimap": lambda: {"executor": ThreadExecutor(2), "multimap": "cas"},
+        "fault-plan": lambda: {"fault_plan": FaultPlan(seed=0)},
+    }
+
+    #: Engine arguments the ladder used to read as a geometric failure.
+    BAD = {
+        "unknown-engine": lambda: {"engine": "bogus"},
+        "soa-serial-executor": lambda: {"engine": "soa", "executor": SerialExecutor()},
+        "soa-cas-multimap": lambda: {"engine": "soa", "multimap": "cas"},
+    }
+
+    @staticmethod
+    def _engine(res) -> str:
+        return res.run.exec_stats.kernel_stats.get("engine", "objects")
+
+    def test_default_runs_soa(self):
+        res = robust_hull(self.PTS, seed=0)
+        assert res.mode == "float"
+        assert self._engine(res) == "soa"
+
+    @pytest.mark.parametrize("case", sorted(OBJECT_ONLY))
+    def test_object_driver_arguments_pick_objects(self, case):
+        res = robust_hull(self.PTS, seed=0, **self.OBJECT_ONLY[case]())
+        assert res.mode == "float"
+        assert self._engine(res) == "objects"
+
+    @pytest.mark.parametrize("case", sorted(BAD))
+    def test_bad_engine_arguments_raise_before_any_rung(self, case):
+        with pytest.raises(ValueError, match="engine"):
+            robust_hull(self.PTS, seed=0, **self.BAD[case]())
+
+    def test_plain_round_executor_runs_soa_when_asked(self):
+        res = robust_hull(self.PTS, seed=0, engine="soa", executor=RoundExecutor())
+        assert self._engine(res) == "soa"

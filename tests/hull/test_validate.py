@@ -71,6 +71,27 @@ class TestNegative:
         with pytest.raises(HullValidationError):
             check_containment(good_run.facets, good_run.points)
 
+    @pytest.mark.skipif(
+        os.environ.get("REPRO_FORCE_EXACT", "0") not in ("", "0"),
+        reason="mutates the float offset, which always-exact planes "
+        "never consult (they re-derive the side from base_points)",
+    )
+    def test_shifted_offset_reported_at_own_vertex(self):
+        # Mutation: shift one facet's stored offset by 1e-6, far past
+        # its envelope.  Its own vertices then read float-visible while
+        # every other point stays inside.  Containment must still fail
+        # there: the exact ladder may skip a facet's own vertices, the
+        # float test may not.
+        tetra = np.array([[0.0, 0, 0], [4, 0, 0], [0, 4, 0], [0, 0, 4], [1, 1, 1]])
+        run = sequential_hull(tetra, order=np.arange(5))
+        (facet,) = [f for f in run.facets if f.indices == (1, 2, 3)]
+        facet.plane.offset -= 1e-6
+        with pytest.raises(
+            HullValidationError,
+            match=r"^point 1 is strictly outside facet \(1, 2, 3\)$",
+        ):
+            validate_hull(run.facets, run.points)
+
     def test_duplicate_facet_breaks_manifold(self, good_run):
         # Mutation: duplicate a facet under a fresh id.  Each of its
         # ridges then has incidence 2 + 1, violating "every ridge is

@@ -16,7 +16,9 @@ import numpy as np
 import pytest
 
 from repro.cli import main
-from repro.geometry import uniform_ball
+from repro.configspace.spaces.delaunay2d import lift_to_paraboloid
+from repro.geometry import integer_grid, uniform_ball
+from repro.geometry.hyperplane import Hyperplane
 from repro.geometry.kernels import KERNEL_STATS
 from repro.geometry.noisy import NoisyKernel
 from repro.hull import parallel_hull, robust_hull, sequential_hull, soa_hull
@@ -81,7 +83,8 @@ DRIVERS = {
     "point_parallel_hull": lambda k: point_parallel_hull(PTS, seed=1, kernel=k),
     "soa_hull": lambda k: soa_hull(PTS, seed=1, kernel=k),
     "SoAHullEngine": lambda k: SoAHullEngine(PTS, seed=1, kernel=k),
-    "robust_hull[objects]": lambda k: robust_hull(PTS, seed=1, kernel=k),
+    "robust_hull[objects]": lambda k: robust_hull(
+        PTS, seed=1, kernel=k, engine="objects"),
     "robust_hull[soa]": lambda k: robust_hull(
         PTS, seed=1, kernel=k, engine="soa"),
 }
@@ -111,3 +114,28 @@ def test_noisy_soa_flips_match_the_object_driver():
     ca = {f.key(): f.conflicts for f in a.created}
     for f in b.created:
         assert np.array_equal(f.conflicts, ca[f.key()])
+
+
+def test_sweep_fallback_takes_the_rows_own_planes(monkeypatch):
+    """On a lifted grid (cocircular points lift to coplanar quadruples)
+    many sweep entries fall inside the envelope of float-certain rows.
+    Their exact fallback takes the plane the row's columns already hold,
+    so ``Hyperplane.through`` runs once per row that took the scalar
+    ladder and for no other."""
+    calls: list[int] = []
+    real = Hyperplane.through
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(Hyperplane, "through", staticmethod(counting))
+    grid = lift_to_paraboloid(integer_grid(10, 2, shuffle=False))
+    eng = SoAHullEngine(grid, seed=1)
+    while eng.step_round():
+        pass
+    run = eng.finish()
+    ladder_rows = int(eng.store.exact[: eng.store.size].sum())
+    assert len(calls) == ladder_rows
+    assert run.exec_stats.kernel_stats["fallbacks"] > 0
+    assert run.facets and len(run.facets) == 2 * 100 - 4

@@ -33,9 +33,11 @@ fault-free serial execution.
 
 ``--degenerate`` fuzzes the adversarial corpus
 (:mod:`repro.geometry.degenerate`): every family x random seed must
-climb the robust ladder without ever joggling, the resulting
-certificate must survive verification while a randomly corrupted copy
-must be rejected, and the SoS hull must be *canonical* -- serial,
+climb the robust ladder without ever joggling, the default ladder (on
+the SoA engine) and the object driver's must agree on mode,
+escalations, facet set and certificate, the resulting certificate must
+survive verification while a randomly corrupted copy must be
+rejected, and the SoS hull must be *canonical* -- serial,
 round-synchronous and free-threaded executions of the same insertion
 order must produce the identical facet set over original indices.
 
@@ -340,6 +342,16 @@ def one_degenerate_case(rng: np.random.Generator, verbose: bool) -> str | None:
             return f"{label}: reached joggle ({res.escalations})"
         if not family.full_dim and res.mode != "sos":
             return f"{label}: expected sos rung, got {res.mode}"
+        # Engine agreement: the default ladder runs the SoA engine; the
+        # object driver's must reach the same rung, hull and certificate.
+        objects = robust_hull(pts, seed=seed, engine="objects")
+        if (res.mode, res.escalations) != (objects.mode, objects.escalations):
+            return (f"{label}: engines climbed different ladders "
+                    f"(default {res.escalations}, objects {objects.escalations})")
+        if res.run.facet_keys() != objects.run.facet_keys():
+            return f"{label}: engines built different facet sets"
+        if res.certificate.to_dict() != objects.certificate.to_dict():
+            return f"{label}: engines emitted different certificates"
         # The verifier must reject a corrupted copy of the (verified)
         # certificate robust_hull just produced.
         mode = CORRUPTION_MODES[int(rng.integers(0, len(CORRUPTION_MODES)))]
@@ -546,7 +558,7 @@ def one_noisy_case(rng: np.random.Generator, verbose: bool) -> str | None:
         nk = NoisyKernel(p=p, votes=votes, seed=nseed)
         res = robust_hull(pts, seed=seed, order=order.copy(), noise=nk,
                           engine=engine)
-        exact = robust_hull(pts, seed=seed, order=order.copy())
+        exact = robust_hull(pts, seed=seed, order=order.copy(), engine="objects")
         # Compare in global-index space: different surviving rungs may
         # promote/rank points differently for the same geometric hull.
         if (facet_sets_global(res.run.facets, res.run.order)
