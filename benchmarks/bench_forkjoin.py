@@ -13,7 +13,8 @@ N = 2000
 
 @pytest.fixture(scope="module")
 def tracker():
-    return parallel_hull(on_sphere(N, 2, seed=20), seed=21).tracker
+    # Work stealing needs the object driver's per-task work-span DAG.
+    return parallel_hull(on_sphere(N, 2, seed=20), seed=21, engine="objects").tracker
 
 
 @pytest.mark.parametrize("p", [1, 2, 4, 8, 16])

@@ -31,7 +31,8 @@ def test_rounds_scaling(benchmark, n):
 @pytest.mark.parametrize("n", SIZES)
 def test_workspan_span_scaling(benchmark, n):
     pts = on_sphere(n, 2, seed=n + 9)
-    run = run_once(benchmark, parallel_hull, pts, seed=6)
+    # W and S of the object driver's per-task work-span DAG.
+    run = run_once(benchmark, parallel_hull, pts, seed=6, engine="objects")
     s = run.tracker.span
     benchmark.extra_info["n"] = n
     benchmark.extra_info["work"] = run.tracker.work

@@ -17,7 +17,8 @@ N = 2000
 @pytest.fixture(scope="module")
 def recorded_run():
     pts = on_sphere(N, 2, seed=10)
-    return parallel_hull(pts, seed=11)
+    # The schedules need the object driver's per-task work-span DAG.
+    return parallel_hull(pts, seed=11, engine="objects")
 
 
 @pytest.mark.parametrize("p", [1, 4, 16, 64])

@@ -45,7 +45,8 @@ def main() -> None:
         print(f"{label:<30} {dt:>6.2f}s {len(run.facets):>7} "
               f"{run.dependence_depth():>6} {str(keys == reference):>6}")
 
-    run = parallel_hull(pts, order=order.copy())
+    # The model quantities come from the object driver's per-task DAG.
+    run = parallel_hull(pts, order=order.copy(), engine="objects")
     print(f"\nwork-span model: W = {run.tracker.work:,} ops, "
           f"S = {run.tracker.span:,}, parallelism W/S = {run.tracker.parallelism:.0f}")
     print("simulated greedy speedups:",

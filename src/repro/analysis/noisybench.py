@@ -29,6 +29,10 @@ Three campaigns close the loop on the :mod:`repro.geometry.noisy` model
     *plus* certificates of genuinely noisy runs, the false-accept count
     (checker passes but the hull differs from the exact reference) must
     be 0 over >= 500 certificates in the full run.
+
+The raw noisy runs and their references name ``engine="objects"``: the
+committed ``BENCH_noisy.json`` records the object driver's wall times
+and crash types.
 """
 
 from __future__ import annotations
@@ -82,7 +86,8 @@ def _grid_row(p: float, votes, ref, seed: int) -> dict:
     row: dict = {"p": p, "votes": votes, "seed": seed}
     t0 = time.perf_counter()
     try:
-        run = parallel_hull(ref.points, order=np.arange(len(order)), kernel=nk)
+        run = parallel_hull(ref.points, order=np.arange(len(order)), kernel=nk,
+                            engine="objects")
     except Exception as exc:
         row.update({
             "crashed": True, "crash_type": type(exc).__name__,
@@ -185,7 +190,7 @@ def _validator_noisy(ps, seeds: range) -> dict:
             pts = CORPUS[name](seed=seed)
             with sos_mode():
                 try:
-                    ref = parallel_hull(pts, seed=seed)
+                    ref = parallel_hull(pts, seed=seed, engine="objects")
                 except Exception:
                     continue  # family needs a rung SoS can't give: skip
                 for p in ps:
@@ -193,7 +198,7 @@ def _validator_noisy(ps, seeds: range) -> dict:
                     try:
                         run = parallel_hull(
                             ref.points, order=np.arange(len(ref.order)),
-                            kernel=nk,
+                            kernel=nk, engine="objects",
                         )
                     except Exception:
                         crashed += 1
@@ -249,7 +254,7 @@ def run_noisy_bench(seed: int = 0, smoke: bool = False) -> dict:
         noisy_ps = (0.05, 0.1)
 
     pts = uniform_ball(n, d, seed=seed + 11)
-    ref = parallel_hull(pts, seed=seed + 1)
+    ref = parallel_hull(pts, seed=seed + 1, engine="objects")
 
     grid = [
         _grid_row(p, v, ref, s)

@@ -85,7 +85,9 @@ def work_scaling(
 
 
 def speedup_table(run: ParallelHullRun, processors: Sequence[int]) -> list[dict]:
-    """Speedups from a parallel run's work-span log, two ways:
+    """Speedups from a parallel run's work-span log, two ways (pass an
+    ``engine="objects"`` run: the SoA engine logs one task per round,
+    a chain no schedule can speed up):
 
     * ``speedup``: exact greedy list-schedule with *non-malleable*
       tasks (a whole conflict-set filter occupies one processor) --

@@ -25,7 +25,7 @@ Commands
 Examples
 --------
 
-    python -m repro hull --n 5000 --d 3 --workload sphere --executor rounds
+    python -m repro hull --n 5000 --d 3 --workload sphere
     python -m repro depth --sizes 128 512 2048 --d 2 --seeds 5
     python -m repro speedup --n 2000 --procs 1 4 16 64
 """
@@ -42,6 +42,7 @@ from .analysis import compare_work, crcw_span, measure_hull_depths, speedup_tabl
 from .configspace.theory import harmonic
 from .geometry import points as gen
 from .hull import parallel_hull, validate_hull
+from .hull.parallel import check_engine
 from .runtime import ProcessExecutor, RoundExecutor, SerialExecutor, ThreadExecutor
 
 WORKLOADS = {
@@ -72,19 +73,12 @@ def _points(args) -> np.ndarray:
 
 def cmd_hull(args) -> None:
     pts = _points(args)
-    if args.engine == "soa":
-        # The SoA engine is round-synchronous by construction and pairs
-        # ridges by sort: the executor/multimap knobs do not apply.
-        if args.executor != "rounds":
-            raise SystemExit(
-                "--engine soa is round-synchronous; it only runs with the "
-                "default --executor rounds"
-            )
-        executor = None
-        multimap = "dict"
-    else:
-        executor = EXECUTORS[args.executor](args)
-        multimap = "cas" if args.executor == "threads" else "dict"
+    executor = None if args.executor is None else EXECUTORS[args.executor](args)
+    multimap = "cas" if args.executor == "threads" else "dict"
+    try:
+        engine = check_engine(args.engine, executor, multimap)
+    except ValueError as exc:
+        raise SystemExit(str(exc))
     extra = {}
     if args.noise > 0.0:
         # Noisy oracle: run through the certificate-gated ladder so a
@@ -100,18 +94,19 @@ def cmd_hull(args) -> None:
             raise SystemExit(str(exc))
         res = robust_hull(pts, seed=args.seed + 1, noise=nk,
                           executor=executor, multimap=multimap,
-                          engine=args.engine)
+                          engine=engine)
         run = res.run
         extra = {"mode": res.mode, "escalations": res.escalations}
     else:
         run = parallel_hull(pts, seed=args.seed + 1, executor=executor,
-                            multimap=multimap, engine=args.engine)
+                            multimap=multimap, engine=engine)
     validate_hull(run.facets, run.points)
     out = {
         "n": args.n,
         "d": args.d,
         "workload": args.workload,
         "executor": args.executor,
+        "engine": engine,
         "kernel": run.exec_stats.kernel_stats,
         **extra,
         "hull_facets": len(run.facets),
@@ -151,7 +146,8 @@ def cmd_work(args) -> None:
 
 def cmd_speedup(args) -> None:
     pts = _points(args)
-    run = parallel_hull(pts, seed=args.seed)
+    # The greedy schedule needs the object driver's per-task DAG.
+    run = parallel_hull(pts, seed=args.seed, engine="objects")
     print(f"{'P':>5} {'T_P':>10} {'speedup':>8} {'model':>8} {'util':>6}")
     for row in speedup_table(run, args.procs):
         print(f"{row['P']:>5} {row['T_P']:>10,} {row['speedup']:>8.2f} "
@@ -598,14 +594,16 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("hull", help="build a hull, print statistics")
     common(p)
-    p.add_argument("--executor", default="rounds", choices=sorted(EXECUTORS))
+    p.add_argument("--executor", choices=sorted(EXECUTORS),
+                   help="run the object driver under this executor "
+                        "(with --engine soa, only 'rounds')")
     p.add_argument("--workers", type=int, default=2)
-    p.add_argument("--engine", default="objects", choices=["objects", "soa"],
-                   help="hull core, and with it the visibility path: "
-                        "per-facet object task driver (scalar oracle) or "
-                        "the round-vectorized conflict-list SoA engine "
-                        "(one flat sweep per round; requires the default "
-                        "rounds executor)")
+    p.add_argument("--engine", choices=["objects", "soa"],
+                   help="hull core, and with it the visibility path: the "
+                        "round-vectorized conflict-list SoA engine (one "
+                        "flat sweep per round; the default unless "
+                        "--executor is given) or the per-facet object "
+                        "task driver (the scalar oracle)")
     p.add_argument("--noise", type=float, default=0.0, metavar="P",
                    help="flip each visibility decision with probability P "
                         "(seeded noisy oracle; runs through the "

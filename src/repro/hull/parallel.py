@@ -18,6 +18,12 @@ of the paper's four actions:
 Everything is recorded into a :class:`ParallelHullRun`: the support DAG
 (the configuration dependence graph of Definition 4.1 restricted to
 created facets), per-facet rounds, counters, and a work-span task log.
+
+By default :func:`parallel_hull` runs these rounds on the conflict-list
+SoA engine (:mod:`repro.hull.soa`) and adapts its columns into that
+record.  This module's per-facet task driver is the scalar oracle, and
+the only driver of executors, the CAS/TAS multimaps and fault plans;
+:func:`check_engine` decides which one a call runs.
 """
 
 from __future__ import annotations
@@ -231,6 +237,10 @@ class _SoAParallelRun(ParallelHullRun):
     def facets(self) -> list[Facet]:
         return self._soa.facets
 
+    def dependence_depth(self) -> int:
+        # The same longest path, from the columns: no facet is built.
+        return self._soa.dependence_depth()
+
     @cached_property
     def created(self) -> list[Facet]:
         # Alive rows are the facets objects; buried rows are built from
@@ -312,10 +322,11 @@ def _soa_parallel_run(
     the alive rows only (through :attr:`SoAHullRun.facets`); ``created``
     builds every row once, sharing the alive ones with ``facets``;
     ``support``, ``pivots``, ``rounds`` and ``events`` are built from
-    the columns and records.  Read once, every field equals what the
-    object driver builds: determinism makes the run facet- and
-    conflict-identical, and events come in (round, frontier-position)
-    order with the object driver's round numbering.  Use
+    the columns and records.  Determinism makes the run facet- and
+    conflict-identical to the object driver's, with the same supports,
+    pivots, rounds and per-round events; only the order within a round
+    differs (events come in the engine's frontier order), and with it
+    the facet ids and the ``flips`` counter.  Use
     :func:`repro.hull.soa.soa_hull` when the column form is enough.
     """
     from .soa import SoAHullEngine  # local: soa imports this module's peers
@@ -329,22 +340,40 @@ def _soa_parallel_run(
 
 
 def check_engine(
-    engine: str,
+    engine: str | None,
     executor: SerialExecutor | RoundExecutor | ThreadExecutor | ProcessExecutor | None = None,
     multimap: str = "dict",
     fault_plan: FaultPlan | None = None,
-) -> None:
-    """Raise ``ValueError`` unless ``engine`` can run with these
-    execution arguments.  ``"objects"`` takes them all; ``"soa"`` is
-    round-synchronous and pairs ridges by sort, so it takes no executor
-    but a plain :class:`RoundExecutor`, only the ``"dict"`` multimap,
-    and no fault plan.  :func:`parallel_hull` and
-    :func:`~repro.hull.robust.robust_hull` both check before any work."""
+) -> str:
+    """Return the engine a hull call with these execution arguments
+    runs on, or raise ``ValueError``.
+
+    ``engine=None`` means ``"soa"``, the round-vectorized conflict-list
+    engine, unless the call passes an executor (any, even a plain
+    :class:`RoundExecutor`), a multimap other than ``"dict"`` or a fault
+    plan: those are Algorithms 4-5 and the chaos layer, which only the
+    object driver runs, so then it means ``"objects"``.  ``"objects"``
+    takes every argument.  ``"soa"`` is round-synchronous, runs each
+    round in frontier order and pairs ridges by sort, so it takes no
+    executor but an unseeded :class:`RoundExecutor`, only the ``"dict"``
+    multimap, and no fault plan.  :func:`parallel_hull`,
+    :func:`~repro.hull.robust.robust_hull` and ``repro hull`` all call
+    it before any work."""
+    if engine is None:
+        objects_only = (
+            executor is not None or multimap != "dict" or fault_plan is not None
+        )
+        return "objects" if objects_only else "soa"
     if engine == "soa":
         if executor is not None and not isinstance(executor, RoundExecutor):
             raise ValueError(
                 "engine='soa' is round-synchronous by construction; pass "
                 "executor=None (or a plain RoundExecutor)"
+            )
+        if getattr(executor, "_rng", None) is not None:
+            raise ValueError(
+                "engine='soa' runs each round in frontier order and cannot "
+                "shuffle it; a seeded RoundExecutor needs engine='objects'"
             )
         if multimap != "dict":
             raise ValueError(
@@ -358,6 +387,7 @@ def check_engine(
             )
     elif engine != "objects":
         raise ValueError(f"unknown engine {engine!r}; use 'objects' or 'soa'")
+    return engine
 
 
 def parallel_hull(
@@ -369,9 +399,14 @@ def parallel_hull(
     base_size: int | None = None,
     fault_plan: FaultPlan | None = None,
     kernel: NoisyKernel | None = None,
-    engine: str = "objects",
+    engine: str | None = None,
 ) -> ParallelHullRun:
     """Run Algorithm 3 on ``points``.
+
+    By default the run is the conflict-list SoA engine's
+    (:mod:`repro.hull.soa`), adapted into a :class:`ParallelHullRun`;
+    the execution arguments below select this module's per-facet object
+    driver, the scalar oracle (see ``engine``).
 
     Parameters
     ----------
@@ -379,8 +414,9 @@ def parallel_hull(
         As in :func:`repro.hull.sequential.sequential_hull`; the same
         ``order`` makes the two algorithms comparable facet-for-facet.
     executor:
-        Execution discipline (default :class:`RoundExecutor`, whose
-        round count realises the dependence-depth bound).  A
+        Execution discipline of the object driver (when left out, it
+        runs a :class:`RoundExecutor`, whose round count realises the
+        dependence-depth bound).  A
         :class:`~repro.runtime.procexec.ProcessExecutor` runs the
         supervised multiprocess round loop: visibility sweeps fan out
         to worker processes over shared-memory arrays, and the parent
@@ -413,22 +449,23 @@ def parallel_hull(
         combinable with :class:`ProcessExecutor`, whose workers
         evaluate sweeps outside the factory the noise hooks into.
     engine:
-        Picks the visibility path along with the driver: ``"objects"``
-        (this module's per-facet task driver, one
-        :meth:`~repro.geometry.hyperplane.Hyperplane.visible_mask` call
-        per facet -- the scalar oracle) or ``"soa"`` (the
-        round-vectorized conflict-list engine of :mod:`repro.hull.soa`,
-        one flat sweep per round, adapted back into a
+        Picks the driver, and with it the visibility path:
+        ``"soa"`` (the round-vectorized conflict-list engine of
+        :mod:`repro.hull.soa`, one flat sweep per round, adapted into a
         :class:`ParallelHullRun` whose object fields are built on first
         read; the run is facet- and conflict-identical to the object
-        driver's).  The SoA engine is round-synchronous by
-        construction, so it accepts only the default execution
-        discipline: no custom executor/multimap and no fault plan
-        (chaos-test the SoA core through its own snapshot/restore API).
+        driver's) or ``"objects"`` (this module's per-facet task driver,
+        one :meth:`~repro.geometry.hyperplane.Hyperplane.visible_mask`
+        call per facet -- the scalar oracle).  Left out (``None``), it
+        is ``"soa"`` unless the call passes an ``executor``, a
+        ``multimap`` other than ``"dict"`` or a ``fault_plan``, which
+        only the object driver runs.  The SoA engine's ``tracker`` logs
+        one task per round, so a caller that schedules the per-task
+        work-span DAG (:func:`~repro.analysis.work.speedup_table`, the
+        fork-join simulator) names ``engine="objects"``.
         :func:`check_engine` holds the rule.
     """
-    check_engine(engine, executor, multimap, fault_plan)
-    if engine == "soa":
+    if check_engine(engine, executor, multimap, fault_plan) == "soa":
         return _soa_parallel_run(points, order, seed, base_size, kernel)
     pts, order = prepare_points(points, order, seed)
     n, d = pts.shape

@@ -25,10 +25,10 @@ Each rung is attempted, validated, **certified** (a
 exact verifier -- construction bugs cannot self-approve), and on
 failure the next rung is tried.  The escalation path ends up both in
 the result and in the run's ``exec_stats.escalations`` so chaos reports
-and experiment logs can see which inputs needed which tier.  Every rung
-but joggle runs on the conflict-list SoA engine unless the call needs
-the object driver (see :func:`robust_hull`); either engine reaches the
-same rung, hull and certificate.
+and experiment logs can see which inputs needed which tier.  The joggle
+rung runs on the conflict-list SoA engine, and so does every other rung
+unless the call needs the object driver (see :func:`robust_hull`);
+either engine reaches the same rung, hull and certificate.
 
 When a :class:`~repro.geometry.noisy.NoisyKernel` is supplied
 (``noise=``), *noisy* rungs run before the exact ladder: the hull is
@@ -118,20 +118,18 @@ def robust_hull(
     :func:`parallel_hull`.
 
     ``engine`` picks the engine of every rung but the joggle one, which
-    always runs the object driver.  Left out (or ``None``), it is
-    ``"soa"``, the round-vectorized conflict-list engine -- unless the
-    call passes an ``executor``, a ``multimap`` other than ``"dict"``
-    or a ``fault_plan``, which only the object driver takes; then it is
-    ``"objects"``.  The ladder is the same on either engine: the SoA
-    engine raises, validates and certifies exactly as the object driver
-    does, so mode, escalations, facets and certificate agree, and only
-    the run's own accounting (``tracker``, ``kernel_stats``) is the
-    engine's.  The engine arguments are checked before any rung runs,
-    with :func:`~repro.hull.parallel.check_engine`: an unknown engine,
-    or ``engine="soa"`` with an argument it does not take, raises
-    ``ValueError`` -- a rung would read that as a geometric failure and
-    escalate past it.  So does a ``kernel`` that is neither ``None``
-    nor a :class:`NoisyKernel`.
+    runs :func:`~repro.hull.joggle.joggled_hull`'s default
+    :func:`parallel_hull` call (the SoA engine).  It is resolved and
+    checked before any rung runs, by
+    :func:`~repro.hull.parallel.check_engine` (left out, it is
+    ``"soa"`` unless the call needs the object driver): a bad engine
+    argument raises ``ValueError``, which a rung would read as a
+    geometric failure and escalate past.  So does a ``kernel`` that is
+    neither ``None`` nor a :class:`NoisyKernel`.  The ladder is the
+    same on either engine: the SoA engine raises, validates and
+    certifies exactly as the object driver does, so mode, escalations,
+    facets and certificate agree, and only the run's own accounting
+    (``tracker``, ``kernel_stats``) is the engine's.
 
     ``noise`` prepends noisy rungs: the hull runs against the given
     :class:`NoisyKernel` (``noise_retries`` attempts per vote level,
@@ -151,15 +149,10 @@ def robust_hull(
             f"unknown kernel {kernel!r}: kernel= takes None or a "
             "NoisyKernel; the engine picks the visibility path"
         )
-    executor = hull_kwargs.get("executor")
-    multimap = hull_kwargs.get("multimap", "dict")
-    fault_plan = hull_kwargs.get("fault_plan")
-    if hull_kwargs.get("engine") is None:
-        objects_only = (
-            executor is not None or multimap != "dict" or fault_plan is not None
-        )
-        hull_kwargs["engine"] = "objects" if objects_only else "soa"
-    check_engine(hull_kwargs["engine"], executor, multimap, fault_plan)
+    hull_kwargs["engine"] = check_engine(
+        hull_kwargs.get("engine"), hull_kwargs.get("executor"),
+        hull_kwargs.get("multimap", "dict"), hull_kwargs.get("fault_plan"),
+    )
     points = np.asarray(points, dtype=np.float64)
     escalations: list[str] = []
     rung_attempts: dict[str, int] = {}

@@ -69,47 +69,16 @@ class SequentialHullResult:
         return {f.key() for f in self.created}
 
 
-def _soa_sequential_run(
-    points: np.ndarray,
-    order: np.ndarray | None,
-    seed: int | None,
-    kernel: NoisyKernel | None,
-) -> SequentialHullResult:
-    """Run the conflict-list SoA engine and adapt it into a
-    :class:`SequentialHullResult` (determinism makes the created-facet
-    multiset and conflict sets identical to Algorithm 2's; a facet's
-    creation step is the insertion rank of its conflict pivot)."""
-    from .soa import SoAHullEngine  # local: soa imports this module
-
-    eng = SoAHullEngine(points, order=order, seed=seed, kernel=kernel)
-    while eng.step_round():
-        pass
-    run = eng.finish()
-    created = list(map(eng._source().facet, range(eng.store.size)))
-    d = run.dimension
-    creation_step = {
-        fid: (d if p < 0 else int(p))
-        for fid, p in enumerate(run.pivot_points)
-    }
-    return SequentialHullResult(
-        points=run.points,
-        order=run.order,
-        facets=[f for f in created if f.alive],
-        created=created,
-        creation_step=creation_step,
-        counters=run.counters,
-        interior=run.interior,
-    )
-
-
 def sequential_hull(
     points: np.ndarray,
     order: np.ndarray | None = None,
     seed: int | None = None,
     kernel: NoisyKernel | None = None,
-    engine: str = "objects",
 ) -> SequentialHullResult:
-    """Run Algorithm 2 on ``points``.
+    """Run Algorithm 2 on ``points``: the per-insertion object driver,
+    one :meth:`~repro.geometry.hyperplane.Hyperplane.visible_mask` call
+    per facet -- the differential oracle the parallel engines are
+    checked against.
 
     Parameters
     ----------
@@ -124,24 +93,7 @@ def sequential_hull(
         perturbs the engine's visibility answers at a seeded flip rate
         (see :mod:`repro.geometry.noisy`); anything else raises
         ``ValueError``.
-    engine:
-        Picks the visibility path along with the driver: ``"objects"``
-        (this module's per-insertion driver, one
-        :meth:`~repro.geometry.hyperplane.Hyperplane.visible_mask` call
-        per facet -- the scalar oracle of the differential suites) or
-        ``"soa"`` (the round-vectorized conflict-list engine of
-        :mod:`repro.hull.soa`, one flat sweep per round, adapted back
-        into a :class:`SequentialHullResult`).  Note the SoA adaptation keeps
-        the *intrinsic* quantities identical (created facets, conflict
-        sets, ``visibility_tests``/``facets_created``); the
-        order-dependent ridge counters it also fills
-        (``ridges_processed``, ``flips``, ...) have no Algorithm 2
-        counterpart.
     """
-    if engine == "soa":
-        return _soa_sequential_run(points, order, seed, kernel)
-    if engine != "objects":
-        raise ValueError(f"unknown engine {engine!r}; use 'objects' or 'soa'")
     pts, order = prepare_points(points, order, seed)
     n, d = pts.shape
     init = initial_simplex_ranks(pts)

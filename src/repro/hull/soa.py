@@ -557,8 +557,7 @@ class SoAHullEngine:
 
     def _source(self) -> _FacetSource:
         """Live views of the store, for materializing facets of the
-        current state (the ``sequential_hull(engine="soa")`` adapter and
-        white-box tests)."""
+        current state (white-box tests)."""
         s = self.store
         return _FacetSource(
             self.pts, self.interior, s.indices, s.normals, s.offsets,

@@ -66,9 +66,10 @@ class ExecutionStats:
     quarantined: int = 0         # chunks poisoned out after max retries
     duplicates_dropped: int = 0  # duplicate/stale result messages ignored
     heartbeats: int = 0          # heartbeat messages observed
-    # Visibility-kernel counters (batched sweeps, filter fallbacks,
-    # sign-cache hits/misses), attached by repro.hull.parallel at the
-    # end of a run; ``{"kernel": "scalar"}`` on scalar runs.
+    # Visibility-path provenance and counters, attached at the end of a
+    # run: ``{"kernel": "scalar"}`` on object-driver runs; the engine,
+    # flat-sweep signs and exact fallbacks on SoA runs; the noise model
+    # and vote counters on noisy runs.
     kernel_stats: dict = field(default_factory=dict)
 
     @property

@@ -55,8 +55,9 @@ class TestClarksonShor:
 class TestSpeedup:
     @pytest.fixture(scope="class")
     def run(self):
+        # The schedules run on the object driver's per-task DAG.
         pts = on_sphere(400, 2, seed=9)
-        return parallel_hull(pts, seed=10)
+        return parallel_hull(pts, seed=10, engine="objects")
 
     def test_speedup_table(self, run):
         rows = speedup_table(run, [1, 2, 4, 8, 16])
@@ -74,6 +75,6 @@ class TestSpeedup:
         pars = []
         for n in (100, 400):
             pts = on_sphere(n, 2, seed=n)
-            r = parallel_hull(pts, seed=1)
+            r = parallel_hull(pts, seed=1, engine="objects")
             pars.append(r.tracker.parallelism)
         assert pars[1] > pars[0]

@@ -56,7 +56,7 @@ class TestShapeSoundnessDifferential:
     @pytest.mark.parametrize("dim,n,seed", [(2, 120, 3), (3, 90, 4)])
     def test_batch_hull_traffic_is_admitted(self, dim, n, seed, static_result):
         pts = uniform_ball(n, dim, seed=seed)
-        rec = _record(lambda: parallel_hull(pts, seed=seed))
+        rec = _record(lambda: parallel_hull(pts, seed=seed, engine="objects"))
         assert rec.events, "hull run hit no instrumented boundary (hooks broken?)"
         problems = check_recorded_events(static_result, rec)
         assert not problems, problems
@@ -98,7 +98,7 @@ class TestShapeSoundnessDifferential:
         rng = np.random.default_rng(7)
 
         def workload():
-            parallel_hull(pts, seed=5)
+            parallel_hull(pts, seed=5, engine="objects")
             soa_hull(pts, seed=5)
             orient_batch(rng.standard_normal((5, 3, 3)),
                          rng.standard_normal((9, 3)))
@@ -127,6 +127,6 @@ class TestShapeSoundnessDifferential:
     def test_scalar_run_records_nothing_outside_recording(self):
         rec = ShapeRecorder()
         pts = uniform_ball(60, 2, seed=1)
-        parallel_hull(pts, seed=1)  # no recording block
+        parallel_hull(pts, seed=1, engine="objects")  # no recording block
         soa_hull(pts, seed=1)
         assert rec.events == []

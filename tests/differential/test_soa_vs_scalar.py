@@ -8,8 +8,8 @@ scalar driver, emits byte-identical certificates, and accounts the same
 scalar-equivalent work -- because every float-certain sign is proven by
 the shared error envelope and every ambiguous sign takes the same exact
 ladder.  Hypothesis drives the instances; fixed sweeps cover the
-degenerate corpus, the noisy p=0 bit-identity, and the driver
-adapters.  The oracle-identity and noisy checks run the flat sweep
+degenerate corpus, the noisy p=0 bit-identity, and the ``parallel_hull``
+adapter.  The oracle-identity and noisy checks run the flat sweep
 twice: as shipped ("batch": the float filter decides, the scalar ladder
 only takes envelope-ambiguous entries) and with the envelope inflated
 until every entry takes the per-plane scalar ladder ("scalar").
@@ -200,7 +200,7 @@ def test_soa_noisy_ladder_self_heals():
     assert res.run.facet_keys() == ref.run.facet_keys()
 
 
-# -- driver adapters ---------------------------------------------------------
+# -- the parallel_hull adapter -----------------------------------------------
 
 @given(st.tuples(st.integers(0, 3_000), st.integers(12, 60), st.sampled_from([2, 3])))
 @settings(max_examples=8, deadline=None)
@@ -208,7 +208,7 @@ def test_parallel_adapter_matches_object_driver(params):
     seed, n, d = params
     pts = uniform_ball(n, d, seed=seed + 41)
     order = np.random.default_rng(seed + 6).permutation(n)
-    a = parallel_hull(pts, order=order.copy())
+    a = parallel_hull(pts, order=order.copy(), engine="objects")
     b = parallel_hull(pts, order=order.copy(), engine="soa")
     assert a.facet_keys() == b.facet_keys()
     assert a.created_keys() == b.created_keys()
@@ -225,16 +225,18 @@ def test_parallel_adapter_matches_object_driver(params):
 
 @given(st.tuples(st.integers(0, 3_000), st.integers(12, 60), st.sampled_from([2, 3])))
 @settings(max_examples=8, deadline=None)
-def test_sequential_adapter_matches_object_driver(params):
+def test_soa_pivots_are_sequential_creation_steps(params):
+    """A facet's conflict pivot in the SoA run is the insertion step at
+    which Algorithm 2 creates it (base facets: step ``d``)."""
     seed, n, d = params
     pts = uniform_cube(n, d, seed=seed + 51)
     order = np.random.default_rng(seed + 7).permutation(n)
     a = sequential_hull(pts, order=order.copy())
-    b = sequential_hull(pts, order=order.copy(), engine="soa")
+    b = parallel_hull(pts, order=order.copy(), engine="soa")
     assert a.facet_keys() == b.facet_keys()
     assert a.created_keys() == b.created_keys()
     steps_a = {f.key(): a.creation_step[f.fid] for f in a.created}
-    steps_b = {f.key(): b.creation_step[f.fid] for f in b.created}
+    steps_b = {f.key(): b.pivots.get(f.fid, d) for f in b.created}
     assert steps_a == steps_b
 
 
@@ -273,7 +275,7 @@ def test_engine_argument_is_validated():
     pts = uniform_ball(20, 2, seed=1)
     with pytest.raises(ValueError, match="unknown engine"):
         parallel_hull(pts, seed=0, engine="nope")
-    with pytest.raises(ValueError, match="unknown engine"):
-        sequential_hull(pts, seed=0, engine="nope")
+    with pytest.raises(TypeError, match="engine"):
+        sequential_hull(pts, seed=0, engine="soa")  # Algorithm 2 alone
     with pytest.raises(ValueError, match="multimap"):
         parallel_hull(pts, seed=0, engine="soa", multimap="cas")

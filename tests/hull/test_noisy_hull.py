@@ -23,8 +23,8 @@ def _global_keys(run) -> set:
 
 # The visibility path a run takes is picked by its engine alone: the
 # object drivers' per-facet scalar oracle, or the SoA engine's batched
-# flat sweep.  point_parallel_hull has only the first, soa_hull only the
-# second.
+# flat sweep.  sequential_hull and point_parallel_hull have only the
+# first, soa_hull only the second.
 _PATH_ENGINE = {"scalar": "objects", "batch": "soa"}
 
 
@@ -35,7 +35,6 @@ class TestBitIdentityAtPZero:
 
     @pytest.mark.parametrize("driver, path", [
         pytest.param(sequential_hull, "scalar", id="sequential_hull-scalar"),
-        pytest.param(sequential_hull, "batch", id="sequential_hull-batch"),
         pytest.param(parallel_hull, "scalar", id="parallel_hull-scalar"),
         pytest.param(parallel_hull, "batch", id="parallel_hull-batch"),
         pytest.param(point_parallel_hull, "scalar", id="point_parallel_hull-scalar"),
@@ -45,7 +44,7 @@ class TestBitIdentityAtPZero:
         pts = uniform_ball(70, 3, seed=2)
         order = np.random.default_rng(3).permutation(70)
         kw = {}
-        if driver in (sequential_hull, parallel_hull):
+        if driver is parallel_hull:
             kw["engine"] = _PATH_ENGINE[path]
         ref = driver(pts, order=order.copy(), **kw)
         nk = NoisyKernel(p=0.0, votes=3, seed=9)
@@ -252,7 +251,8 @@ class TestValidatorPower:
 class TestSerializedNoise:
     def test_summary_surfaces_noise_block(self):
         pts = uniform_ball(50, 3, seed=3)
-        run = parallel_hull(pts, seed=1, kernel=NoisyKernel(p=0.01, votes=3, seed=2))
+        run = parallel_hull(pts, seed=1, kernel=NoisyKernel(p=0.01, votes=3, seed=2),
+                            engine="objects")
         summary = run_summary(run)
         assert summary["kernel"]["kernel"] == "noisy[scalar]"
         noise = summary["noise"]

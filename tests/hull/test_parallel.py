@@ -1,6 +1,6 @@
 """Tests for Algorithm 3 (parallel incremental hull): correctness under
-every executor/multimap combination, trace invariants, and the support
-structure."""
+every executor/multimap combination, the engine rule, trace invariants,
+and the support structure."""
 
 import numpy as np
 import pytest
@@ -10,6 +10,7 @@ from repro.geometry import on_sphere, uniform_ball
 from repro.geometry.simplex import facet_ridges
 from repro.hull import parallel_hull, sequential_hull, validate_hull
 from repro.runtime import RoundExecutor, SerialExecutor, ThreadExecutor
+from repro.runtime.faults import FaultPlan
 
 
 class TestCorrectness:
@@ -75,6 +76,64 @@ class TestExecutors:
         pts, order = instance
         with pytest.raises(ValueError):
             parallel_hull(pts, order=order, multimap="nope")
+
+
+class TestEngine:
+    """``parallel_hull`` runs the SoA engine unless the call needs the
+    object driver; ``check_engine`` holds the rule and rejects a bad
+    engine argument before any work."""
+
+    PTS = uniform_ball(60, 3, seed=4)
+
+    #: Arguments only the object driver takes, each a default-engine call.
+    OBJECT_ONLY = {
+        "serial-executor": lambda: {"executor": SerialExecutor()},
+        "round-executor": lambda: {"executor": RoundExecutor()},
+        "seeded-round-executor": lambda: {"executor": RoundExecutor(seed=7)},
+        "cas-multimap": lambda: {"executor": ThreadExecutor(2), "multimap": "cas"},
+        "fault-plan": lambda: {"fault_plan": FaultPlan(seed=0)},
+    }
+
+    BAD = {
+        "unknown-engine": lambda: {"engine": "bogus"},
+        "soa-serial-executor": lambda: {"engine": "soa", "executor": SerialExecutor()},
+        "soa-seeded-round-executor": lambda: {
+            "engine": "soa", "executor": RoundExecutor(seed=7)},
+        "soa-cas-multimap": lambda: {"engine": "soa", "multimap": "cas"},
+        "soa-fault-plan": lambda: {"engine": "soa", "fault_plan": FaultPlan(seed=0)},
+    }
+
+    @staticmethod
+    def _engine(run) -> str:
+        return run.exec_stats.kernel_stats.get("engine", "objects")
+
+    def test_default_runs_soa(self):
+        run = parallel_hull(self.PTS, seed=1)
+        assert self._engine(run) == "soa"
+        ref = parallel_hull(self.PTS, seed=1, engine="objects")
+        assert run.facet_keys() == ref.facet_keys()
+
+    @pytest.mark.parametrize("case", sorted(OBJECT_ONLY))
+    def test_object_driver_arguments_pick_objects(self, case):
+        run = parallel_hull(self.PTS, seed=1, **self.OBJECT_ONLY[case]())
+        assert self._engine(run) == "objects"
+
+    @pytest.mark.parametrize("case", sorted(BAD))
+    def test_bad_engine_arguments_raise_before_any_work(self, case, monkeypatch):
+        import repro.hull.parallel as par
+        import repro.hull.soa as soa
+
+        def no_work(*args, **kwargs):
+            raise AssertionError("the hull started before the engine check")
+
+        monkeypatch.setattr(par, "prepare_points", no_work)
+        monkeypatch.setattr(soa, "SoAHullEngine", no_work)
+        with pytest.raises(ValueError, match="engine"):
+            parallel_hull(self.PTS, seed=1, **self.BAD[case]())
+
+    def test_plain_round_executor_runs_soa_when_asked(self):
+        run = parallel_hull(self.PTS, seed=1, engine="soa", executor=RoundExecutor())
+        assert self._engine(run) == "soa"
 
 
 class TestSupportStructure:
@@ -221,7 +280,7 @@ class TestBaseSizeWithExecutors:
     def test_large_base_under_threads(self):
         pts = uniform_ball(150, 2, seed=81)
         order = np.arange(150)
-        a = parallel_hull(pts, order=order.copy(), base_size=12)
+        a = parallel_hull(pts, order=order.copy(), base_size=12, engine="objects")
         b = parallel_hull(
             pts, order=order.copy(), base_size=12,
             executor=ThreadExecutor(2), multimap="tas",

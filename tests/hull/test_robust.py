@@ -144,10 +144,9 @@ class TestRobustHull:
 
 
 class TestEngine:
-    """Every rung but joggle runs the SoA engine unless the call needs
-    the object driver, and engine arguments are checked before any
-    rung, so a bad one raises instead of reading as a geometric
-    failure."""
+    """Every rung runs the SoA engine unless the call needs the object
+    driver, and engine arguments are checked before any rung, so a bad
+    one raises instead of reading as a geometric failure."""
 
     PTS = uniform_ball(30, 3, seed=4)
 
@@ -163,6 +162,8 @@ class TestEngine:
     BAD = {
         "unknown-engine": lambda: {"engine": "bogus"},
         "soa-serial-executor": lambda: {"engine": "soa", "executor": SerialExecutor()},
+        "soa-seeded-round-executor": lambda: {
+            "engine": "soa", "executor": RoundExecutor(seed=7)},
         "soa-cas-multimap": lambda: {"engine": "soa", "multimap": "cas"},
     }
 

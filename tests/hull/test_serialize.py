@@ -62,7 +62,7 @@ def test_run_summary_scalar_default_kernel_field():
     seq = sequential_hull(pts, seed=3)
     # Sequential results carry no exec_stats.kernel_stats; the summary
     # still reports an explicit engine instead of omitting the field.
-    summary = run_summary(parallel_hull(pts, seed=3))
+    summary = run_summary(parallel_hull(pts, seed=3, engine="objects"))
     assert summary["kernel"]["kernel"] == "scalar"
     assert seq.facet_keys()  # the sequential run participated, too
 

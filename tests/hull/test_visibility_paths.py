@@ -39,15 +39,14 @@ def _cli_tests() -> int:
 
 
 def _tests_of(run) -> int:
-    if hasattr(run, "exec_stats"):  # sequential results carry none
-        assert run.exec_stats.kernel_stats["batched_signs"] == run.counters.visibility_tests
+    assert run.exec_stats.kernel_stats["batched_signs"] == run.counters.visibility_tests
     return run.counters.visibility_tests
 
 
 SOA_ENTRY_POINTS = {
     "soa_hull": lambda: _tests_of(soa_hull(PTS, seed=1)),
     "parallel_hull": lambda: _tests_of(parallel_hull(PTS, seed=1, engine="soa")),
-    "sequential_hull": lambda: _tests_of(sequential_hull(PTS, seed=1, engine="soa")),
+    "parallel_hull[default]": lambda: _tests_of(parallel_hull(PTS, seed=1)),
     "robust_hull": lambda: _tests_of(robust_hull(PTS, seed=1, engine="soa").run),
     "noisy_parallel_hull": lambda: _tests_of(parallel_hull(
         PTS, seed=1, engine="soa", kernel=NoisyKernel(p=0.0, seed=3))),
@@ -68,16 +67,17 @@ def test_soa_entry_points_run_the_flat_sweep(entry):
 
 
 def test_object_drivers_run_the_scalar_oracle():
-    run = parallel_hull(PTS, seed=1)
+    run = parallel_hull(PTS, seed=1, engine="objects")
     assert run.exec_stats.kernel_stats == {"kernel": "scalar"}
+    sequential_hull(PTS, seed=1)
     assert KERNEL_STATS.batched_signs == 0
 
 
 DRIVERS = {
     "sequential_hull[objects]": lambda k: sequential_hull(PTS, seed=1, kernel=k),
-    "sequential_hull[soa]": lambda k: sequential_hull(
-        PTS, seed=1, kernel=k, engine="soa"),
-    "parallel_hull[objects]": lambda k: parallel_hull(PTS, seed=1, kernel=k),
+    "parallel_hull[default]": lambda k: parallel_hull(PTS, seed=1, kernel=k),
+    "parallel_hull[objects]": lambda k: parallel_hull(
+        PTS, seed=1, kernel=k, engine="objects"),
     "parallel_hull[soa]": lambda k: parallel_hull(
         PTS, seed=1, kernel=k, engine="soa"),
     "point_parallel_hull": lambda k: point_parallel_hull(PTS, seed=1, kernel=k),
@@ -105,7 +105,7 @@ def test_noisy_soa_flips_match_the_object_driver():
     runs = {}
     for engine in ("objects", "soa"):
         nk = NoisyKernel(p=0.001, votes=3, seed=11)
-        run = sequential_hull(PTS, order=order.copy(), kernel=nk, engine=engine)
+        run = parallel_hull(PTS, order=order.copy(), kernel=nk, engine=engine)
         runs[engine] = (run, nk.snapshot())
     (a, snap_a), (b, snap_b) = runs["objects"], runs["soa"]
     assert snap_a == snap_b

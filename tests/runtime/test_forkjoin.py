@@ -65,7 +65,8 @@ class TestBasics:
 class TestClassicBounds:
     @pytest.fixture(scope="class")
     def hull_tracker(self):
-        run = parallel_hull(on_sphere(800, 2, seed=6), seed=7)
+        # Work stealing runs on the object driver's per-task DAG.
+        run = parallel_hull(on_sphere(800, 2, seed=6), seed=7, engine="objects")
         return run.tracker
 
     @pytest.mark.parametrize("p", [2, 4, 8])
@@ -91,7 +92,7 @@ class TestClassicBounds:
         assert s1.makespan / s4.makespan > 2.0
 
     def test_ball_workload_also_scales(self):
-        run = parallel_hull(uniform_ball(1000, 2, seed=8), seed=9)
+        run = parallel_hull(uniform_ball(1000, 2, seed=8), seed=9, engine="objects")
         s1 = simulate_work_stealing(run.tracker, 1)
         s4 = simulate_work_stealing(run.tracker, 4, seed=2)
         assert s1.makespan / s4.makespan > 1.5

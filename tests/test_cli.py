@@ -35,6 +35,23 @@ class TestHull:
         with pytest.raises(SystemExit):
             main(["hull", "--workload", "torus"])
 
+    def test_default_engine_is_soa(self, capsys):
+        main(["hull", "--n", "300", "--d", "3", "--seed", "4"])
+        out = json.loads(capsys.readouterr().out)
+        assert out["engine"] == "soa"
+        assert out["kernel"]["engine"] == "soa"
+        assert out["kernel"]["batched_signs"] == out["visibility_tests"]
+
+    def test_engine_objects_runs_the_oracle(self, capsys):
+        main(["hull", "--n", "300", "--d", "3", "--seed", "4", "--engine", "objects"])
+        out = json.loads(capsys.readouterr().out)
+        assert out["engine"] == "objects"
+        assert out["kernel"] == {"kernel": "scalar"}
+
+    def test_soa_engine_rejects_other_executors(self):
+        with pytest.raises(SystemExit, match="engine='soa' is round-synchronous"):
+            main(["hull", "--n", "50", "--engine", "soa", "--executor", "threads"])
+
 
 class TestDepth:
     def test_table_printed(self, capsys):
@@ -58,6 +75,10 @@ class TestSpeedup:
         main(["speedup", "--n", "200", "--procs", "1", "4"])
         out = capsys.readouterr().out
         assert "speedup" in out and "model" in out
+        # The greedy schedule of the per-task DAG gains from processors
+        # (a chain of one task per round would read 1.00).
+        rows = {line.split()[0]: line.split() for line in out.splitlines()[1:]}
+        assert float(rows["4"][2]) > 1.0
 
 
 class TestFigure1:

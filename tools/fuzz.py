@@ -44,7 +44,7 @@ order must produce the identical facet set over original indices.
 ``--kernels`` fuzzes the batched predicate kernels
 (:mod:`repro.geometry.kernels`) over random (input, dimension,
 filter-threshold) triples: ``soa_hull`` and the ``engine="soa"``
-adapters, whose only visibility path is the flat sweep, must stay
+adapter, whose only visibility path is the flat sweep, must stay
 facet-, conflict- and intrinsic-counter-identical to the scalar oracle
 under a randomly inflated float-filter envelope, sampled
 ``orient_batch`` blocks must agree elementwise with scalar
@@ -418,8 +418,6 @@ def one_kernel_case(rng: np.random.Generator, verbose: bool) -> str | None:
         with filter_scale(env_scale):
             runs = {
                 "soa_hull": soa_hull(pts, order=order.copy()),
-                "sequential_hull[soa]": sequential_hull(
-                    pts, order=order.copy(), engine="soa"),
                 "parallel_hull[soa]": parallel_hull(
                     pts, order=order.copy(), engine="soa"),
             }
@@ -526,11 +524,11 @@ def one_noisy_case(rng: np.random.Generator, verbose: bool) -> str | None:
     pts = gen(n, d, seed=seed)
     order = np.random.default_rng(seed + 1).permutation(n)
     try:
-        ref = sequential_hull(pts, order=order.copy(), engine=engine)
+        ref = parallel_hull(pts, order=order.copy(), engine=engine)
         ref_keys = facet_sets_global(ref.facets, ref.order)
 
         # p=0: the wrapper must be a bit-identical no-op.
-        zero = sequential_hull(
+        zero = parallel_hull(
             pts, order=order.copy(), engine=engine,
             kernel=NoisyKernel(p=0.0, votes=votes, seed=nseed),
         )
@@ -544,8 +542,8 @@ def one_noisy_case(rng: np.random.Generator, verbose: bool) -> str | None:
         def raw_outcome():
             nk = NoisyKernel(p=p, votes=votes, seed=nseed)
             try:
-                run = sequential_hull(pts, order=order.copy(), kernel=nk,
-                                      engine=engine)
+                run = parallel_hull(pts, order=order.copy(), kernel=nk,
+                                    engine=engine)
             except Exception as exc:  # noqa: BLE001 - fuzzing surface
                 return ("crash", type(exc).__name__)
             return ("ok", facet_sets_global(run.facets, run.order))

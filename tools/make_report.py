@@ -55,7 +55,8 @@ def e3_span(quick: bool) -> None:
     banner("E3 -- span: rounds/log2n flat; S/log2^2 n flat; CRCW accounting")
     ns = [256, 1024] if quick else [256, 1024, 4096]
     for n in ns:
-        run = parallel_hull(on_sphere(n, 2, seed=n), seed=5)
+        # W and S come from the object driver's per-task work-span DAG.
+        run = parallel_hull(on_sphere(n, 2, seed=n), seed=5, engine="objects")
         rep = crcw_span(run)
         print(f"  n={n:5d} rounds={run.exec_stats.rounds:3d} "
               f"rounds/log2n={run.exec_stats.rounds / math.log2(n):.2f} "
@@ -154,7 +155,8 @@ def e13_speedup(quick: bool) -> None:
 
     banner("E13 -- speedup (work-span model + work stealing)")
     n = 1000 if quick else 2000
-    run = parallel_hull(on_sphere(n, 2, seed=10), seed=11)
+    # The schedules need the object driver's per-task work-span DAG.
+    run = parallel_hull(on_sphere(n, 2, seed=10), seed=11, engine="objects")
     for row in speedup_table(run, [1, 4, 16, 64]):
         print(f"  P={row['P']:3d} greedy={row['speedup']:6.2f} "
               f"model={row['model_speedup']:6.2f}")
