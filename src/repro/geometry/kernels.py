@@ -62,6 +62,10 @@ __all__ = [
 
 _EPS = float(np.finfo(np.float64).eps)
 
+# Component rotations of a 3-vector, for the column-form cross product.
+_YZX = np.array([1, 2, 0])
+_ZXY = np.array([2, 0, 1])
+
 # Multiplier applied to the float error envelope of the *batched* fast
 # path.  Values > 1 widen the envelope: strictly more entries take the
 # exact fallback, and the results must not change (the fallback decides
@@ -159,6 +163,16 @@ def batch_planes(
     (unoriented) cofactor normal of simplex ``f``, and the envelope of a
     query ``q`` against plane ``f`` is
     ``err_scale[f] * (err_base[f] + |q|_inf)``.
+
+    The pass runs in column form: ``cols[c, i]`` is coordinate ``c`` of
+    vertex ``i`` of every simplex, one contiguous ``F``-vector, so the
+    edges, the cross product and every sum, product and maximum over an
+    axis of length <= ``d`` are a few long vector operations rather than
+    ``F`` short ones.  NumPy reduces a short row left to right, as the
+    column form does, and the cross product keeps ``np.cross``'s
+    operation order, so every output bit is the row form's.  The
+    offsets keep the row-form ``einsum`` over the C-ordered normals,
+    whose summation order is its own.
     """
     # repro: shape: simplices=(F,d,d):float64, normals=(F,d):float64
     # repro: shape: offsets=(F,):float64, err_scale=(F,):float64
@@ -182,36 +196,41 @@ def batch_planes(
         raise ValueError(f"need (F, d, d) simplices, got {simplices.shape}")
     nf, d, _ = simplices.shape
     # repro: fp-bound: in simplices ~ S
-    p0 = simplices[:, :1, :]
+    p0 = simplices[:, 0, :]
     # repro: fp-bound: bind p0 ~ B
-    edges = simplices[:, 1:, :] - p0  # (F, d-1, d)
+    cols = np.ascontiguousarray(simplices.T)   # (d, d, F)
+    edges = cols[:, 1:] - cols[:, :1]          # (d, d-1, F)
     # repro: fp-bound: bind edges ~ R0 @d=2
     if d == 2:
-        normals = np.stack([-edges[:, 0, 1], edges[:, 0, 0]], axis=1)
+        ncols = np.stack([-edges[1, 0], edges[0, 0]])
     elif d == 3:
-        e0 = edges[:, 0, :]
-        e1 = edges[:, 1, :]
+        e0 = edges[:, 0]
+        e1 = edges[:, 1]
         # repro: fp-bound: bind e0 ~ R0
         # repro: fp-bound: bind e1 ~ R1
-        normals = np.cross(e0, e1)
+        # np.cross by components, in its operation order:
+        # (a1*b2 - a2*b1, a2*b0 - a0*b2, a0*b1 - a1*b0).
+        ncols = e0[_YZX] * e1[_ZXY] - e0[_ZXY] * e1[_YZX]
     else:
         # Laplace expansion along the LAST row of [edges; q - p0]:
         # the cofactor of column j carries (-1)^{(d-1)+j}, so this sign
         # (not linalg.cofactor_normal's raw (-1)^j, which Hyperplane
         # re-orients anyway) keeps normal . (q - p0) == det for every
         # d -- the convention orient() decides signs in.
-        normals = np.empty((nf, d))
-        cols = np.arange(d)
+        ncols = np.empty((d, nf))
+        rows = edges.T                              # (F, d-1, d)
+        keep = np.arange(d)
         for j in range(d):
-            minors = edges[:, :, cols != j]           # (F, d-1, d-1)
-            normals[:, j] = (-1.0) ** (d - 1 + j) * np.linalg.det(minors)
+            minors = rows[:, :, keep != j]          # (F, d-1, d-1)
+            ncols[j] = (-1.0) ** (d - 1 + j) * np.linalg.det(minors)
+    normals = np.ascontiguousarray(ncols.T)
     # repro: fp-bound: bind normals ~ NRM
-    offsets = np.einsum("fd,fd->f", normals, p0[:, 0, :])
-    row_norms = np.sqrt((edges * edges).sum(axis=2))  # (F, d-1)
-    hadamard = row_norms.prod(axis=1) if d > 1 else np.ones(nf)
-    n1 = np.abs(normals).sum(axis=1)
+    offsets = np.einsum("fd,fd->f", normals, p0)
+    row_norms = np.sqrt((edges * edges).sum(axis=0))  # (d-1, F)
+    hadamard = row_norms.prod(axis=0) if d > 1 else np.ones(nf)
+    n1 = np.abs(ncols).sum(axis=0)
     err_scale = 16.0 * d * _EPS * (d * d * hadamard + n1 + 1.0)
-    err_base = 1.0 + np.abs(simplices[:, 0, :]).max(axis=1, initial=0.0)
+    err_base = 1.0 + np.abs(cols[:, 0]).max(axis=0, initial=0.0)
     observe("repro.geometry.kernels.batch_planes",
             simplices=simplices, normals=normals, offsets=offsets,
             err_scale=err_scale, err_base=err_base)
@@ -310,7 +329,7 @@ def visible_flat(
     force_exact: np.ndarray | None = None,
     plane_for=None,
     stats: KernelStats | None = None,
-    pts_inf: np.ndarray | None = None,
+    pts_inf: float | None = None,
 ) -> np.ndarray:
     """Strict-visibility mask for a flat (facet, point) stream.
 
@@ -326,72 +345,97 @@ def visible_flat(
     scalar ladder of the materialized
     :class:`~repro.geometry.hyperplane.Hyperplane` that ``plane_for(k)``
     returns, so the flat sweep cannot silently disagree with the scalar
-    oracle: identical filter, identical fallback.  ``pts_inf``, when
-    given, must be ``np.abs(pts).max(axis=1)`` -- a caller that sweeps
-    many rounds precomputes it once instead of re-reducing the gathered
-    coordinate block every call.
+    oracle: identical filter, identical fallback.
+
+    The filter is staged.  Each plane first gets one bound,
+    ``s*P + s*b`` for its envelope scale ``s`` and base ``b``, where
+    ``P`` is ``pts_inf``: a bound on ``|p|_inf`` over the swept points
+    (a caller that sweeps many rounds passes its run's maximum once;
+    ``None`` takes the maximum over the gathered block).  A margin above
+    its plane's bound in absolute value is decided by its sign alone.
+    Only the rest compute the per-entry envelope ``s*|p|_inf + s*b``.
+    Round-to-nearest is monotone, so ``|p|_inf <= P`` makes every
+    entry's computed envelope at most its plane's computed bound: an
+    entry the first stage decides is one the envelope alone would
+    decide the same way, and the mask, the fallback set and the order
+    of the ``plane_for`` calls are those of the single-stage sweep.
     """
     # repro: shape: ranks=(M,):int64, blocks=(K,):int64
     # repro: shape: pts_flat=(M,d):float64, margins=(M,):float64
-    # repro: shape: env=(M,):float64, mask=(M,):bool
+    # repro: shape: bound=(M,):float64, mask=(M,):bool
     #
     # Filter-boundary admission for `repro fpcheck`: the plane columns
     # arrive with batch_planes' proven error summaries, and the margin
     # sweep must stay inside the same committed envelope (atoms as in
-    # batch_planes; Q = gathered point magnitude |p|_inf):
+    # batch_planes; Q = gathered point magnitude |p|_inf, P = the bound
+    # on every swept point's |p|_inf), both the per-entry one and the
+    # per-plane bound:
     # repro: fp-bound: assume d in 2..3
     # repro: fp-bound: in normals ~ NRM err 6*H
     # repro: fp-bound: in offsets ~ OFF err 6*d*H*B + 2*d^2*NRM*B
     # repro: fp-bound: fact OFF <= d*NRM*B
-    # repro: fp-bound: guard env
-    # repro: fp-bound: envelope scale packed env
+    # repro: fp-bound: fact Q <= P
+    # repro: fp-bound: guard bound env
+    # repro: fp-bound: envelope scale scaled_base packed bound env
     if not ranks.size:
         return np.zeros(0, dtype=bool)
     d = pts.shape[1]
     # repro: fp-bound: in pts ~ Q
     pts_flat = np.take(pts, ranks, axis=0)
-    # Pack every per-plane scalar the sweep needs into one (K, d+3)
-    # matrix so the per-entry stream costs a *single* wide expansion
-    # instead of five separate passes (normals, offsets, err_scale,
-    # err_base): columns are [normal | offset | scale |
-    # scale*err_base].  K (planes) is small; M (entries) is the round.
-    # Each plane's entries are contiguous, so the expansion is a
-    # repeat, not a gather.
-    packed = np.empty((normals.shape[0], d + 3), dtype=np.float64)
+    if pts_inf is None:
+        pts_inf = float(np.abs(pts_flat).max())
+    # repro: fp-bound: in pts_inf ~ P
+    scale = _FILTER_SCALE * err_scale
+    scaled_base = scale * err_base
+    # Pack every per-plane scalar the sweep needs into one (K, d+2)
+    # matrix so the per-entry stream costs a *single* wide expansion:
+    # columns are [normal | offset | bound].  K (planes) is small; M
+    # (entries) is the round.  Each plane's entries are contiguous, so
+    # the expansion is a repeat, not a gather.  A forced plane's bound
+    # is infinite: all its entries go on to the exact ladder.
+    packed = np.empty((normals.shape[0], d + 2), dtype=np.float64)
     packed[:, :d] = normals
     packed[:, d] = offsets
-    scale = _FILTER_SCALE * err_scale
-    packed[:, d + 1] = scale
-    packed[:, d + 2] = scale * err_base
+    bound = scale * pts_inf
+    bound += scaled_base
+    if force_exact is not None:
+        bound[force_exact] = np.inf
+    packed[:, d + 1] = bound
     g = np.repeat(packed, blocks, axis=0)
     gn = g[:, :d]    # repro: fp-bound: in gn ~ NRM err 6*H
     go = g[:, d]     # repro: fp-bound: in go ~ OFF err 6*d*H*B + 2*d^2*NRM*B
     margins = np.einsum("md,md->m", pts_flat, gn)
     margins -= go
     # repro: fp-bound: claim margins <= 16*d*(d*d*H + NRM + 1)*(B + Q)
-    q_inf = (np.abs(pts_flat).max(axis=1) if pts_inf is None
-             else np.take(pts_inf, ranks))
-    env = g[:, d + 1] * q_inf
-    env += g[:, d + 2]
-    mask = margins > env
-    # |margins| <= env, with the abs in place: margins' raw values are
-    # not needed past this point.
-    np.abs(margins, out=margins)
-    uncertain = margins <= env
-    if force_exact is not None and force_exact.any():
-        forced = np.repeat(force_exact, blocks)
-        mask &= ~forced
-        uncertain |= forced
+    # repro: fp-bound: claim margins <= 16*d*(d*d*H + NRM + 1)*(B + P)
+    bound = g[:, d + 1]
+    mask = margins > bound
+    # The second stage: every entry the bound does not decide (a NaN
+    # margin fails both comparisons, and lands here as it would in the
+    # single-stage sweep's "not visible, not uncertain").
+    near = np.flatnonzero(~(np.abs(margins) > bound))
     n_signs = int(ranks.shape[0])
-    n_fall = int(uncertain.sum())
+    n_fall = 0
     STATS.count_float(n_signs)
-    if n_fall:
+    if near.size:
+        plane_of = np.searchsorted(np.cumsum(blocks), near, side="right")
+        coords = np.abs(np.take(pts_flat, near, axis=0))
+        q_inf = coords[:, 0]
+        for j in range(1, d):
+            q_inf = np.maximum(q_inf, coords[:, j])
+        env = np.take(scale, plane_of) * q_inf
+        env += np.take(scaled_base, plane_of)
+        m_near = np.take(margins, near)
+        mask[near] = m_near > env
+        uncertain = np.abs(m_near) <= env
+        if force_exact is not None:
+            uncertain |= np.take(force_exact, plane_of)
+        fall = near[uncertain]
+        fall_plane = plane_of[uncertain]
+        n_fall = int(fall.shape[0])
         # Envelope-ambiguous (or forced-exact) entries only: the
-        # by-design per-element exact ladder, as in orient_batch.  An
-        # entry's plane is the block its position falls in.
-        fall = np.nonzero(uncertain)[0]
-        plane_of = np.searchsorted(np.cumsum(blocks), fall, side="right")
-        for m, k in zip(fall.tolist(), plane_of.tolist()):  # repro: noqa: RPRHOT001
+        # by-design per-element exact ladder, as in orient_batch.
+        for m, k in zip(fall.tolist(), fall_plane.tolist()):
             r = int(ranks[m])
             mask[m] = plane_for(k)._side_exact(pts[r], r) > 0  # repro: noqa: RPRHOT002
     KERNEL_STATS.count_sweep(n_signs, n_fall)
@@ -399,5 +443,5 @@ def visible_flat(
         stats.count_sweep(n_signs, n_fall)
     observe("repro.geometry.kernels.visible_flat",
             ranks=ranks, blocks=blocks, pts_flat=pts_flat,
-            margins=margins, env=env, mask=mask)
+            margins=margins, bound=bound, mask=mask)
     return mask

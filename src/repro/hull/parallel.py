@@ -221,7 +221,7 @@ class _SoAParallelRun(ParallelHullRun):
     a caller that reads only the hull pays for the alive facets alone.
     """
 
-    def __init__(self, run, exact_planes: dict, records: list[dict]):
+    def __init__(self, run, exact_planes: dict, frontier_log: list[tuple]):
         self.points = run.points
         self.order = run.order
         self.counters = run.counters
@@ -231,7 +231,7 @@ class _SoAParallelRun(ParallelHullRun):
         self.base_size = run.base_size
         self._soa = run
         self._exact_planes = exact_planes   # fid -> scalar-ladder plane, every row
-        self._records = records             # the engine's per-round decision records
+        self._frontier_log = frontier_log   # (t1, t2, ridge rows) of every round
 
     @cached_property
     def facets(self) -> list[Facet]:
@@ -240,6 +240,9 @@ class _SoAParallelRun(ParallelHullRun):
     def dependence_depth(self) -> int:
         # The same longest path, from the columns: no facet is built.
         return self._soa.dependence_depth()
+
+    def depth_profile(self) -> dict[int, int]:
+        return self._soa.depth_profile()
 
     @cached_property
     def created(self) -> list[Facet]:
@@ -272,37 +275,43 @@ class _SoAParallelRun(ParallelHullRun):
 
     @cached_property
     def events(self) -> list[Event]:
-        # In (round, frontier-position) order, with the object driver's
-        # round numbering (the bootstrap frontier is round 0).
+        # Each logged round re-classifies its frontier from the facets'
+        # conflict pivots (the head of each conflict window, immutable
+        # once written), exactly as the engine did: equal pivots are
+        # final (both windows empty) or bury, the rest create, in
+        # frontier order, the k-th creation taking the round's k-th new
+        # fid.  Event rounds use the object driver's numbering (the
+        # bootstrap frontier is round 0, the engine's round 1).
+        soa = self._soa
+        lens = soa.conflict_lens
+        nz = lens > 0
+        pivot = np.full(lens.shape[0], _INF, dtype=np.int64)
+        pivot[nz] = soa.conflict_pool[(np.cumsum(lens) - lens)[nz]]
+        fid0 = np.searchsorted(
+            soa.rounds_created, np.arange(1, len(self._frontier_log) + 1))
         events: list[Event] = []
-        for rec in self._records:
-            rnd = rec["round"] - 1
-            items: list[tuple[int, Event]] = []
-            for pos, row in zip(rec["final_pos"], rec["final_rows"]):
-                items.append((int(pos), Event(
-                    kind="final", round=rnd,
-                    ridge=frozenset(int(x) for x in row),
-                )))
-            for pos, row, pair, piv in zip(
-                rec["bury_pos"], rec["bury_rows"], rec["bury_pairs"], rec["bury_piv"]
-            ):
-                items.append((int(pos), Event(
-                    kind="bury", round=rnd,
-                    ridge=frozenset(int(x) for x in row),
-                    removed_pair=(int(pair[0]), int(pair[1])), pivot=int(piv),
-                )))
-            fid0 = int(rec["create_fid0"])
-            for k, (pos, row, rem, piv) in enumerate(zip(
-                rec["create_pos"], rec["create_rows"],
-                rec["create_removed"], rec["create_piv"],
+        for rnd, (t1, t2, rows) in enumerate(self._frontier_log):
+            b1, b2 = pivot.take(t1), pivot.take(t2)
+            create = b1 != b2
+            created = (int(fid0[rnd]) - 1 + np.cumsum(create)).tolist()
+            removed = np.where(b2 < b1, t2, t1).tolist()
+            piv = np.minimum(b1, b2).tolist()
+            for i, (c, a, b, row) in enumerate(zip(
+                create.tolist(), t1.tolist(), t2.tolist(), rows.tolist()
             )):
-                items.append((int(pos), Event(
-                    kind="create", round=rnd,
-                    ridge=frozenset(int(x) for x in row),
-                    created=fid0 + k, removed=int(rem), pivot=int(piv),
-                )))
-            items.sort(key=lambda t: t[0])
-            events.extend(e for _, e in items)
+                ridge = frozenset(row)
+                if c:
+                    events.append(Event(
+                        kind="create", round=rnd, ridge=ridge,
+                        created=created[i], removed=removed[i], pivot=piv[i],
+                    ))
+                elif piv[i] == _INF:
+                    events.append(Event(kind="final", round=rnd, ridge=ridge))
+                else:
+                    events.append(Event(
+                        kind="bury", round=rnd, ridge=ridge,
+                        removed_pair=(a, b), pivot=piv[i],
+                    ))
         return events
 
 
@@ -317,16 +326,18 @@ def _soa_parallel_run(
     a :class:`ParallelHullRun`.
 
     The adapter is lazy: it keeps the finished run's columns, the
-    engine's scalar-ladder planes and its per-round decision records,
-    and builds nothing more until a field is read.  ``facets`` builds
-    the alive rows only (through :attr:`SoAHullRun.facets`); ``created``
-    builds every row once, sharing the alive ones with ``facets``;
-    ``support``, ``pivots``, ``rounds`` and ``events`` are built from
-    the columns and records.  Determinism makes the run facet- and
-    conflict-identical to the object driver's, with the same supports,
-    pivots, rounds and per-round events; only the order within a round
-    differs (events come in the engine's frontier order), and with it
-    the facet ids and the ``flips`` counter.  Use
+    engine's scalar-ladder planes and its frontier log (the frontier
+    arrays each round consumed), and builds nothing more until a field
+    is read.  ``facets`` builds the alive rows only (through
+    :attr:`SoAHullRun.facets`); ``created`` builds every row once,
+    sharing the alive ones with ``facets``; ``support``, ``pivots``,
+    ``rounds``, ``events``, ``dependence_depth()`` and
+    ``depth_profile()`` come from the columns and the log.
+    Determinism makes the run facet- and conflict-identical to the
+    object driver's, with the same supports, pivots, rounds and
+    per-round events; only the order within a round differs (events
+    come in the engine's frontier order), and with it the facet ids
+    and the ``flips`` counter.  Use
     :func:`repro.hull.soa.soa_hull` when the column form is enough.
     """
     from .soa import SoAHullEngine  # local: soa imports this module's peers
@@ -336,7 +347,7 @@ def _soa_parallel_run(
     )
     while eng.step_round():
         pass
-    return _SoAParallelRun(eng.finish(), eng._exact_planes, eng.events)
+    return _SoAParallelRun(eng.finish(), eng._exact_planes, eng.frontier_log)
 
 
 def check_engine(

@@ -30,21 +30,25 @@ Memory layout (the parlaylib-style conflict-list representation):
 * **Frontier / pending pool** -- ready ``ProcessRidge(t1, r, t2)``
   calls as three arrays (``t1`` fids, ``t2`` fids, sorted ridge rows
   ``(K, d-1)``), plus the half-registered ridges that Algorithm 3
-  keeps in the multimap ``M``, as sorted rows and registrant fids:
-  each ridge key is registered at most twice over the whole run (the
-  second registrant creates the task), so a per-round stable
-  ``lexsort`` over (pending + new) ridge rows pairs adjacent equal rows
-  in arrival order and is semantically identical to
-  ``DictMultimap.insert_and_set`` -- a run of three equal rows would be
-  a structural bug and raises.  The sort runs on fused int64 keys,
-  ridge columns two at a time (``c_j * n + c_{j+1}``), which order like
-  the rows and cannot collide.
+  keeps in the multimap ``M``, as fused ridge keys (ridge columns two
+  at a time, ``c_j * n + c_{j+1}``, which order like the rows and
+  cannot collide) and registrant fids: each ridge key is registered at
+  most twice over the whole run (the second registrant creates the
+  task), so a per-round sort of the (pending + new) keys pairs
+  adjacent equal keys, each pair in arrival order, and is semantically
+  identical to ``DictMultimap.insert_and_set`` -- a run of three equal
+  keys would be a structural bug and raises.  Ridge rows are rebuilt
+  from the keys for the matched pairs only.
+* **Frontier log** -- the ``(t1, t2, rows)`` arrays each round
+  consumed, kept by reference; the ``parallel_hull`` adapter derives
+  its per-round events from it and the finished columns.
 
 The round transaction (all vectorized, no per-facet Python loop):
 
-1. gather both pivot columns, classify every ready ridge into the
-   paper's four cases with boolean masks (final / bury / flip /
-   create);
+1. log the frontier, gather both pivot columns, classify every ready
+   ridge into the paper's four cases (final / bury / flip / create),
+   and insert each pivot into its sorted creation ridge by one
+   compare-exchange pass over the columns;
 2. gather every creating ridge's two parent conflict windows in one
    segment gather (:func:`~repro.geometry.kernels.gather_segments`)
    and one ``np.take`` of the pool, the smaller-pivot parent's window
@@ -63,7 +67,9 @@ The round transaction (all vectorized, no per-facet Python loop):
    degenerate inputs raise / SoS-perturb exactly as the oracle does;
 4. decide all (facet x candidate) visibilities in one flat einsum
    sweep (:func:`~repro.geometry.kernels.visible_flat`) with the same
-   envelope filter and the same per-entry exact fallback as the
+   envelope filter -- staged: one bound per plane, from the run's max
+   ``|p|_inf``, decides almost every entry before any per-entry
+   envelope is formed -- and the same per-entry exact fallback as the
    scalar path (a fallback on a float-certain row takes the plane its
    columns already hold, not a second ``Hyperplane.through``); each
    facet's candidates are one contiguous block, so
@@ -72,7 +78,7 @@ The round transaction (all vectorized, no per-facet Python loop):
 5. count each facet's survivors with one segmented sum of the mask
    (``np.add.reduceat`` over the non-empty blocks), prefix-sum
    partition them into the new facets' conflict segments, append to
-   the store and pool, and pair the new ridges.
+   the store and pool, and pair the new ridges by key.
 
 :meth:`SoAHullEngine.finish` hands back an :class:`SoAHullRun` in the
 same column form -- copies of the store columns and the pool, with no
@@ -459,9 +465,11 @@ class SoAHullRun:
         keys = self._keys_of(self.created_indices, self.created_normals)
         return dict(zip(keys, np.split(self.conflict_pool, bounds)))
 
-    def dependence_depth(self) -> int:
-        """Longest support-DAG path, computed round-group by round-group
-        (supports always come from strictly earlier rounds)."""
+    def _depths(self) -> np.ndarray:
+        """Every facet's support-DAG depth (Definition 4.1: base facets
+        0, a created facet one below the deeper of its two supports),
+        computed round-group by round-group (supports always come from
+        strictly earlier rounds)."""
         nf = self.support.shape[0]
         depth = np.zeros(nf, dtype=np.int64)
         rc = self.rounds_created
@@ -473,7 +481,16 @@ class SoAHullRun:
                 continue
             sup = self.support[lo:hi]
             depth[lo:hi] = 1 + np.maximum(depth[sup[:, 0]], depth[sup[:, 1]])
-        return int(depth.max(initial=0))
+        return depth
+
+    def dependence_depth(self) -> int:
+        """Longest support-DAG path."""
+        return int(self._depths().max(initial=0))
+
+    def depth_profile(self) -> dict[int, int]:
+        """Histogram: dependence depth -> number of facets at it."""
+        counts = np.bincount(self._depths())
+        return {d: c for d, c in enumerate(counts.tolist()) if c}
 
 
 class SoAHullEngine:
@@ -514,7 +531,8 @@ class SoAHullEngine:
         self.stats = ExecutionStats()
         self.interior = pts[: d + 1].mean(axis=0)
         self._interior_inf = float(np.abs(self.interior).max(initial=0.0))
-        self._pts_inf = np.abs(pts).max(axis=1)
+        # The run's max |p|_inf: every sweep's per-plane bound.
+        self._pts_inf = float(np.abs(pts).max(initial=0.0))
         combo = tuple(range(d + 1))
         self._interior_combo = (pts[list(combo)], combo)
         self.kstats = KernelStats()
@@ -527,18 +545,30 @@ class SoAHullEngine:
         self.pool = _ConflictPool()
         self._exact_planes: dict[int, Hyperplane] = {}
 
-        # Leave-one-out column template: row j = all columns except j.
+        # Leave-one-out column template: row j = all columns except j;
+        # split into the column pairs of the ridge-key parts, so key
+        # part p of the ridge leaving out column j of a facet row is
+        # row[hi[p][j]] * n + row[lo[p][j]] (+ 0 for the trailing
+        # single of an odd-length ridge, whose lo is None).
         cols = np.arange(d, dtype=np.int64)
         grid = np.broadcast_to(cols, (d, d))
-        self._loo = grid[grid != cols[:, None]].reshape(d, d - 1)
+        loo = grid[grid != cols[:, None]].reshape(d, d - 1)
+        self._loo_parts = [
+            (loo[:, j], loo[:, j + 1] if j + 1 < d - 1 else None)
+            for j in range(0, d - 1, 2)
+        ]
 
-        # Half-registered ridges (Algorithm 3's multimap M), as sorted
-        # rows + registrant fids.
-        self._pend_rows = np.zeros((0, d - 1), dtype=np.int64)
+        # Half-registered ridges (Algorithm 3's multimap M), as fused
+        # ridge keys (one row per key part, columns sorted) + registrant
+        # fids.
+        self._pend_keys = np.zeros((len(self._loo_parts), 0), dtype=np.int64)
         self._pend_fids = np.zeros(0, dtype=np.int64)
 
         self.round = 0
-        self.events: list[dict] = []    # per-round decision records
+        # The frontier arrays (t1, t2, ridge rows) each round consumed,
+        # by reference: round r's entry is frontier_log[r - 1].  The
+        # parallel_hull adapter derives its events from it.
+        self.frontier_log: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = []
         self._last_tid: int | None = None
         self._finished = False
 
@@ -626,7 +656,8 @@ class SoAHullEngine:
         # repro: fp-bound: envelope env_ref
         # repro: fp-bound: in self.interior ~ Q
         k = int(new_idx.shape[0])
-        normals, offsets, e_scale, e_base = batch_planes(self.pts[new_idx])
+        normals, offsets, e_scale, e_base = batch_planes(
+            self.pts.take(new_idx, axis=0))
         # Orient against the interior point: float-certain rows flip in
         # place (same envelope test as Hyperplane.through); ambiguous
         # rows -- or every row under exact_mode() -- materialize the
@@ -692,52 +723,79 @@ class SoAHullEngine:
 
     # -- ridge pairing (the multimap M, per round) -------------------------
 
-    def _pair_ridges(self, rows, fids, t1_first: bool):
-        """Register new (ridge row, fid) pairs against the pending pool
+    def _loo_keys(self, idx: np.ndarray) -> np.ndarray:
+        """Fused ridge keys of every leave-one-out ridge of the facet
+        rows ``idx`` (sorted ranks), as a ``(parts, K, d)`` array:
+        ``[p, r, j]`` is key part ``p`` of the ridge of row ``r``
+        leaving out column ``j``."""
+        n = np.int64(self.n)
+        parts = np.empty((len(self._loo_parts),) + idx.shape, dtype=np.int64)
+        for key, (hi, lo) in zip(parts, self._loo_parts):
+            idx.take(hi, axis=1, out=key)
+            key *= n
+            if lo is not None:
+                key += idx.take(lo, axis=1)
+        return parts
+
+    def _key_rows(self, keys: np.ndarray) -> np.ndarray:
+        """The sorted ridge rows ``(m, d-1)`` that the ``(parts, m)``
+        fused keys encode."""
+        hi, lo = np.divmod(keys, np.int64(self.n))
+        rows = np.empty((keys.shape[1], self.d - 1), dtype=np.int64)
+        rows[:, 0::2] = hi.T
+        rows[:, 1::2] = lo[: (self.d - 1) // 2].T
+        return rows
+
+    def _pair_ridges(self, keys, fids, t1_first: bool):
+        """Register new (ridge key, fid) pairs against the pending pool
         and pair up equal ridge keys.  Returns ``(t1, t2, ridge_rows)``
         of the matched tasks; unmatched registrations stay pending.
 
+        ``keys`` is ``(parts, m)``: a ridge is its fused key, ridge
+        columns taken two at a time as ``c_j * n + c_{j+1}`` (a
+        trailing single as ``c_j * n``), one row per key part.  Ranks
+        are below ``n``, so the keys order lexicographically like the
+        sorted rows and cannot collide (``n**2 < 2**63``, as the
+        candidate dedupe assumes).  The pending pool holds keys and
+        fids only, and rows are rebuilt from the keys for the matched
+        pairs alone.
+
         Faithful to ``DictMultimap.insert_and_set``: equal keys pair
-        two-by-two in arrival order.  The stable ``lexsort`` on the rows
-        alone yields that order, because pending rows precede the new
-        ones in the concatenation, new rows come in registration order,
-        and at most one pending row per key survives a round (pairing
-        leaves at most one single per run of equal keys).  The sort and
-        the equality test run on fused keys, ridge columns taken two at
-        a time as ``c_j * n + c_{j+1}``: ranks are below ``n``, so the
-        keys order lexicographically like the rows and cannot collide
-        (``n**2 < 2**63``, as the candidate dedupe assumes).  Noise-free,
-        every ridge key is registered at most twice over the whole run
-        (a proven invariant of the algorithm), so a longer run raises;
-        under a lying oracle (``p > 0``) the invariant can genuinely
-        break, and the dict behavior -- pair consecutive registrants,
-        leave a trailing single pending -- is what keeps the run alive
-        for the certificate gate to judge."""
-        all_rows = np.concatenate([self._pend_rows, rows], axis=0)
+        two-by-two in arrival order, which is concatenation order:
+        pending keys precede the new ones, new keys come in
+        registration order, and at most one pending key per ridge
+        survives a round (pairing leaves at most one single per run of
+        equal keys).  Any sort yields the pairs, in key order, and the
+        two positions of a pair in the concatenation give its arrival
+        order; only runs of three or more equal keys need the stable
+        order of the whole run.  Noise-free, every ridge key is
+        registered at most twice over the whole run (a proven invariant
+        of the algorithm), so a longer run raises; under a lying oracle
+        (``p > 0``) the invariant can genuinely break, and the dict
+        behavior -- pair consecutive registrants, leave a trailing
+        single pending -- is what keeps the run alive for the
+        certificate gate to judge."""
+        keys = np.concatenate([self._pend_keys, keys], axis=1)
         all_fids = np.concatenate([self._pend_fids, fids])
-        m = int(all_rows.shape[0])
+        m = int(all_fids.shape[0])
         if m == 0:
             empty = np.zeros(0, dtype=np.int64)
             return empty, empty, np.zeros((0, self.d - 1), dtype=np.int64)
-        n = np.int64(self.n)
-        cols = all_rows.T
-        keys = [cols[j] * n + cols[j + 1] for j in range(0, self.d - 2, 2)]
-        if (self.d - 1) % 2:
-            keys.append(cols[-1])
-        ordx = np.lexsort(keys[::-1])
-        sr = all_rows[ordx]
-        sf = all_fids[ordx]
-        sk = keys[0][ordx]
-        eq = sk[1:] == sk[:-1]
-        for key in keys[1:]:
-            sk = key[ordx]
-            eq &= sk[1:] == sk[:-1]
-        if eq.size > 1 and bool(np.any(eq[1:] & eq[:-1])):
+        # A single key part sorts unstably: equal keys come in pairs
+        # (or raise), and each pair is put back in arrival order below.
+        ordx = keys[0].argsort() if keys.shape[0] == 1 else np.lexsort(keys[::-1])
+        sk = keys.take(ordx, axis=1)
+        eq = sk[0, 1:] == sk[0, :-1]
+        for key in sk[1:]:
+            eq &= key[1:] == key[:-1]
+        if eq.size > 1 and (eq[1:] & eq[:-1]).any():
             if self._strict_pairs:
                 raise AssertionError(
                     "a ridge key was registered more than twice"
                 )
             # Arrival-order two-by-two pairing within each equal-key run.
+            ordx = np.lexsort(keys[::-1])
+            sk = keys.take(ordx, axis=1)
             new_run = np.ones(m, dtype=bool)
             new_run[1:] = ~eq
             run_id = np.cumsum(new_run) - 1
@@ -745,16 +803,21 @@ class SoAHullEngine:
             pos = np.arange(m) - run_start[run_id]
             i = np.nonzero((pos[:-1] % 2 == 0) & eq)[0]
         else:
-            i = np.nonzero(eq)[0]
-        first, second = sf[i], sf[i + 1]  # arrival-ordered within each pair
+            i = eq.nonzero()[0]
+        j = i + 1
+        # Within each pair, arrival order is concatenation order.
+        a, b = ordx.take(i), ordx.take(j)
+        first = all_fids.take(np.minimum(a, b))
+        second = all_fids.take(np.maximum(a, b))
         singles = np.ones(m, dtype=bool)
         singles[i] = False
-        singles[i + 1] = False
-        self._pend_rows = sr[singles]
-        self._pend_fids = sf[singles]
+        singles[j] = False
+        self._pend_keys = sk.compress(singles, axis=1)
+        self._pend_fids = all_fids.take(ordx.compress(singles))
+        rows = self._key_rows(sk.take(i, axis=1))
         if t1_first:
-            return first, second, sr[i]
-        return second, first, sr[i]
+            return first, second, rows
+        return second, first, rows
 
     # -- bootstrap ---------------------------------------------------------
 
@@ -784,10 +847,10 @@ class SoAHullEngine:
         if int(blocks.sum()):
             self._last_tid = self.tracker.add_batched_sweep(blocks)
         # Seed: one ProcessRidge per ridge of the base hull.
-        reg_rows = base_rows[:, self._loo].reshape(nb * d, d - 1)
+        reg_keys = self._loo_keys(base_rows).reshape(len(self._loo_parts), -1)
         reg_fids = np.repeat(fid0 + np.arange(nb, dtype=np.int64), d)
-        t1, t2, rows = self._pair_ridges(reg_rows, reg_fids, t1_first=True)
-        if self._pend_rows.shape[0]:
+        t1, t2, rows = self._pair_ridges(reg_keys, reg_fids, t1_first=True)
+        if self._pend_fids.shape[0]:
             raise AssertionError("base hull is not closed: unpaired ridges")
         self._fr_t1, self._fr_t2, self._fr_rows = t1, t2, rows
         self.round = 1
@@ -810,55 +873,45 @@ class SoAHullEngine:
         self.stats.round_sizes.append(k0)
         self.stats.tasks_executed += k0
         self.counters.ridges_processed += k0
+        self.frontier_log.append((t1, t2, rows))
 
-        b1 = self.store.pivot[t1]
-        b2 = self.store.pivot[t2]
-        final_m = (b1 == _INF) & (b2 == _INF)
-        bury_m = ~final_m & (b1 == b2)
-        act_m = ~final_m & ~bury_m
-        flip_m = act_m & (b2 < b1)
-        self.counters.flips += int(flip_m.sum())
-
-        # Case 2: equal pivots bury both facets (idempotent on already-
-        # dead facets, exactly like the per-facet driver).
-        self.store.alive[t1[bury_m]] = False
-        self.store.alive[t2[bury_m]] = False
-        self.counters.facets_buried += 2 * int(bury_m.sum())
-
-        # Case 3+4: symmetry flip, then create t = r + p.
-        ft1 = np.where(flip_m, t2, t1)
-        ft2 = np.where(flip_m, t1, t2)
-        pv = np.where(flip_m, b2, b1)
-        t1c, t2c = ft1[act_m], ft2[act_m]
-        pc = pv[act_m]
-        rc = rows[act_m]
-        k = int(t1c.shape[0])
-
-        rec = {
-            "round": self.round,
-            "final_pos": np.nonzero(final_m)[0],
-            "final_rows": rows[final_m],
-            "bury_pos": np.nonzero(bury_m)[0],
-            "bury_rows": rows[bury_m],
-            "bury_pairs": np.stack([t1[bury_m], t2[bury_m]], axis=1)
-            if int(bury_m.sum()) else np.zeros((0, 2), dtype=np.int64),
-            "bury_piv": b1[bury_m],
-            "create_pos": np.nonzero(act_m)[0],
-            "create_rows": rc,
-            "create_removed": t1c,
-            "create_piv": pc,
-            "create_fid0": self.store.size,
-        }
-
+        # Classify by pivots: equal pivots are final (both lists empty)
+        # or bury both facets (idempotent on already-dead facets,
+        # exactly like the per-facet driver); the rest create.
+        b1 = self.store.pivot.take(t1)
+        b2 = self.store.pivot.take(t2)
+        eq = b1 == b2
+        bury = np.nonzero(eq & (b1 != _INF))[0]
+        if bury.size:
+            self.store.alive[t1.take(bury)] = False
+            self.store.alive[t2.take(bury)] = False
+            self.counters.facets_buried += 2 * int(bury.size)
+        act = np.nonzero(~eq)[0]
+        k = int(act.shape[0])
         if k == 0:
-            self.events.append(rec)
             self._fr_t1 = np.zeros(0, dtype=np.int64)
             self._fr_t2 = np.zeros(0, dtype=np.int64)
             self._fr_rows = np.zeros((0, self.d - 1), dtype=np.int64)
             self.round += 1
             return True
 
-        new_idx = np.sort(np.concatenate([rc, pc[:, None]], axis=1), axis=1)
+        # Case 3+4: symmetry flip, then create t = r + p with p the
+        # smaller pivot.
+        b1, b2 = b1.take(act), b2.take(act)
+        flip = b2 < b1
+        self.counters.flips += int(np.count_nonzero(flip))
+        t1a, t2a = t1.take(act), t2.take(act)
+        t1c = np.where(flip, t2a, t1a)
+        t2c = np.where(flip, t1a, t2a)
+        pc = np.minimum(b1, b2)
+        rc = rows.take(act, axis=0)
+        # Insert each pivot into its sorted creation ridge: one
+        # compare-exchange pass from the right.
+        new_cols = [rc[:, j] for j in range(self.d - 1)] + [pc]
+        for j in range(self.d - 1, 0, -1):
+            lo, hi = new_cols[j - 1], new_cols[j]
+            new_cols[j - 1], new_cols[j] = np.minimum(lo, hi), np.maximum(lo, hi)
+        new_idx = np.stack(new_cols, axis=1)
 
         # Candidate gather: both parents' conflict windows in one
         # segment gather, merged and deduped by one sort -- exactly
@@ -873,11 +926,12 @@ class SoAHullEngine:
         #   later windows by induction), and rc is a subset of both
         #   parents' ranks.
         cs, cl = self.store.conf_start, self.store.conf_len
+        len1 = cl.take(t1c)
         pos, owner = gather_segments(
-            np.concatenate([cs[t1c] + 1, cs[t2c]]),
-            np.concatenate([cl[t1c] - 1, cl[t2c]]),
+            np.concatenate([cs.take(t1c) + 1, cs.take(t2c)]),
+            np.concatenate([len1 - 1, cl.take(t2c)]),
         )
-        vals = np.take(self.pool.buf, pos)
+        vals = self.pool.buf.take(pos)
         # Group by new facet, ascending and unique within each group:
         # one stable sort of the fused (row, rank) key (row < K <= n
         # and rank < n, so row*n + rank is collision-free in int64;
@@ -886,7 +940,7 @@ class SoAHullEngine:
         # sort is a single merge.
         n = np.int64(self.n)
         fused = owner * n
-        fused[int(cl[t1c].sum()) - k:] -= k * n
+        fused[int(len1.sum()) - k:] -= k * n
         fused += vals
         fused.sort(kind="stable")
         if fused.shape[0]:
@@ -906,7 +960,6 @@ class SoAHullEngine:
         )
         self.store.alive[t1c] = False
         self.counters.facets_replaced += k
-        self.events.append(rec)
 
         # Scalar-equivalent work/span: the round's sweep is one batched
         # task over the cleaned blocks, chained on the previous round so
@@ -917,15 +970,12 @@ class SoAHullEngine:
 
         # Children: the creation ridge is immediately ready against t2;
         # the other d-1 ridges of each new facet (all containing its
-        # pivot) go through the pairing pool.
+        # pivot) go through the pairing pool, by key.
         new_fids = fid0 + np.arange(k, dtype=np.int64)
-        pcol = np.argmax(new_idx == pc[:, None], axis=1)
-        loo_rows = new_idx[:, self._loo]              # (K, d, d-1)
-        sel = np.ones((k, self.d), dtype=bool)
-        sel[np.arange(k), pcol] = False
-        reg_rows = loo_rows[sel]                      # (K*(d-1), d-1)
+        sel = new_idx != pc[:, None]     # every leave-one-out but the pivot's
+        reg_keys = self._loo_keys(new_idx)[:, sel]
         reg_fids = np.repeat(new_fids, self.d - 1)
-        m_t1, m_t2, m_rows = self._pair_ridges(reg_rows, reg_fids, t1_first=False)
+        m_t1, m_t2, m_rows = self._pair_ridges(reg_keys, reg_fids, t1_first=False)
 
         self._fr_t1 = np.concatenate([new_fids, m_t1])
         self._fr_t2 = np.concatenate([t2c, m_t2])
@@ -943,11 +993,11 @@ class SoAHullEngine:
             "pool": (self.pool.view().copy(), self.pool.end),
             "frontier": (self._fr_t1.copy(), self._fr_t2.copy(),
                          self._fr_rows.copy()),
-            "pending": (self._pend_rows.copy(), self._pend_fids.copy()),
+            "pending": (self._pend_keys.copy(), self._pend_fids.copy()),
             "round": self.round,
             "counters": self.counters.as_dict(),
             "stats": copy.deepcopy(self.stats),
-            "events": len(self.events),
+            "frontier_log": len(self.frontier_log),
             "exact_planes": dict(self._exact_planes),
             "tracker_mark": self.tracker.checkpoint(),
             "last_tid": self._last_tid,
@@ -967,13 +1017,13 @@ class SoAHullEngine:
             snap["frontier"][0].copy(), snap["frontier"][1].copy(),
             snap["frontier"][2].copy(),
         )
-        self._pend_rows, self._pend_fids = (
+        self._pend_keys, self._pend_fids = (
             snap["pending"][0].copy(), snap["pending"][1].copy(),
         )
         self.round = snap["round"]
         self.counters.restore(snap["counters"])
         self.stats = copy.deepcopy(snap["stats"])
-        del self.events[snap["events"]:]
+        del self.frontier_log[snap["frontier_log"]:]
         self._exact_planes = dict(snap["exact_planes"])
         self.tracker.rollback(snap["tracker_mark"])
         self._last_tid = snap["last_tid"]

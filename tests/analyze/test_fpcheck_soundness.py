@@ -28,7 +28,7 @@ import numpy as np
 import pytest
 
 from repro.analyze import analyze_fpcheck
-from repro.analyze.fperror import EPS, poly_eval
+from repro.analyze.fperror import EPS, poly_atoms, poly_eval
 from repro.geometry.degenerate import corpus_case, corpus_names
 from repro.geometry.kernels import batch_planes, orient_batch
 from repro.geometry.linalg import det_exact, det_with_error_bound
@@ -40,13 +40,21 @@ REPO = Path(__file__).resolve().parents[2]
 SLACK = 1.0 + 2.0 ** -40
 
 _RESULT = analyze_fpcheck([str(REPO / "src" / "repro")])
-CLAIMS = {(c.qualname, c.name, c.pin): c for c in _RESULT.claims}
+CLAIMS: dict = {}
+for _c in _RESULT.claims:
+    CLAIMS.setdefault((_c.qualname, _c.name, _c.pin), []).append(_c)
 
 
-def _claim(qual_tail: str, name: str, d: int):
-    c = CLAIMS.get((f"repro.geometry.{qual_tail}", name, ("d", d))) \
+def _claim(qual_tail: str, name: str, d: int, atom: str | None = None):
+    """The claim on ``name``; where a value carries several, the one
+    whose committed bound mentions ``atom``."""
+    cs = CLAIMS.get((f"repro.geometry.{qual_tail}", name, ("d", d))) \
         or CLAIMS.get((f"repro.geometry.{qual_tail}", name, ("n", d)))
-    assert c is not None, (qual_tail, name, d)
+    assert cs, (qual_tail, name, d)
+    if atom is not None:
+        cs = [c for c in cs if atom in poly_atoms(c.committed)]
+    assert len(cs) == 1, (qual_tail, name, d, atom)
+    c = cs[0]
     assert c.ok and c.derived is not None
     return c
 
@@ -185,6 +193,14 @@ class TestMarginSweeps:
 
     @pytest.mark.parametrize("label,sims,qs", BLOCKS, ids=_ids())
     def test_visible_flat_margins_three_way(self, label, sims, qs):
+        """Both margin claims of the staged sweep: against the
+        per-entry envelope (atom Q, the point's |p|_inf) and against
+        the per-plane bound (atom P, the max over the swept points).
+        The bound's chain goes one step further, on the kernel's own
+        float values: every entry's per-entry envelope is at most its
+        plane's bound (the monotone-rounding argument that lets the
+        bound decide first), and that bound is at most the committed
+        P envelope."""
         d = sims.shape[1]
         normals, offsets, e_scale, e_base = batch_planes(sims)
         atoms = _plane_atoms(sims, normals, offsets, e_base)
@@ -192,21 +208,35 @@ class TestMarginSweeps:
         blocks = np.full(nf, nq)
         ranks = np.tile(np.arange(nq), nf)
         # visible_flat's gathered sweep, operand for operand.
+        pts_flat = np.take(qs, ranks, axis=0)
         gn = np.repeat(normals, blocks, axis=0)
         go = np.repeat(offsets, blocks)
-        margins = np.einsum("md,md->m", np.take(qs, ranks, axis=0), gn) - go
-        c = _claim("kernels.visible_flat", "margins", d)
+        margins = np.einsum("md,md->m", pts_flat, gn) - go
+        # ... and its two envelopes (filter scale 1, pts_inf=None).
+        p_max = float(np.abs(pts_flat).max())
+        scaled_base = e_scale * e_base
+        bound = e_scale * p_max + scaled_base
+        c_q = _claim("kernels.visible_flat", "margins", d, atom="Q")
+        c_p = _claim("kernels.visible_flat", "margins", d, atom="P")
         for m in range(margins.shape[0]):
             fi, qi = m // nq, int(ranks[m])
             n_ex, off_ex = _exact_plane(sims[fi])
             a = dict(atoms[fi])
             a["Q"] = float(np.abs(qs[qi]).max(initial=0.0))
+            a["P"] = p_max
             exact = sum(n * Fraction(x)
                         for n, x in zip(n_ex, qs[qi].tolist())) - off_ex
             obs = abs(Fraction(float(margins[m])) - exact)
-            _chain(poly_eval(c.committed, a) * EPS,
-                   poly_eval(c.derived, a) * EPS,
+            _chain(poly_eval(c_q.committed, a) * EPS,
+                   poly_eval(c_q.derived, a) * EPS,
                    float(obs), f"{label} flat[{m}]")
+            _chain(poly_eval(c_p.committed, a) * EPS,
+                   poly_eval(c_p.derived, a) * EPS,
+                   float(obs), f"{label} flat[{m}] vs bound")
+            env = e_scale[fi] * a["Q"] + scaled_base[fi]
+            assert env <= bound[fi], (label, m, env, bound[fi])
+            assert bound[fi] <= poly_eval(c_p.committed, a) * EPS * SLACK, \
+                (label, m, bound[fi])
 
 
 def _det_matrices():

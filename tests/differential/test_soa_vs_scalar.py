@@ -16,6 +16,7 @@ until every entry takes the per-plane scalar ladder ("scalar").
 """
 
 import contextlib
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -219,8 +220,48 @@ def test_parallel_adapter_matches_object_driver(params):
     assert a.counters.visibility_tests == b.counters.visibility_tests
     assert a.counters.facets_created == b.counters.facets_created
     assert a.dependence_depth() == b.dependence_depth()
-    assert soa_hull(pts, order=order.copy()).dependence_depth() == a.dependence_depth()
-    assert len(a.events) == len(b.events)
+    assert a.depth_profile() == b.depth_profile()
+    col = soa_hull(pts, order=order.copy())
+    assert col.dependence_depth() == a.dependence_depth()
+    assert col.depth_profile() == a.depth_profile()
+    # Events, round by round: the same multiset of (kind, ridge,
+    # pivot); only the order within a round (and with it the fids)
+    # may differ.
+    assert _round_events(a) == _round_events(b)
+
+
+def _round_events(run):
+    rounds: dict[int, Counter] = {}
+    for e in run.events:
+        rounds.setdefault(e.round, Counter())[(e.kind, e.ridge, e.pivot)] += 1
+    return rounds
+
+
+def test_parallel_adapter_events_survive_snapshot_restore():
+    """A mid-run snapshot, rounds run past it, a restore and a replay
+    give the adapter the same events as an uninterrupted run: restore
+    truncates the frontier log to the snapshot's rounds."""
+    from repro.hull.parallel import _SoAParallelRun
+    from repro.hull.soa import SoAHullEngine
+
+    for d, n, seed in ((2, 70, 3), (3, 80, 4), (4, 40, 5)):
+        pts = uniform_ball(n, d, seed=seed)
+        order = np.random.default_rng(seed).permutation(n)
+        want = parallel_hull(pts, order=order.copy(), engine="soa").events
+        eng = SoAHullEngine(pts, order=order.copy())
+        for _ in range(2):
+            eng.step_round()
+        snap = eng.snapshot()
+        logged = len(eng.frontier_log)
+        assert logged == 2
+        assert eng.step_round() and eng.step_round()
+        assert len(eng.frontier_log) == logged + 2
+        eng.restore(snap)
+        assert len(eng.frontier_log) == logged
+        while eng.step_round():
+            pass
+        run = _SoAParallelRun(eng.finish(), eng._exact_planes, eng.frontier_log)
+        assert run.events == want
 
 
 @given(st.tuples(st.integers(0, 3_000), st.integers(12, 60), st.sampled_from([2, 3])))
@@ -242,8 +283,9 @@ def test_soa_pivots_are_sequential_creation_steps(params):
 
 def test_parallel_adapter_is_lazy(monkeypatch):
     """``parallel_hull(engine="soa")`` builds no facet until a field is
-    read: ``support``, ``pivots``, ``rounds`` and ``events`` come from
-    the columns, ``facets`` builds the alive rows only, and ``created``
+    read: ``support``, ``pivots``, ``rounds``, ``events`` and the depth
+    profile come from the columns, ``facets`` builds the alive rows
+    only, and ``created``
     builds each other row once, sharing the alive objects with
     ``facets``."""
     from repro.hull import soa
@@ -259,6 +301,8 @@ def test_parallel_adapter_is_lazy(monkeypatch):
     run = parallel_hull(uniform_ball(80, 3, seed=3), seed=1, engine="soa")
     assert built == []
     assert run.support and run.pivots and run.rounds and run.events
+    assert run.dependence_depth() > 0
+    assert sum(run.depth_profile().values()) == run.counters.facets_created
     assert built == []
     alive = [f.fid for f in run.facets]
     assert built == alive

@@ -8,9 +8,11 @@ flat sweep against the scalar ``FacetFactory`` facet by facet.
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
-from repro.geometry import uniform_ball
-from repro.geometry.hyperplane import exact_mode
+from repro.geometry import kernels, uniform_ball
+from repro.geometry.hyperplane import Hyperplane, exact_mode
 from repro.geometry.kernels import (
     KERNEL_STATS,
     KernelStats,
@@ -275,3 +277,163 @@ def test_add_batched_sweep_scalar_equivalent_work():
         t_array = as_array.add_batched_sweep(np.asarray(blocks, dtype=np.int64))
         assert as_array.work == as_list.work
         assert as_array._tasks[t_array].span_cost == as_list._tasks[t_list].span_cost
+
+
+# -- the staged sweep vs the single-stage reference ---------------------------
+
+
+def _single_stage_sweep(pts, normals, offsets, err_scale, err_base, blocks,
+                        ranks, force_exact, plane_for, stats):
+    """``visible_flat`` before its per-plane pre-filter: every entry
+    computes its own envelope ``s*|p|_inf + s*b`` and is decided against
+    it, operand for operand as the single-stage sweep did."""
+    d = pts.shape[1]
+    pts_flat = np.take(pts, ranks, axis=0)
+    packed = np.empty((normals.shape[0], d + 3), dtype=np.float64)
+    packed[:, :d] = normals
+    packed[:, d] = offsets
+    scale = kernels._FILTER_SCALE * err_scale
+    packed[:, d + 1] = scale
+    packed[:, d + 2] = scale * err_base
+    g = np.repeat(packed, blocks, axis=0)
+    margins = np.einsum("md,md->m", pts_flat, g[:, :d])
+    margins -= g[:, d]
+    env = g[:, d + 1] * np.abs(pts_flat).max(axis=1)
+    env += g[:, d + 2]
+    mask = margins > env
+    uncertain = np.abs(margins) <= env
+    forced = np.repeat(force_exact, blocks)
+    mask &= ~forced
+    uncertain |= forced
+    fall = np.nonzero(uncertain)[0]
+    plane_of = np.searchsorted(np.cumsum(blocks), fall, side="right")
+    for m, k in zip(fall.tolist(), plane_of.tolist()):
+        r = int(ranks[m])
+        mask[m] = plane_for(k)._side_exact(pts[r], r) > 0
+    stats.count_sweep(int(ranks.shape[0]), int(fall.shape[0]))
+    return mask
+
+
+class _Asked:
+    """A ``plane_for`` that logs every exact decision it serves, as
+    (plane, point rank) pairs, in call order."""
+
+    def __init__(self, planes):
+        self.planes = planes
+        self.log = []
+
+    def __call__(self, k):
+        plane, log = self.planes[k], self.log
+
+        class _Logged:
+            @staticmethod
+            def _side_exact(p, r):
+                log.append((k, int(r)))
+                return plane._side_exact(p, r)
+
+        return _Logged()
+
+
+@given(st.data())
+@settings(max_examples=60, deadline=None)
+def test_visible_flat_prefilter_matches_single_stage(data):
+    """The per-plane pre-filter changes no decision: against a
+    single-stage reference sweep, the mask, the fallback entries (as
+    the ordered ``plane_for`` / exact-ladder calls) and the
+    ``KernelStats`` are equal -- with exact ties (each plane's own
+    vertices, integer grids), one-ulp near ties, margins planted on and
+    next to the per-entry envelope and the per-plane bound,
+    forced-exact planes, an inflated ``filter_scale``, empty blocks,
+    and a 1e12-magnitude outlier that lifts every plane's bound above
+    all its margins."""
+    d = data.draw(st.sampled_from([2, 3, 4]), label="d")
+    seed = data.draw(st.integers(0, 2**31 - 1), label="seed")
+    grid = data.draw(st.booleans(), label="grid")
+    outlier = data.draw(st.booleans(), label="outlier")
+    scale = data.draw(st.sampled_from([1.0, 1.0, 4.0, 1e6]), label="scale")
+    run_bound = data.draw(st.booleans(), label="run_bound")
+    rng = np.random.default_rng(seed)
+    n = 30
+    if grid:
+        pts = rng.integers(-3, 4, size=(n, d)).astype(np.float64)
+    else:
+        pts = rng.standard_normal((n, d))
+    ref = rng.standard_normal(d) * 0.1 + 0.05
+    planes, specs = [], []
+    for _ in range(6):
+        idx = tuple(sorted(rng.choice(n, size=d, replace=False).tolist()))
+        forced = bool(rng.random() < 0.3)
+        try:
+            if forced:
+                with exact_mode():
+                    plane = Hyperplane.through(pts[list(idx)], ref)
+            else:
+                plane = Hyperplane.through(pts[list(idx)], ref)
+        except ValueError:
+            continue
+        planes.append(plane)
+        specs.append(idx)
+    assume(planes)
+    # One-ulp near ties: a vertex of every plane nudged by one ulp.
+    near = np.array([pts[idx[0]] for idx in specs])
+    near[:, 0] = np.nextafter(near[:, 0], np.where(rng.random(len(specs)) < 0.5,
+                                                    np.inf, -np.inf))
+    extra = [near]
+    if outlier:
+        extra.append(1e12 * rng.standard_normal((1, d)))
+    # Points planted off each plane's first vertex v along its normal, at
+    # margins inside the per-entry envelope but above s*b, on the
+    # envelope, on the per-plane bound and just past it (P taken over
+    # the points so far; the planted ones sit next to v).
+    p_max = float(np.abs(np.concatenate([pts] + extra)).max())
+    band = []
+    for plane, idx in zip(planes, specs):
+        v = pts[idx[0]]
+        s = scale * plane.err_scale
+        env = s * float(np.abs(v).max()) + s * plane.err_base
+        bound = s * p_max + s * plane.err_base
+        sign = 1.0 if rng.random() < 0.5 else -1.0
+        for target in (s * plane.err_base + 0.5 * (env - s * plane.err_base),
+                       env, bound, bound * (1 + 1e-9)):
+            band.append(v + sign * target / (plane.normal @ plane.normal)
+                        * plane.normal)
+    pts = np.concatenate([pts] + extra + [np.array(band)])
+    total = pts.shape[0]
+    first_band = total - len(band)
+    cands = []
+    for k, idx in enumerate(specs):
+        size = int(rng.integers(0, 12)) if rng.random() < 0.8 else 0
+        pick = rng.choice(total, size=size, replace=False)
+        # Exact ties: the plane's own vertices; near ties; the band.
+        pick = np.union1d(pick, list(idx) + [n + k]
+                          + list(range(first_band + 4 * k, first_band + 4 * k + 4)))
+        if outlier:
+            pick = np.union1d(pick, [n + len(specs)])
+        if rng.random() < 0.2:
+            pick = pick[:0]                      # an empty block
+        cands.append(pick.astype(np.int64))
+    blocks = np.array([c.size for c in cands], dtype=np.int64)
+    assume(blocks.sum() > 0)
+    ranks = np.concatenate(cands)
+    cols = (
+        np.stack([p.normal for p in planes]),
+        np.array([p.offset for p in planes]),
+        np.array([p.err_scale for p in planes]),
+        np.array([p.err_base for p in planes]),
+    )
+    force_exact = np.array([p.always_exact for p in planes])
+    pts_inf = float(np.abs(pts).max()) if run_bound else None
+    staged, single = _Asked(planes), _Asked(planes)
+    st_staged, st_single = KernelStats(), KernelStats()
+    with filter_scale(scale):
+        got = visible_flat(pts, *cols, blocks, ranks, force_exact=force_exact,
+                           plane_for=staged, stats=st_staged, pts_inf=pts_inf)
+        want = _single_stage_sweep(pts, *cols, blocks, ranks, force_exact,
+                                   single, st_single)
+    assert np.array_equal(got, want)
+    assert staged.log == single.log
+    assert st_staged.snapshot() == st_single.snapshot()
+    for p, c, m in zip(planes, np.split(ranks, np.cumsum(blocks)[:-1]),
+                       np.split(got, np.cumsum(blocks)[:-1])):
+        if c.size and scale == 1.0:
+            assert np.array_equal(m, p.visible_mask(pts[c], indices=c))

@@ -123,7 +123,7 @@ def _fingerprint(eng):
         run.conflict_lens.tobytes(),
         run.tracker.work,
         run.tracker.span,
-        len(eng.events),
+        len(eng.frontier_log),
     )
 
 

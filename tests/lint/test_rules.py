@@ -373,7 +373,7 @@ class TestNoqaAudit:
         "RPR": {"halfspaces.py": 1, "certify.py": 1},
         "RPREFF": {},
         "RPRHOT": {
-            "kernels.py": 3,
+            "kernels.py": 2,
             "kernelbench.py": 8,
             "noisy.py": 2,
         },

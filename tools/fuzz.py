@@ -50,7 +50,9 @@ under a randomly inflated float-filter envelope, sampled
 ``orient_batch`` blocks must agree elementwise with scalar
 ``orient``, and a direct ``visible_flat`` sample -- random block sizes,
 zeros included, against scalar planes, some of them always-exact
-(forced) -- must agree entry by entry with each plane's
+(forced), with entries planted on and next to each plane's per-entry
+envelope and per-plane bound and a 1e12-magnitude outlier swept in a
+second pass -- must agree entry by entry with each plane's
 ``visible_mask``.
 
 ``--effects`` mutation-fuzzes the static effect analyzer
@@ -467,31 +469,67 @@ def one_kernel_case(rng: np.random.Generator, verbose: bool) -> str | None:
                 else:
                     planes.append(factory.make(idx, empty).plane)
             sizes = rng.integers(0, 2 * n, size=len(planes))
-            sizes[rng.random(len(planes)) < 0.25] = 0
+            empty_block = rng.random(len(planes)) < 0.25
+            empty_block[0] = False
+            sizes[empty_block] = 0
             cands = [rng.integers(0, n, size=int(s)) for s in sizes]
-            stats = KernelStats()
-            mask = visible_flat(
-                pts,
-                np.stack([p.normal for p in planes]),
-                np.array([p.offset for p in planes]),
-                np.array([p.err_scale for p in planes]),
-                np.array([p.err_base for p in planes]),
-                sizes.astype(np.int64),
-                np.concatenate(cands),
-                force_exact=np.array([p.always_exact for p in planes]),
-                plane_for=planes.__getitem__,
-                stats=stats,
-            )
-            blocks = np.split(mask, np.cumsum(sizes)[:-1])
-            for k, (plane, c, m) in enumerate(zip(planes, cands, blocks)):
-                want = plane.visible_mask(pts[c], indices=c)
-                if not np.array_equal(m, want):
-                    return (f"{label}: visible_flat block {k} of sizes "
-                            f"{sizes.tolist()} differs from visible_mask")
-            forced = int(sum(c.size for p, c in zip(planes, cands) if p.always_exact))
-            if stats.batched_signs != int(sizes.sum()) or stats.fallbacks < forced:
-                return (f"{label}: visible_flat counted {stats.snapshot()} "
-                        f"for sizes {sizes.tolist()}, {forced} forced")
+            # Planted entries, so the sweep's second stage (the
+            # per-entry envelope under each plane's bound) runs every
+            # iteration: off each plane's first vertex along its
+            # normal, at margins on the per-entry envelope, on the
+            # per-plane bound (P = max |p|_inf over the input) and just
+            # past it, on a random side; and a 1e12-magnitude outlier,
+            # which a second sweep includes in every non-empty block,
+            # lifting every bound above every margin.
+            p_max = float(np.abs(pts).max())
+            planted = []
+            for plane in planes:
+                v = plane.base_points[0]
+                sc = env_scale * plane.err_scale
+                env = sc * float(np.abs(v).max()) + sc * plane.err_base
+                bound = sc * p_max + sc * plane.err_base
+                side = rng.choice([-1.0, 1.0])
+                for target in (env, bound, bound * (1.0 + 1e-9)):
+                    planted.append(v + side * target
+                                   / (plane.normal @ plane.normal) * plane.normal)
+            outlier = n + len(planted)
+            swept = np.concatenate([pts, np.array(planted),
+                                    1e12 * rng.standard_normal((1, d))])
+            for with_outlier in (False, True):
+                blocks_of = [
+                    c if empty else
+                    np.concatenate([c, n + 3 * k + np.arange(3)]
+                                   + ([[outlier]] if with_outlier else []))
+                    for k, (c, empty) in enumerate(zip(cands, empty_block))
+                ]
+                blocks_of = [c.astype(np.int64) for c in blocks_of]
+                sizes = np.array([c.size for c in blocks_of], dtype=np.int64)
+                stats = KernelStats()
+                mask = visible_flat(
+                    swept,
+                    np.stack([p.normal for p in planes]),
+                    np.array([p.offset for p in planes]),
+                    np.array([p.err_scale for p in planes]),
+                    np.array([p.err_base for p in planes]),
+                    sizes,
+                    np.concatenate(blocks_of),
+                    force_exact=np.array([p.always_exact for p in planes]),
+                    plane_for=planes.__getitem__,
+                    stats=stats,
+                    pts_inf=None if with_outlier else p_max,
+                )
+                blocks = np.split(mask, np.cumsum(sizes)[:-1])
+                for k, (plane, c, m) in enumerate(zip(planes, blocks_of, blocks)):
+                    want = plane.visible_mask(swept[c], indices=c)
+                    if not np.array_equal(m, want):
+                        return (f"{label}: visible_flat block {k} of sizes "
+                                f"{sizes.tolist()} (outlier swept: "
+                                f"{with_outlier}) differs from visible_mask")
+                forced = int(sum(c.size for p, c in zip(planes, blocks_of)
+                                 if p.always_exact))
+                if stats.batched_signs != int(sizes.sum()) or stats.fallbacks < forced:
+                    return (f"{label}: visible_flat counted {stats.snapshot()} "
+                            f"for sizes {sizes.tolist()}, {forced} forced")
     except Exception as exc:  # noqa: BLE001 - fuzzing surface
         return f"{label}: exception {type(exc).__name__}: {exc}"
     return None
