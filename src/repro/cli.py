@@ -43,7 +43,7 @@ from .configspace.theory import harmonic
 from .geometry import points as gen
 from .hull import parallel_hull, validate_hull
 from .hull.parallel import check_engine
-from .runtime import ProcessExecutor, RoundExecutor, SerialExecutor, ThreadExecutor
+from .runtime import RoundExecutor, SerialExecutor, ThreadExecutor
 
 WORKLOADS = {
     "ball": gen.uniform_ball,
@@ -59,7 +59,6 @@ EXECUTORS = {
     "serial": lambda args: SerialExecutor(),
     "rounds": lambda args: RoundExecutor(),
     "threads": lambda args: ThreadExecutor(args.workers),
-    "process": lambda args: ProcessExecutor(n_workers=args.workers),
 }
 
 
@@ -765,7 +764,7 @@ def build_parser() -> argparse.ArgumentParser:
                    choices=["small", "medium", "large"],
                    help="how much chaos to run (small fits in CI)")
     p.add_argument("--executor", default=None,
-                   choices=["rounds", "thread", "process"],
+                   choices=["rounds", "thread"],
                    help="restrict the hull roundtrips to one executor "
                         "family (skips the executor-independent stall "
                         "sweeps); default runs everything")

@@ -77,8 +77,9 @@ def exact_mode() -> Iterator[None]:
 def exact_active() -> bool:
     """Whether always-exact plane construction is currently forced.
 
-    Worker processes query this so spawned children can re-enter
-    :func:`exact_mode` and compute the same bits as their parent."""
+    The SoA engine's column-form plane build queries this, so that
+    under :func:`exact_mode` it makes every row a scalar-ladder plane,
+    as :meth:`Hyperplane.through` does."""
     return _FORCE_EXACT
 
 

@@ -313,29 +313,6 @@ class FacetFactory:
             for k in range(len(specs))
         ]
 
-    def make_precomputed(
-        self, indices: tuple[int, ...], conflicts: np.ndarray, n_tests: int
-    ) -> Facet:
-        """Register a facet whose conflict sweep was already evaluated
-        elsewhere (a worker process in
-        :class:`~repro.runtime.procexec.ProcessExecutor` runs).
-
-        The parent allocates the fid, re-counts the scalar-equivalent
-        work (``n_tests`` = the candidates the worker swept), and builds
-        the plane locally -- plane construction is a pure function of
-        ``pts``, so parent and worker agree bit-for-bit, and shipping
-        only the surviving conflict indices keeps result messages small.
-        """
-        idx = tuple(sorted(int(i) for i in indices))
-        plane = self._plane_for(idx)
-        conflicts = np.asarray(conflicts, dtype=np.int64)
-        with self._mutex:
-            fid = self._next_fid
-            self._next_fid += 1
-            self.counters.visibility_tests += int(n_tests)
-            self.counters.facets_created += 1
-        return Facet(fid=fid, indices=idx, plane=plane, conflicts=conflicts)
-
     def fid_checkpoint(self) -> int:
         """The next facet id to be issued (chaos layer: rollback mark)."""
         with self._mutex:
@@ -370,3 +347,14 @@ class FacetFactory:
         keep[0] = True
         np.not_equal(merged[1:], merged[:-1], out=keep[1:])
         return merged[keep]
+
+
+def resolve_base_size(base_size: int | None, d: int) -> int:
+    """The bootstrap hull size of a ``d``-dimensional run: ``d + 1``
+    (the paper's simplex) when ``base_size`` is left out, else
+    ``base_size``, which must be at least that."""
+    if base_size is None:
+        return d + 1
+    if base_size < d + 1:
+        raise HullSetupError(f"base_size must be >= d+1 = {d + 1}")
+    return int(base_size)

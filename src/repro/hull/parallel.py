@@ -34,21 +34,19 @@ from typing import Sequence
 
 import numpy as np
 
-from ..geometry.hyperplane import Hyperplane
 from ..geometry.noisy import NoisyKernel
 from ..geometry.simplex import Facet, Ridge, facet_ridges
 from ..runtime.executors import ExecutionStats, RoundExecutor, SerialExecutor, ThreadExecutor
 from ..runtime.faults import FaultPlan
 from ..runtime.multimap import CASMultimap, DictMultimap, TASMultimap
-from ..runtime.procexec import ChunkQuarantined, ExecutorBrokenError, ProcessExecutor
 from ..runtime.workspan import WorkSpanTracker
 from .common import (
     Counters,
     FacetFactory,
-    HullSetupError,
     initial_simplex_ranks,
     prepare_points,
     promote_initial,
+    resolve_base_size,
 )
 from .sequential import sequential_hull
 
@@ -58,47 +56,6 @@ __all__ = [
 ]
 
 _INF = np.iinfo(np.int64).max
-
-
-def _eval_ridge_item(arrays: dict, item: tuple) -> tuple:
-    """Pure compute kernel for one case-4 ridge, run inside a
-    :class:`~repro.runtime.procexec.ProcessExecutor` worker (or on the
-    thread/serial rungs of the degradation ladder).
-
-    ``item`` is ``(facet_indices, p, c1, c2)``: the new facet's defining
-    ranks, the conflict pivot, and the two support facets' conflict
-    arrays.  Returns ``(visible_conflicts, n_tests, n_merged)`` -- the
-    surviving conflict set plus the scalar-equivalent work numbers the
-    parent re-counts, so a supervised run is facet- and counter-
-    identical to a serial one.  Module-level (not a closure) so the
-    spawn start method can import it by reference; everything it reads
-    arrives via ``arrays`` (shared memory) or ``item`` (the message).
-    """
-    from .common import FacetFactory  # deferred: keep worker imports lazy
-
-    idx, p, c1, c2 = item
-    pts = arrays["pts"]
-    interior = arrays["interior"]
-    d = pts.shape[1]
-    merged = FacetFactory.merge_candidates(
-        np.asarray(c1, dtype=np.int64), np.asarray(c2, dtype=np.int64), above=p
-    )
-    idx = tuple(sorted(int(i) for i in idx))
-    combo = tuple(range(d + 1))
-    plane = Hyperplane.through(
-        pts[list(idx)], interior, indices=idx,
-        ref_combo=(pts[list(combo)], combo),
-    )
-    cleaned = merged
-    if cleaned.size:
-        keep = np.ones(cleaned.shape[0], dtype=bool)
-        for i in idx:
-            keep &= cleaned != i
-        cleaned = cleaned[keep]
-    mask = (plane.visible_mask(pts[cleaned], indices=cleaned)
-            if cleaned.size else np.zeros(0, dtype=bool))
-    visible = cleaned[mask] if cleaned.size else cleaned
-    return (visible, int(cleaned.size), int(merged.size))
 
 
 @dataclass(frozen=True)
@@ -352,7 +309,7 @@ def _soa_parallel_run(
 
 def check_engine(
     engine: str | None,
-    executor: SerialExecutor | RoundExecutor | ThreadExecutor | ProcessExecutor | None = None,
+    executor: SerialExecutor | RoundExecutor | ThreadExecutor | None = None,
     multimap: str = "dict",
     fault_plan: FaultPlan | None = None,
 ) -> str:
@@ -363,18 +320,22 @@ def check_engine(
     engine, unless the call passes an executor (any, even a plain
     :class:`RoundExecutor`), a multimap other than ``"dict"`` or a fault
     plan: those are Algorithms 4-5 and the chaos layer, which only the
-    object driver runs, so then it means ``"objects"``.  ``"objects"``
-    takes every argument.  ``"soa"`` is round-synchronous, runs each
-    round in frontier order and pairs ridges by sort, so it takes no
-    executor but an unseeded :class:`RoundExecutor`, only the ``"dict"``
-    multimap, and no fault plan.  :func:`parallel_hull`,
+    object driver runs, so then it means ``"objects"``.  ``"soa"`` is
+    round-synchronous, runs each round in frontier order and pairs
+    ridges by sort, so it takes no executor but an unseeded
+    :class:`RoundExecutor`, only the ``"dict"`` multimap, and no fault
+    plan.  ``"objects"`` takes the ``"dict"``, ``"cas"`` or ``"tas"``
+    multimap, but not ``"dict"`` under a :class:`ThreadExecutor`, and a
+    fault plan only under a :class:`RoundExecutor` (its default
+    executor).  :func:`parallel_hull`,
     :func:`~repro.hull.robust.robust_hull` and ``repro hull`` all call
-    it before any work."""
+    it before any work, so a bad argument raises instead of reading as
+    a rung's geometric failure."""
     if engine is None:
         objects_only = (
             executor is not None or multimap != "dict" or fault_plan is not None
         )
-        return "objects" if objects_only else "soa"
+        engine = "objects" if objects_only else "soa"
     if engine == "soa":
         if executor is not None and not isinstance(executor, RoundExecutor):
             raise ValueError(
@@ -396,7 +357,21 @@ def check_engine(
                 "engine='soa' does not take a fault_plan; drive faults "
                 "through SoAHullEngine.snapshot()/restore() instead"
             )
-    elif engine != "objects":
+    elif engine == "objects":
+        if multimap == "dict" and isinstance(executor, ThreadExecutor):
+            raise ValueError("the dict multimap is not safe under ThreadExecutor; "
+                             "use multimap='cas' or 'tas'")
+        if multimap not in ("dict", "cas", "tas"):
+            raise ValueError(f"unknown multimap kind {multimap!r}")
+        if fault_plan is not None and executor is not None and not isinstance(
+            executor, RoundExecutor
+        ):
+            raise ValueError(
+                "fault_plan requires a RoundExecutor (checkpoint-resume is "
+                "round-synchronous); for thread chaos pass a "
+                "repro.runtime.chaos.ChaosThreadExecutor as the executor"
+            )
+    else:
         raise ValueError(f"unknown engine {engine!r}; use 'objects' or 'soa'")
     return engine
 
@@ -405,7 +380,7 @@ def parallel_hull(
     points: np.ndarray,
     order: np.ndarray | None = None,
     seed: int | None = None,
-    executor: SerialExecutor | RoundExecutor | ThreadExecutor | ProcessExecutor | None = None,
+    executor: SerialExecutor | RoundExecutor | ThreadExecutor | None = None,
     multimap: str = "dict",
     base_size: int | None = None,
     fault_plan: FaultPlan | None = None,
@@ -427,13 +402,7 @@ def parallel_hull(
     executor:
         Execution discipline of the object driver (when left out, it
         runs a :class:`RoundExecutor`, whose round count realises the
-        dependence-depth bound).  A
-        :class:`~repro.runtime.procexec.ProcessExecutor` runs the
-        supervised multiprocess round loop: visibility sweeps fan out
-        to worker processes over shared-memory arrays, and the parent
-        applies results transactionally so the committed run is
-        bit-identical to the serial one.  The executor is started and
-        closed by this call (segments are released on every exit path).
+        dependence-depth bound).  Every executor runs in this process.
     multimap:
         ``"dict"`` (sequential reference, only valid with deterministic
         executors), ``"cas"`` (Algorithm 4) or ``"tas"`` (Algorithm 5).
@@ -456,9 +425,7 @@ def parallel_hull(
         majority-vote repair); anything else raises ``ValueError``.
         The noise model and vote counters land in
         ``exec_stats.kernel_stats``; ``counters`` and the work-span log
-        stay noise-invariant (scalar-equivalent accounting).  Not
-        combinable with :class:`ProcessExecutor`, whose workers
-        evaluate sweeps outside the factory the noise hooks into.
+        stay noise-invariant (scalar-equivalent accounting).
     engine:
         Picks the driver, and with it the visibility path:
         ``"soa"`` (the round-vectorized conflict-list engine of
@@ -480,10 +447,7 @@ def parallel_hull(
         return _soa_parallel_run(points, order, seed, base_size, kernel)
     pts, order = prepare_points(points, order, seed)
     n, d = pts.shape
-    if base_size is None:
-        base_size = d + 1
-    if base_size < d + 1:
-        raise HullSetupError(f"base_size must be >= d+1 = {d + 1}")
+    base_size = resolve_base_size(base_size, d)
     init = initial_simplex_ranks(pts)
     pts, order = promote_initial(pts, order, init)
 
@@ -494,24 +458,12 @@ def parallel_hull(
 
     if executor is None:
         executor = RoundExecutor()
-    if factory.noisy is not None and isinstance(executor, ProcessExecutor):
-        raise ValueError(
-            "NoisyKernel is not supported under ProcessExecutor: worker "
-            "processes sweep conflicts outside the FacetFactory the noise "
-            "wraps, so flips would silently not apply; use a serial, "
-            "round, or thread executor"
-        )
-    if multimap == "dict":
-        if isinstance(executor, ThreadExecutor):
-            raise ValueError("the dict multimap is not safe under ThreadExecutor; "
-                             "use multimap='cas' or 'tas'")
-        M = DictMultimap()
-    elif multimap == "cas":
+    if multimap == "cas":
         M = CASMultimap(capacity=max(64, 8 * n * (d + 1)))
     elif multimap == "tas":
         M = TASMultimap(capacity=max(64, 8 * n * (d + 1)))
     else:
-        raise ValueError(f"unknown multimap kind {multimap!r}")
+        M = DictMultimap()
 
     base_facets = _build_base_hull(pts, base_size, factory)
 
@@ -549,10 +501,10 @@ def parallel_hull(
 
     round_counter = {"round": 0}
 
-    # Round-transaction checkpointing, shared by the fault-injected
-    # round loop and the supervised process loop: a checkpoint captures
-    # everything a round can mutate, and restore() rewinds to it so a
-    # failed round attempt leaves no trace (crash consistency).
+    # Round-transaction checkpointing for the fault-injected round
+    # loop: a checkpoint captures everything a round can mutate, and
+    # restore() rewinds to it so a failed round attempt leaves no trace
+    # (crash consistency).
     def take_checkpoint(frontier: list[RidgeTask]) -> dict:
         return {
             "frontier": list(frontier),
@@ -720,198 +672,9 @@ def parallel_hull(
             round_counter["round"] += 1
         return stats
 
-    def run_rounds_supervised(pexec: ProcessExecutor) -> ExecutionStats:
-        # Round-synchronous execution with the heavy work (conflict
-        # merging + visibility sweeps) fanned out to supervised worker
-        # processes over shared-memory arrays.  Each round is a
-        # three-phase transaction:
-        #
-        #   A. classify -- pure reads of round-start state decide every
-        #      ridge's case and build the case-4 payloads;
-        #   B. evaluate -- workers compute conflict sets (faults, kills,
-        #      retries, and the process->thread->serial ladder all live
-        #      here; no parent state is touched);
-        #   C. apply -- the parent replays the exact bookkeeping of
-        #      process() in frontier order against a round checkpoint.
-        #
-        # Because B is pure and C is all-or-nothing, a worker dying
-        # mid-round (or the whole pool degrading) can never leave the
-        # run half-mutated, and the committed run is bit-identical to
-        # the serial RoundExecutor run: same facets, fids, events,
-        # counters, and work-span DAG.
-        stats = pexec.stats
-        arrays = {"pts": pts, "interior": interior}
-        rung = {"now": "process"}
-
-        def eval_items(items: list) -> list:
-            if not items:
-                return []
-            n_chunks = max(
-                1, min(len(items), pexec.n_workers * pexec.chunks_per_worker)
-            )
-            bounds = np.linspace(0, len(items), n_chunks + 1).astype(int)
-            chunks = [items[bounds[i]:bounds[i + 1]] for i in range(n_chunks)
-                      if bounds[i + 1] > bounds[i]]
-            if rung["now"] == "process":
-                try:
-                    if not pexec.started:
-                        pexec.start(arrays, _eval_ridge_item)
-                    out = pexec.run_round(chunks)
-                    return [r for chunk in out for r in chunk]
-                except (ChunkQuarantined, ExecutorBrokenError) as exc:
-                    rung["now"] = "thread"
-                    stats.escalations.append(
-                        f"process->thread: {type(exc).__name__}: {exc}"
-                    )
-                    pexec.close()
-            if rung["now"] == "thread":
-                try:
-                    results: list = [None] * len(chunks)
-
-                    def step(i: int):
-                        results[i] = [_eval_ridge_item(arrays, it)
-                                      for it in chunks[i]]
-                        return ()
-
-                    ThreadExecutor(max(1, pexec.n_workers)).run(
-                        list(range(len(chunks))), step
-                    )
-                    if any(r is None for r in results):
-                        raise RuntimeError("thread rung lost a chunk")
-                    return [r for chunk in results for r in chunk]
-                except Exception as exc:
-                    rung["now"] = "serial"
-                    stats.escalations.append(
-                        f"thread->serial: {type(exc).__name__}: {exc}"
-                    )
-            return [_eval_ridge_item(arrays, it) for it in items]
-
-        frontier: list[RidgeTask] = list(initial_tasks)
-        try:
-            while frontier:
-                # Phase A: classify.  Conflict arrays are immutable and
-                # ready calls touch disjoint support pairs, so reading
-                # all of round-start state up front matches serial
-                # semantics exactly.
-                decisions: list[tuple] = []
-                items: list[tuple] = []
-                for task in frontier:
-                    t1, r, t2 = task.t1, task.ridge, task.t2
-                    b1 = t1.pivot if t1.conflicts.size else _INF
-                    b2 = t2.pivot if t2.conflicts.size else _INF
-                    if b1 == _INF and b2 == _INF:
-                        decisions.append(("final", t1, t2, -1, False))
-                        continue
-                    if b1 == b2:
-                        decisions.append(("bury", t1, t2, int(b1), False))
-                        continue
-                    flipped = b2 < b1
-                    if flipped:
-                        t1, t2 = t2, t1
-                        b1 = b2
-                    p = int(b1)
-                    items.append(
-                        (tuple(sorted(r | {p})), p, t1.conflicts, t2.conflicts)
-                    )
-                    decisions.append(("create", t1, t2, p, flipped))
-
-                # Phase B: evaluate (pure; all fault handling inside).
-                results = eval_items(items)
-
-                # Phase C: apply transactionally.
-                ckpt = take_checkpoint(frontier)
-                stats.checkpoints += 1
-                try:
-                    rnd = round_counter["round"]
-                    stats.rounds += 1
-                    stats.round_sizes.append(len(frontier))
-                    nxt: list[RidgeTask] = []
-                    k = 0
-                    for task, dec in zip(frontier, decisions):
-                        stats.tasks_executed += 1
-                        counters.ridges_processed += 1
-                        kind, t1, t2, p, flipped = dec
-                        r = task.ridge
-                        if kind == "final":
-                            events.append(Event(kind="final", round=rnd, ridge=r))
-                            continue
-                        if kind == "bury":
-                            t1.alive = False
-                            t2.alive = False
-                            counters.facets_buried += 2
-                            events.append(
-                                Event(kind="bury", round=rnd, ridge=r,
-                                      removed_pair=(t1.fid, t2.fid), pivot=p)
-                            )
-                            continue
-                        if flipped:
-                            counters.flips += 1
-                        conflicts, n_tests, n_merged = results[k]
-                        k += 1
-                        t = factory.make_precomputed(
-                            tuple(r | {p}), conflicts, n_tests
-                        )
-                        support[t.fid] = (t1.fid, t2.fid)
-                        pivots[t.fid] = p
-                        rounds[t.fid] = rnd
-                        creator_tid[t.fid] = task.tracker_tid
-                        created.append(t)
-                        facets_by_fid[t.fid] = t
-                        t1.alive = False
-                        counters.facets_replaced += 1
-                        events.append(
-                            Event(kind="create", round=rnd, ridge=r,
-                                  created=t.fid, removed=t1.fid, pivot=p)
-                        )
-                        for r2 in facet_ridges(t.indices):
-                            if r2 == r:
-                                tid = tracker.add_task(
-                                    cost=n_merged + 1,
-                                    deps=(creator_tid[t.fid], creator_tid[t2.fid]),
-                                    span_cost=_logcost(n_merged),
-                                )
-                                nxt.append(RidgeTask(
-                                    t1=t, ridge=r2, t2=t2, tracker_tid=tid
-                                ))
-                            elif not M.insert_and_set(r2, t):
-                                t_other = M.get_value(r2, t)
-                                tid = tracker.add_task(
-                                    cost=n_merged + 1,
-                                    deps=(creator_tid[t.fid],
-                                          creator_tid[t_other.fid]),
-                                    span_cost=_logcost(n_merged),
-                                )
-                                nxt.append(RidgeTask(
-                                    t1=t, ridge=r2, t2=t_other, tracker_tid=tid
-                                ))
-                    frontier = nxt
-                    round_counter["round"] += 1
-                except BaseException:
-                    # Crash consistency: an interrupted apply (e.g.
-                    # KeyboardInterrupt) rewinds to the round boundary
-                    # before propagating, so no half-applied round is
-                    # ever observable.
-                    frontier = restore(ckpt)
-                    stats.rollbacks += 1
-                    raise
-        finally:
-            pexec.close()
-        return stats
-
     if isinstance(executor, RoundExecutor):
         exec_stats = run_rounds() if fault_plan is None else run_rounds_chaotic(fault_plan)
-    elif isinstance(executor, ProcessExecutor):
-        if fault_plan is not None and executor.plan is None:
-            executor.plan = fault_plan
-        exec_stats = run_rounds_supervised(executor)
     else:
-        if fault_plan is not None:
-            raise ValueError(
-                "fault_plan requires a RoundExecutor (checkpoint-resume is "
-                "round-synchronous) or a ProcessExecutor (worker-level fault "
-                "injection); for thread chaos pass a "
-                "repro.runtime.chaos.ChaosThreadExecutor as the executor"
-            )
         exec_stats = executor.run(initial_tasks, process)
 
     exec_stats.kernel_stats = factory.kernel_snapshot()

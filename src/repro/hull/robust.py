@@ -51,6 +51,7 @@ from ..geometry.hyperplane import exact_mode
 from ..geometry.noisy import NoisyKernel
 from ..geometry.perturb import sos_mode
 from .certify import CertificateError, HullCertificate, make_certificate, verify_certificate
+from .common import resolve_base_size
 from .joggle import JoggledHull, joggled_hull
 from .parallel import ParallelHullRun, check_engine, parallel_hull
 from .validate import HullValidationError, validate_hull
@@ -122,10 +123,12 @@ def robust_hull(
     :func:`parallel_hull` call (the SoA engine).  It is resolved and
     checked before any rung runs, by
     :func:`~repro.hull.parallel.check_engine` (left out, it is
-    ``"soa"`` unless the call needs the object driver): a bad engine
-    argument raises ``ValueError``, which a rung would read as a
-    geometric failure and escalate past.  So does a ``kernel`` that is
-    neither ``None`` nor a :class:`NoisyKernel`.  The ladder is the
+    ``"soa"`` unless the call needs the object driver): a bad engine,
+    executor, multimap or fault-plan argument raises ``ValueError``,
+    which a rung would read as a geometric failure and escalate past.
+    So does a ``kernel`` that is neither ``None`` nor a
+    :class:`NoisyKernel`, and a ``base_size`` below ``d + 1``
+    (:class:`~repro.hull.common.HullSetupError`).  The ladder is the
     same on either engine: the SoA engine raises, validates and
     certifies exactly as the object driver does, so mode, escalations,
     facets and certificate agree, and only the run's own accounting
@@ -154,6 +157,8 @@ def robust_hull(
         hull_kwargs.get("multimap", "dict"), hull_kwargs.get("fault_plan"),
     )
     points = np.asarray(points, dtype=np.float64)
+    if points.ndim == 2:
+        resolve_base_size(hull_kwargs.get("base_size"), points.shape[1])
     escalations: list[str] = []
     rung_attempts: dict[str, int] = {}
 
@@ -196,9 +201,7 @@ def robust_hull(
                     record(label, type(exc).__name__)
                     continue
                 record(label, "ok")
-                run.exec_stats.escalations = (
-                    run.exec_stats.escalations + list(escalations)
-                )
+                run.exec_stats.escalations = list(escalations)
                 return RobustHullResult(
                     run=run, mode=label, escalations=escalations,
                     certificate=cert, noise=nk,
@@ -225,10 +228,7 @@ def robust_hull(
             last_error = exc
             continue
         record(mode, "ok")
-        # Merge, don't overwrite: the run may already carry executor-
-        # ladder escalations (process->thread->serial degradation from
-        # the supervised ProcessExecutor loop).
-        run.exec_stats.escalations = run.exec_stats.escalations + list(escalations)
+        run.exec_stats.escalations = list(escalations)
         return RobustHullResult(
             run=run, mode=mode, escalations=escalations, certificate=cert
         )
@@ -250,7 +250,7 @@ def robust_hull(
             record("joggle", "CertificateError")
             raise
     record("joggle", f"ok[attempts={jh.attempts}]")
-    jh.run.exec_stats.escalations = jh.run.exec_stats.escalations + list(escalations)
+    jh.run.exec_stats.escalations = list(escalations)
     return RobustHullResult(
         run=jh.run, mode="joggle", escalations=escalations, joggled=jh,
         certificate=cert,

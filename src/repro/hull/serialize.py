@@ -52,19 +52,13 @@ def run_summary(run) -> dict[str, Any]:
             "tasks": int(run.exec_stats.tasks_executed),
             "round_sizes": list(map(int, run.exec_stats.round_sizes)),
             # Fault-tolerance provenance (all zero / empty on clean
-            # single-process runs; additive, schema unchanged).
+            # runs; additive, schema unchanged).
             "escalations": [str(e) for e in run.exec_stats.escalations],
             "supervision": {
                 "retries": int(run.exec_stats.retries),
                 "worker_deaths": int(run.exec_stats.worker_deaths),
                 "checkpoints": int(run.exec_stats.checkpoints),
                 "rollbacks": int(run.exec_stats.rollbacks),
-                "deadline_kills": int(run.exec_stats.deadline_kills),
-                "stall_kills": int(run.exec_stats.stall_kills),
-                "respawns": int(run.exec_stats.respawns),
-                "quarantined": int(run.exec_stats.quarantined),
-                "duplicates_dropped": int(run.exec_stats.duplicates_dropped),
-                "heartbeats": int(run.exec_stats.heartbeats),
             },
         },
         # Visibility-path provenance (the SoA engine's flat-sweep and

@@ -132,10 +132,10 @@ from ..runtime.executors import ExecutionStats
 from ..runtime.workspan import WorkSpanTracker
 from .common import (
     Counters,
-    HullSetupError,
     initial_simplex_ranks,
     prepare_points,
     promote_initial,
+    resolve_base_size,
 )
 
 __all__ = ["SoAHullEngine", "SoAHullRun", "soa_hull"]
@@ -189,19 +189,8 @@ class _FacetStore:
         if self.size + extra <= cap:
             return
         new_cap = max(2 * cap, self.size + extra)
-        self.indices = _grown(self.indices, new_cap)
-        self.normals = _grown(self.normals, new_cap)
-        self.offsets = _grown(self.offsets, new_cap)
-        self.err_scale = _grown(self.err_scale, new_cap)
-        self.err_base = _grown(self.err_base, new_cap)
-        self.exact = _grown(self.exact, new_cap)
-        self.alive = _grown(self.alive, new_cap)
-        self.pivot = _grown(self.pivot, new_cap)
-        self.conf_start = _grown(self.conf_start, new_cap)
-        self.conf_len = _grown(self.conf_len, new_cap)
-        self.support = _grown(self.support, new_cap)
-        self.pivot_point = _grown(self.pivot_point, new_cap)
-        self.round_created = _grown(self.round_created, new_cap)
+        for name in self._COLUMNS:
+            setattr(self, name, _grown(getattr(self, name), new_cap))
 
     def append_block(
         self,
@@ -254,19 +243,8 @@ class _FacetStore:
         self.size = 0
         self._ensure(int(snap["size"]))
         self.size = int(snap["size"])
-        self.indices[: self.size] = snap["indices"]
-        self.normals[: self.size] = snap["normals"]
-        self.offsets[: self.size] = snap["offsets"]
-        self.err_scale[: self.size] = snap["err_scale"]
-        self.err_base[: self.size] = snap["err_base"]
-        self.exact[: self.size] = snap["exact"]
-        self.alive[: self.size] = snap["alive"]
-        self.pivot[: self.size] = snap["pivot"]
-        self.conf_start[: self.size] = snap["conf_start"]
-        self.conf_len[: self.size] = snap["conf_len"]
-        self.support[: self.size] = snap["support"]
-        self.pivot_point[: self.size] = snap["pivot_point"]
-        self.round_created[: self.size] = snap["round_created"]
+        for name in self._COLUMNS:
+            self._used(name)[:] = snap[name]
 
 
 class _ConflictPool:
@@ -516,16 +494,12 @@ class SoAHullEngine:
             )
         pts, order = prepare_points(points, order, seed)
         n, d = pts.shape
-        if base_size is None:
-            base_size = d + 1
-        if base_size < d + 1:
-            raise HullSetupError(f"base_size must be >= d+1 = {d + 1}")
+        self.base_size = resolve_base_size(base_size, d)
         init = initial_simplex_ranks(pts)
         pts, order = promote_initial(pts, order, init)
         self.pts = pts
         self.order = order
         self.n, self.d = n, d
-        self.base_size = int(base_size)
         self.counters = Counters()
         self.tracker = WorkSpanTracker()
         self.stats = ExecutionStats()

@@ -42,14 +42,12 @@ THREADING_ALLOWLIST = (
 #: Modules owning real OS processes / shared-memory segments.
 _PROC_MODULES = frozenset({"multiprocessing", "_multiprocessing"})
 
-#: The only module allowed to import ``multiprocessing`` directly: the
-#: supervised process executor, which owns worker lifecycles (spawn,
-#: SIGKILL, sentinel polling) and shared-memory segment ownership.  A
-#: raw ``multiprocessing`` use anywhere else would create workers no
-#: supervisor watches and segments no owner unlinks.
-MULTIPROCESSING_ALLOWLIST = (
-    "runtime/procexec.py",
-)
+#: Modules allowed to import ``multiprocessing`` directly: none.  The
+#: runtime runs the paper's shared-memory machines on threads and
+#: simulated schedules in one process; a raw ``multiprocessing`` use
+#: would create workers no supervisor watches and segments no owner
+#: unlinks.
+MULTIPROCESSING_ALLOWLIST: tuple[str, ...] = ()
 
 
 class AtomicInternalsRule(Rule):
@@ -79,8 +77,8 @@ class RawThreadingRule(Rule):
     id = "RPR002"
     name = "raw-threading"
     summary = (
-        "no raw threading/multiprocessing outside the allowlisted "
-        "runtime modules (atomics, executors, chaos, procexec)"
+        "no raw threading outside the allowlisted runtime modules "
+        "(atomics, executors, chaos), and no multiprocessing anywhere"
     )
 
     def _blocked_roots(self, f: LintedFile) -> frozenset[str]:
@@ -100,9 +98,9 @@ class RawThreadingRule(Rule):
         def _why(root: str) -> str:
             if root in _PROC_MODULES:
                 return (
-                    "; only runtime/procexec.py may own worker processes "
-                    "and shared-memory segments (supervision + unlink "
-                    "ownership)"
+                    "; no module may own worker processes or shared-memory "
+                    "segments (the runtime is shared-memory: threads and "
+                    "simulated schedules in one process)"
                 )
             return (
                 "; use repro.runtime primitives (Mutex, AtomicCell, "

@@ -21,12 +21,6 @@ from .faults import (
     WorkerCrashInjected,
 )
 from .forkjoin import StealStats, simulate_work_stealing
-from .procexec import (
-    ChunkQuarantined,
-    ExecutorBrokenError,
-    ProcessExecutor,
-    SharedArray,
-)
 from .interleave import OpResult, all_schedules, run_interleaved, run_schedule
 from .pram import PRAM, ParallelHashTable, compact, log_star, pram_min, prefix_sum
 from .multimap import CASMultimap, DictMultimap, MultimapFullError, TASMultimap
@@ -40,10 +34,6 @@ __all__ = [
     "Mutex",
     "BackoffPolicy",
     "ChaosThreadExecutor",
-    "ChunkQuarantined",
-    "ExecutorBrokenError",
-    "ProcessExecutor",
-    "SharedArray",
     "StallSweepSummary",
     "chaos_hull_roundtrip",
     "run_chaos_suite",

@@ -1,13 +1,11 @@
-"""Shared retry-backoff policy for the fault-tolerant executors.
+"""Retry-backoff policy for the fault-tolerant thread executor.
 
-Both supervision layers -- :class:`~repro.runtime.chaos.ChaosThreadExecutor`
-(thread workers) and :class:`~repro.runtime.procexec.ProcessExecutor`
-(real worker processes) -- re-dispatch work lost to a dead worker.  Naive
-retry loops hammer a struggling pool: every supervisor that retries "in
-2 ms, always" synchronises its re-dispatches with every other retry in
-flight.  The standard remedy is exponential backoff with jitter, and the
-standard bug is implementing it twice, differently.  This module is the
-single implementation.
+The supervisor of :class:`~repro.runtime.chaos.ChaosThreadExecutor`
+re-dispatches work lost to a dead worker thread.  Naive retry loops
+hammer a struggling pool: a supervisor that retries "in 2 ms, always"
+synchronises its re-dispatches with every other retry in flight.  The
+standard remedy is exponential backoff with jitter, and this module is
+its one implementation.
 
 Design constraints inherited from the chaos substrate:
 

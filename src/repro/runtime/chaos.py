@@ -291,10 +291,6 @@ def chaos_hull_roundtrip(
     seed: int = 0,
     crash_rate: float = 0.2,
     delay_rate: float = 0.0,
-    kill_rate: float = 0.0,
-    stall_rate: float = 0.0,
-    drop_rate: float = 0.0,
-    dup_rate: float = 0.0,
     workload: str = "ball",
     executor_kind: str = "rounds",
     n_workers: int = 2,
@@ -303,14 +299,8 @@ def chaos_hull_roundtrip(
     return a report asserting facet-set identity plus the fault/retry
     counters (the E17 measurements).
 
-    ``executor_kind="procs"`` runs the supervised
-    :class:`~repro.runtime.procexec.ProcessExecutor`: the process-level
-    kinds (``kill``/``stall``/``drop``/``dup``/``delay``) fire inside
-    real worker processes, and identity is additionally asserted on the
-    event trace and work counters (the supervised loop claims
-    bit-identical runs, not just facet-set identity).  Note the parent
-    plan's ``counts()`` cannot see worker-side fires (each worker holds
-    its own plan copy); the supervision counters are the ground truth.
+    ``executor_kind`` is ``"rounds"`` (the checkpointing round loop) or
+    ``"threads"`` (:class:`ChaosThreadExecutor` over the CAS multimap).
     """
     # Imported lazily: repro.hull imports repro.runtime, not vice versa.
     from ..geometry import points as _points
@@ -325,12 +315,9 @@ def chaos_hull_roundtrip(
     }
     pts = generators[workload](n, d, seed=seed)
     order = np.random.default_rng(seed + 1).permutation(n)
-    plan = FaultPlan(seed=seed, crash_rate=crash_rate, delay_rate=delay_rate,
-                     kill_rate=kill_rate, stall_rate=stall_rate,
-                     drop_rate=drop_rate, dup_rate=dup_rate)
+    plan = FaultPlan(seed=seed, crash_rate=crash_rate, delay_rate=delay_rate)
 
     base = parallel_hull(pts, order=order.copy(), executor=RoundExecutor())
-    trace_identical = None
     if executor_kind == "rounds":
         run = parallel_hull(
             pts, order=order.copy(), executor=RoundExecutor(), fault_plan=plan
@@ -341,22 +328,6 @@ def chaos_hull_roundtrip(
             executor=ChaosThreadExecutor(n_workers, plan=plan),
             multimap="cas",
         )
-    elif executor_kind == "procs":
-        from .procexec import ProcessExecutor
-
-        run = parallel_hull(
-            pts, order=order.copy(),
-            executor=ProcessExecutor(
-                n_workers=n_workers, plan=plan, max_retries=6,
-                chunk_timeout=10.0, hb_timeout=2.0,
-            ),
-        )
-        trace_identical = bool(
-            run.events == base.events
-            and run.counters.as_dict() == base.counters.as_dict()
-            and run.tracker.work == base.tracker.work
-            and run.tracker.span == base.tracker.span
-        )
     else:
         raise ValueError(f"unknown executor_kind {executor_kind!r}")
     validate_hull(run.facets, run.points)
@@ -364,13 +335,10 @@ def chaos_hull_roundtrip(
         base.facets, base.order
     )
     s = run.exec_stats
-    ok = bool(same) and trace_identical is not False
-    report = {
+    return {
         "workload": workload, "n": n, "d": d, "seed": seed,
         "executor": executor_kind,
         "crash_rate": crash_rate, "delay_rate": delay_rate,
-        "kill_rate": kill_rate, "stall_rate": stall_rate,
-        "drop_rate": drop_rate, "dup_rate": dup_rate,
         "same_facets": bool(same),
         "rounds": s.rounds, "rollbacks": s.rollbacks,
         "round_attempts": s.round_attempts,
@@ -380,17 +348,8 @@ def chaos_hull_roundtrip(
         "tasks_executed": s.tasks_executed,
         "faults_fired": plan.counts(),
         "baseline_rounds": base.exec_stats.rounds,
-        "ok": ok,
+        "ok": bool(same),
     }
-    if executor_kind == "procs":
-        report.update({
-            "trace_identical": trace_identical,
-            "stall_kills": s.stall_kills, "deadline_kills": s.deadline_kills,
-            "respawns": s.respawns, "duplicates_dropped": s.duplicates_dropped,
-            "quarantined": s.quarantined, "heartbeats": s.heartbeats,
-            "escalations": list(s.escalations),
-        })
-    return report
 
 
 # ---------------------------------------------------------------------------
@@ -403,8 +362,6 @@ _BUDGETS: dict[str, dict[str, Any]] = {
         "sweeps": [dict(n_ops=2, prefix_len=4, max_stall=6)],
         "rounds": [dict(n=80, d=2, crash_rate=0.2, delay_rate=0.1)],
         "threads": [dict(n=60, d=2, crash_rate=0.15, n_workers=2)],
-        "procs": [dict(n=80, d=2, crash_rate=0.0, kill_rate=0.25,
-                       n_workers=2)],
     },
     "medium": {
         "sweeps": [dict(n_ops=2, prefix_len=6, max_stall=8),
@@ -412,11 +369,6 @@ _BUDGETS: dict[str, dict[str, Any]] = {
         "rounds": [dict(n=200, d=2, crash_rate=0.1),
                    dict(n=150, d=3, crash_rate=0.3, delay_rate=0.1)],
         "threads": [dict(n=150, d=2, crash_rate=0.2, n_workers=3)],
-        "procs": [dict(n=150, d=2, crash_rate=0.0, kill_rate=0.3,
-                       n_workers=4),
-                  dict(n=120, d=3, crash_rate=0.0, kill_rate=0.2,
-                       stall_rate=0.05, drop_rate=0.1, dup_rate=0.1,
-                       delay_rate=0.1, n_workers=2)],
     },
     "large": {
         "sweeps": [dict(n_ops=2, prefix_len=8, max_stall=10),
@@ -425,17 +377,11 @@ _BUDGETS: dict[str, dict[str, Any]] = {
                    dict(n=300, d=3, crash_rate=0.2, delay_rate=0.2),
                    dict(n=200, d=2, crash_rate=0.4)],
         "threads": [dict(n=250, d=2, crash_rate=0.25, n_workers=4)],
-        "procs": [dict(n=250, d=2, crash_rate=0.0, kill_rate=0.4,
-                       n_workers=4),
-                  dict(n=200, d=3, crash_rate=0.0, kill_rate=0.25,
-                       stall_rate=0.1, drop_rate=0.15, dup_rate=0.15,
-                       delay_rate=0.15, n_workers=4)],
     },
 }
 
 #: CLI executor-filter values -> roundtrip families in :data:`_BUDGETS`.
-_EXECUTOR_FAMILIES = {"rounds": "rounds", "thread": "threads",
-                      "process": "procs"}
+_EXECUTOR_FAMILIES = {"rounds": "rounds", "thread": "threads"}
 
 
 @dataclass
@@ -471,13 +417,11 @@ def run_chaos_suite(
     seed: int = 0, budget: str = "small", executor: str | None = None
 ) -> ChaosSuiteReport:
     """The `repro chaos` suite: stall sweeps over both multimaps, then
-    checkpoint-resume, worker-crash, and worker-process-kill hull
-    roundtrips.
+    checkpoint-resume and worker-crash hull roundtrips.
 
-    ``executor`` restricts the roundtrips to one family (``"rounds"``,
-    ``"thread"``, or ``"process"``) and skips the executor-independent
-    stall sweeps -- the `repro chaos --executor` / CI soak knob.  With
-    ``None`` everything runs.
+    ``executor`` restricts the roundtrips to one family (``"rounds"``
+    or ``"thread"``) and skips the executor-independent stall sweeps --
+    the `repro chaos --executor` knob.  With ``None`` everything runs.
     """
     if budget not in _BUDGETS:
         raise ValueError(f"unknown budget {budget!r}; choose from {sorted(_BUDGETS)}")
@@ -495,8 +439,8 @@ def run_chaos_suite(
                     sweep_stalled_multimap(impl, **sweep_kw)
                 )
     families = ([_EXECUTOR_FAMILIES[executor]] if executor is not None
-                else ["rounds", "threads", "procs"])
-    offsets = {"rounds": 0, "threads": 100, "procs": 200}
+                else ["rounds", "threads"])
+    offsets = {"rounds": 0, "threads": 100}
     for family in families:
         for i, kw in enumerate(knobs[family]):
             report.roundtrips.append(chaos_hull_roundtrip(

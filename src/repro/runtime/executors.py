@@ -20,6 +20,10 @@ Each executor here realises one execution discipline over an abstract
     asynchronous discipline.  Wall-clock speedup is GIL-bound, but it
     exercises the concurrent multimap and the algorithm's tolerance to
     arbitrary schedules.
+
+All three run in the calling process over shared state, as the paper's
+shared-memory machines do; :mod:`repro.runtime.chaos` holds their
+fault-injected variants.
 """
 
 from __future__ import annotations
@@ -59,13 +63,6 @@ class ExecutionStats:
     tasks_aborted: int = 0       # injected mid-task crashes
     tasks_delayed: int = 0       # tasks deferred by injected delays
     escalations: list[str] = field(default_factory=list)
-    # -- process supervision (repro.runtime.procexec) ----------------------
-    deadline_kills: int = 0      # workers killed for missing a chunk deadline
-    stall_kills: int = 0         # workers killed for heartbeat staleness
-    respawns: int = 0            # replacement workers spawned
-    quarantined: int = 0         # chunks poisoned out after max retries
-    duplicates_dropped: int = 0  # duplicate/stale result messages ignored
-    heartbeats: int = 0          # heartbeat messages observed
     # Visibility-path provenance and counters, attached at the end of a
     # run: ``{"kernel": "scalar"}`` on object-driver runs; the engine,
     # flat-sweep signs and exact fallbacks on SoA runs; the noise model

@@ -25,39 +25,15 @@ Fault kinds
     committing its children (at-least-once semantics; the round rolls
     back to its checkpoint).  In the thread executor the worker dies
     right after dequeuing (the task is lost and must be re-dispatched).
-``stall``
-    The acting process freezes forever at a yield point and never takes
-    another step.  The lock-freedom obligation is that every *other*
-    operation still completes; :func:`repro.runtime.chaos.sweep_stalled_multimap`
-    checks exactly that over exhaustive schedules.
 ``delay``
     The action is postponed but not lost (a slow worker): a round task
     is deferred to the next round, a thread worker sleeps briefly.
 
-Process-level kinds (:mod:`repro.runtime.procexec` workers -- real
-PIDs, so the failure modes are the real ones):
-
-``kill``
-    The worker process SIGKILLs itself mid-chunk: no exception, no
-    cleanup, no goodbye message.  The supervisor's liveness poll (the
-    process sentinel) must notice and re-dispatch the chunk.
-``stall``
-    (Shared with the simulator kind above.)  In a worker process the
-    stall is a real sleep-forever: the process stays *alive* but stops
-    heartbeating, so only heartbeat-staleness detection -- not liveness
-    polling -- can catch it.
-``drop``
-    The worker computes its chunk but never sends the result message
-    (a lost packet).  The chunk deadline must fire and re-dispatch.
-``dup``
-    The worker sends its result message twice (a retransmitted packet).
-    The supervisor must apply it exactly once.
-
-Worker-side sites include the dispatch *attempt* number, so a retried
-chunk draws a fresh coin rather than deterministically re-dying at the
-same site: with bounded retries this guarantees termination (the
-parent-side one-shot rule cannot be enforced across process
-boundaries, since each worker holds its own copy of the plan).
+A *stalled* process -- one frozen forever at a yield point -- is not a
+plan kind: :func:`repro.runtime.chaos.sweep_stalled_multimap` freezes
+every multimap operation at every yield point through
+:func:`repro.runtime.interleave.run_schedule` and checks that every
+*other* operation still completes (the lock-freedom obligation).
 """
 
 from __future__ import annotations
@@ -67,13 +43,8 @@ from dataclasses import dataclass, field
 
 __all__ = [
     "CRASH",
-    "STALL",
     "DELAY",
-    "KILL",
-    "DROP",
-    "DUP",
     "FAULT_KINDS",
-    "PROC_FAULT_KINDS",
     "InjectedFault",
     "TaskAbortInjected",
     "WorkerCrashInjected",
@@ -85,14 +56,8 @@ __all__ = [
 ]
 
 CRASH = "crash"
-STALL = "stall"
 DELAY = "delay"
-KILL = "kill"
-DROP = "drop"
-DUP = "dup"
-FAULT_KINDS = (CRASH, STALL, DELAY, KILL, DROP, DUP)
-#: The kinds a worker *process* can act on (see module docstring).
-PROC_FAULT_KINDS = (KILL, STALL, DROP, DUP, DELAY)
+FAULT_KINDS = (CRASH, DELAY)
 
 
 class InjectedFault(RuntimeError):
@@ -143,11 +108,11 @@ def unit_hash_attempt(seed: int, kind: str, site: str, attempt: int) -> float:
     """Uniform float in [0, 1) keyed by ``(seed, kind, site, attempt)``.
 
     Distinct ``attempt`` indices on the same site draw *independent*
-    coins -- the property majority-vote repetition (and chunk-retry
-    fault injection) relies on.  The site is length-prefixed in the
-    hashed payload, so the encoding is injective: no ``(site, attempt)``
-    pair can replay the digest of another (e.g. ``("a1", 1)`` vs
-    ``("a", 11)``, which naive string concatenation would alias).
+    coins -- the property majority-vote repetition relies on.  The site
+    is length-prefixed in the hashed payload, so the encoding is
+    injective: no ``(site, attempt)`` pair can replay the digest of
+    another (e.g. ``("a1", 1)`` vs ``("a", 11)``, which naive string
+    concatenation would alias).
     """
     digest = hashlib.blake2b(
         f"{seed}|{kind}|{len(site)}:{site}|{attempt}".encode(), digest_size=8
@@ -170,11 +135,7 @@ class FaultPlan:
 
     seed: int = 0
     crash_rate: float = 0.0
-    stall_rate: float = 0.0
     delay_rate: float = 0.0
-    kill_rate: float = 0.0
-    drop_rate: float = 0.0
-    dup_rate: float = 0.0
     max_faults: int | None = None
     events: list[FaultEvent] = field(default_factory=list)
     _fired: set[tuple[str, str]] = field(default_factory=set, repr=False)
@@ -194,9 +155,7 @@ class FaultPlan:
 
     def rate(self, kind: str) -> float:
         try:
-            return {CRASH: self.crash_rate, STALL: self.stall_rate,
-                    DELAY: self.delay_rate, KILL: self.kill_rate,
-                    DROP: self.drop_rate, DUP: self.dup_rate}[kind]
+            return {CRASH: self.crash_rate, DELAY: self.delay_rate}[kind]
         except KeyError:
             raise ValueError(f"unknown fault kind {kind!r}") from None
 
@@ -223,9 +182,6 @@ class FaultPlan:
     def should_crash(self, site: str) -> bool:
         return self.decide(CRASH, site)
 
-    def should_stall(self, site: str) -> bool:
-        return self.decide(STALL, site)
-
     def should_delay(self, site: str) -> bool:
         return self.decide(DELAY, site)
 
@@ -240,8 +196,5 @@ class FaultPlan:
 
     def describe(self) -> str:
         c = self.counts()
-        out = (f"FaultPlan(seed={self.seed}, fired: "
-               f"{c[CRASH]} crash / {c[STALL]} stall / {c[DELAY]} delay")
-        if any(c[k] for k in (KILL, DROP, DUP)):
-            out += f" / {c[KILL]} kill / {c[DROP]} drop / {c[DUP]} dup"
-        return out + ")"
+        return (f"FaultPlan(seed={self.seed}, fired: "
+                f"{c[CRASH]} crash / {c[DELAY]} delay)")

@@ -187,6 +187,29 @@ class TestEngine:
         with pytest.raises(ValueError, match="engine"):
             robust_hull(self.PTS, seed=0, **self.BAD[case]())
 
+    #: Execution arguments the object driver rejects, each of which the
+    #: ladder used to read as a geometric failure and joggle past.
+    BAD_EXECUTION = {
+        "thread-executor-dict-multimap": lambda: {"executor": ThreadExecutor(2)},
+        "unknown-multimap": lambda: {"multimap": "bogus"},
+        "fault-plan-off-rounds": lambda: {
+            "executor": SerialExecutor(), "fault_plan": FaultPlan(crash_rate=0.1)},
+        "base-size-below-d-plus-1": lambda: {"base_size": 2},
+    }
+
+    @pytest.mark.parametrize("case", sorted(BAD_EXECUTION))
+    def test_bad_execution_arguments_raise_before_any_rung(self, case, monkeypatch):
+        import repro.hull.robust as robust_mod
+
+        def rung(*args, **kwargs):
+            raise AssertionError("a rung ran")
+
+        monkeypatch.setattr(robust_mod, "parallel_hull", rung)
+        monkeypatch.setattr(robust_mod, "joggled_hull", rung)
+        with pytest.raises(ValueError):
+            robust_hull(uniform_ball(60, 3, seed=0), seed=0,
+                        **self.BAD_EXECUTION[case]())
+
     def test_plain_round_executor_runs_soa_when_asked(self):
         res = robust_hull(self.PTS, seed=0, engine="soa", executor=RoundExecutor())
         assert self._engine(res) == "soa"

@@ -9,10 +9,11 @@ are rejected loudly, never silently deserialized.
 
 import json
 
+import numpy as np
 import pytest
 
 from repro.geometry import uniform_ball
-from repro.hull import parallel_hull, sequential_hull
+from repro.hull import parallel_hull, robust_hull, sequential_hull
 from repro.hull.certify import (
     CertificateError,
     HullCertificate,
@@ -26,6 +27,7 @@ from repro.hull.serialize import (
     run_summary,
     save_run,
 )
+from repro.runtime import ChaosThreadExecutor, FaultPlan
 
 
 @pytest.mark.parametrize("d,engine", [(2, "objects"), (2, "soa"), (3, "soa")])
@@ -65,6 +67,27 @@ def test_run_summary_scalar_default_kernel_field():
     summary = run_summary(parallel_hull(pts, seed=3, engine="objects"))
     assert summary["kernel"]["kernel"] == "scalar"
     assert seq.facet_keys()  # the sequential run participated, too
+
+
+def test_run_summary_keeps_fault_provenance(tmp_path):
+    # The ladder's escalation path of a robust_hull run ...
+    flat = np.zeros((25, 3))
+    flat[:, :2] = uniform_ball(25, 2, seed=1)
+    res = robust_hull(flat, seed=0)
+    save_run(res.run, tmp_path / "robust.json")
+    loaded = load_summary(tmp_path / "robust.json")
+    assert loaded["exec"]["escalations"] == [
+        "float:HullSetupError", "exact:HullSetupError", "sos:ok"]
+
+    # ... and the supervision counters of a run whose workers died.
+    run = parallel_hull(
+        uniform_ball(60, 2, seed=3), seed=4, multimap="cas",
+        executor=ChaosThreadExecutor(3, plan=FaultPlan(seed=5, crash_rate=0.2)),
+    )
+    save_run(run, tmp_path / "chaos.json")
+    sup = load_summary(tmp_path / "chaos.json")["exec"]["supervision"]
+    assert sup["worker_deaths"] == run.exec_stats.worker_deaths > 0
+    assert sup["retries"] == run.exec_stats.retries > 0
 
 
 def test_load_summary_rejects_wrong_schema(tmp_path):

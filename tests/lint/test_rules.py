@@ -7,6 +7,8 @@ Fixtures are written to tmp_path so the checker runs end-to-end
 (collection, parsing, suppression) rather than on pre-built ASTs.
 """
 
+import subprocess
+import sys
 import textwrap
 from pathlib import Path
 
@@ -112,23 +114,40 @@ class TestRPR002RawThreading:
         vs = lint_snippet(tmp_path, "import multiprocessing\n",
                           name="repro/hull/helper.py")
         assert [(v.rule_id, v.line) for v in vs] == [("RPR002", 1)]
-        assert "procexec" in vs[0].message
+        assert "no module may own worker processes" in vs[0].message
 
     def test_catches_multiprocessing_submodule_from_import(self, tmp_path):
         vs = lint_snippet(
             tmp_path, "from multiprocessing import shared_memory\n")
         assert [v.rule_id for v in vs] == ["RPR002"]
 
-    def test_procexec_may_import_multiprocessing(self, tmp_path):
+    def test_no_module_may_import_multiprocessing(self, tmp_path):
         from repro.lint.rules_atomics import MULTIPROCESSING_ALLOWLIST
 
-        assert MULTIPROCESSING_ALLOWLIST == ("runtime/procexec.py",)
+        assert MULTIPROCESSING_ALLOWLIST == ()
+        # Not even a runtime module that may import threading.
         vs = lint_snippet(
             tmp_path,
             "from multiprocessing import get_context, shared_memory\n",
-            name="repro/runtime/procexec.py",
+            name="repro/runtime/executors.py",
         )
-        assert vs == []
+        assert [v.rule_id for v in vs] == ["RPR002"]
+
+    def test_importing_repro_loads_no_multiprocessing(self):
+        # A fresh interpreter, so modules this test session imported
+        # cannot mask one that repro pulls in.
+        src = Path(__file__).resolve().parents[2] / "src"
+        code = (
+            "import sys\n"
+            f"sys.path.insert(0, {str(src)!r})\n"
+            "import repro, repro.cli\n"
+            "print(sorted(m for m in sys.modules if 'multiprocessing' in m))\n"
+        )
+        out = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True,
+            check=True, timeout=120,
+        ).stdout
+        assert out.strip() == "[]"
 
     def test_threading_allowlist_does_not_cover_multiprocessing(self, tmp_path):
         # chaos.py may import threading but NOT multiprocessing: the two

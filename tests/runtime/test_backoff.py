@@ -1,4 +1,4 @@
-"""Shared retry-backoff policy (used by chaos + process supervisors)."""
+"""Retry-backoff policy of the chaos thread executor's supervisor."""
 
 import pytest
 

@@ -6,7 +6,6 @@ from repro.runtime.faults import (
     CRASH,
     DELAY,
     FAULT_KINDS,
-    STALL,
     FaultEvent,
     FaultPlan,
     _unit_hash,
@@ -24,7 +23,7 @@ class TestUnitHash:
 
     def test_stable_across_instances(self):
         # blake2b, not hash(): same inputs -> same coin, every process.
-        assert _unit_hash(7, STALL, "ridge:1-2") == _unit_hash(7, STALL, "ridge:1-2")
+        assert _unit_hash(7, CRASH, "ridge:1-2") == _unit_hash(7, CRASH, "ridge:1-2")
         a = FaultPlan(seed=7, crash_rate=0.3)
         b = FaultPlan(seed=7, crash_rate=0.3)
         sites = [f"ridge:{i}-{i + 1}" for i in range(40)]
@@ -158,10 +157,10 @@ class TestFaultPlan:
         assert len(plan.events) == 3
 
     def test_events_record_kind_and_site(self):
-        plan = FaultPlan(seed=0, stall_rate=1.0)
-        plan.should_stall("read:4")
-        assert plan.events == [FaultEvent(kind=STALL, site="read:4")]
-        assert "1 stall" in plan.describe()
+        plan = FaultPlan(seed=0, crash_rate=1.0)
+        plan.should_crash("read:4")
+        assert plan.events == [FaultEvent(kind=CRASH, site="read:4")]
+        assert "1 crash" in plan.describe()
 
     def test_decisions_schedule_independent(self):
         # Querying sites in a different order gives identical outcomes:

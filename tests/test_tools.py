@@ -53,30 +53,6 @@ class TestFuzzer:
         finally:
             sys.argv = old_argv
 
-    def test_chaos_proc_cases_agree(self):
-        sys.path.insert(0, TOOLS_DIR)
-        try:
-            from fuzz import one_chaos_proc_case
-        finally:
-            sys.path.pop(0)
-        rng = np.random.default_rng(77)
-        for _ in range(2):
-            assert one_chaos_proc_case(rng, verbose=False) is None
-
-    def test_chaos_proc_flag_wired(self):
-        sys.path.insert(0, TOOLS_DIR)
-        try:
-            import fuzz
-        finally:
-            sys.path.pop(0)
-        old_argv = sys.argv
-        sys.argv = ["fuzz.py", "--chaos-proc", "--iterations", "1",
-                    "--seed", "3"]
-        try:
-            assert fuzz.main() == 0
-        finally:
-            sys.argv = old_argv
-
     def test_kernels_flag_wired(self):
         sys.path.insert(0, TOOLS_DIR)
         try:

@@ -23,14 +23,6 @@ set, ChaosThreadExecutor runs must survive worker deaths, and random
 multimap ops frozen forever at a random yield point must never block
 the others (lock-freedom, Theorem A.1/5.5).
 
-``--chaos-proc`` extends the chaos mode across the process boundary:
-random (input, fault plan, worker count) triples run on the supervised
-:class:`~repro.runtime.procexec.ProcessExecutor` with real worker
-processes being SIGKILLed, stalled, and their result messages dropped
-or duplicated mid-round -- and every run must still produce the
-bit-identical event trace, counters, and work/span DAG of the
-fault-free serial execution.
-
 ``--degenerate`` fuzzes the adversarial corpus
 (:mod:`repro.geometry.degenerate`): every family x random seed must
 climb the robust ladder without ever joggling, the default ladder (on
@@ -70,7 +62,6 @@ syntax errors must surface as RPRHOT999 pseudo-findings.
 
 Run:  python tools/fuzz.py [--iterations N] [--seed S] [--verbose]
       python tools/fuzz.py --chaos [--duration SECS]
-      python tools/fuzz.py --chaos-proc [--duration SECS]
       python tools/fuzz.py --degenerate [--duration SECS]
       python tools/fuzz.py --kernels [--duration SECS]
       python tools/fuzz.py --effects [--iterations N]
@@ -270,50 +261,6 @@ def one_chaos_case(rng: np.random.Generator, verbose: bool) -> str | None:
                 return f"{label}: {summary.describe()}"
     except Exception as exc:  # noqa: BLE001 - fuzzing surface
         return f"chaos case {kind}: exception {type(exc).__name__}: {exc}"
-    return None
-
-
-def one_chaos_proc_case(rng: np.random.Generator, verbose: bool) -> str | None:
-    """Fuzz one random (input, fault plan, worker count) triple through
-    the supervised process executor; returns an error description or
-    None.  Inputs stay small: each case spawns real OS processes and
-    SIGKILLs a fair fraction of them, so the cost per iteration is
-    dominated by respawns, not geometry."""
-    workload = ["ball", "cube", "sphere", "gaussian"][int(rng.integers(0, 4))]
-    d = int(rng.integers(2, 4))
-    n = int(rng.integers(d + 5, 48))
-    seed = int(rng.integers(0, 2**31))
-    n_workers = int(rng.integers(2, 5))
-    # One dominant fault kind per case plus a light mix, so each
-    # iteration stresses a specific supervision path (reap/respawn,
-    # stall-detection, dedup, requeue) instead of a grey average.
-    rates = {"kill_rate": 0.0, "stall_rate": 0.0, "drop_rate": 0.0,
-             "dup_rate": 0.0, "delay_rate": 0.0}
-    dominant = list(rates)[int(rng.integers(0, len(rates)))]
-    rates[dominant] = float(rng.uniform(0.15, 0.4))
-    for k in rates:
-        if k != dominant and rng.integers(0, 3) == 0:
-            rates[k] = float(rng.uniform(0.0, 0.1))
-    label = (f"procs[{workload}](n={n}, d={d}, seed={seed}, P={n_workers}, "
-             + ", ".join(f"{k.split('_')[0]}={v:.2f}"
-                         for k, v in rates.items() if v) + ")")
-    if verbose:
-        print(f"  {label}")
-    try:
-        rep = chaos_hull_roundtrip(
-            n=n, d=d, seed=seed, workload=workload,
-            executor_kind="procs", n_workers=n_workers, **rates,
-        )
-        if not rep["ok"]:
-            return f"{label}: facet set diverged under process faults ({rep})"
-        if not rep.get("trace_identical", False):
-            return f"{label}: event trace / work-span DAG diverged ({rep})"
-        from repro.runtime.procexec import active_segments
-        leaked = active_segments()
-        if leaked:
-            return f"{label}: leaked shared-memory segments {sorted(leaked)}"
-    except Exception as exc:  # noqa: BLE001 - fuzzing surface
-        return f"{label}: exception {type(exc).__name__}: {exc}"
     return None
 
 
@@ -892,9 +839,6 @@ def main() -> int:
     ap.add_argument("--verbose", action="store_true")
     ap.add_argument("--chaos", action="store_true",
                     help="fuzz (input, schedule, fault plan) triples instead")
-    ap.add_argument("--chaos-proc", action="store_true",
-                    help="fuzz the supervised process executor with "
-                         "random (input, fault plan, worker count) triples")
     ap.add_argument("--degenerate", action="store_true",
                     help="fuzz the adversarial degenerate corpus instead")
     ap.add_argument("--kernels", action="store_true",
@@ -919,8 +863,6 @@ def main() -> int:
     rng = np.random.default_rng(args.seed)
     if args.chaos:
         cases = (one_chaos_case,)
-    elif args.chaos_proc:
-        cases = (one_chaos_proc_case,)
     elif args.degenerate:
         cases = (one_degenerate_case,)
     elif args.kernels:
@@ -953,7 +895,6 @@ def main() -> int:
         if i % 20 == 0 and not args.verbose and not failures:
             print(f"  ... {i} iterations ok")
     kind = ("chaos" if args.chaos
-            else "chaos-proc" if args.chaos_proc
             else "degenerate" if args.degenerate
             else "kernels" if args.kernels
             else "noisy" if args.noisy
