@@ -3,10 +3,14 @@
 The furthest-point divide-and-conquer heuristic used by Qhull [10]: each
 facet keeps an *outside set*; repeatedly pick a facet, take its furthest
 outside point, remove the visible cone, and stitch new facets along the
-horizon.  Structurally it shares the facet/ridge machinery with the
-incremental algorithms (it reuses :class:`~repro.hull.common.FacetFactory`)
-but chooses insertion points adaptively instead of by random rank --
-the classic practical baseline for benchmark E12.
+horizon.  It shares the facet/ridge machinery of the incremental
+algorithms -- :class:`~repro.hull.common.FacetFactory` builds its facets
+and :class:`~repro.hull.sequential.FacetComplex` does install/uninstall
+and the horizon walk -- and keeps its own rules: the furthest outside
+point as apex (chosen adaptively instead of by random rank), a BFS over
+facet adjacency for the visible region, and the parents' outside sets
+as candidates.  It also keeps its own set-up, since it does not re-rank
+its points.  The classic practical baseline for benchmark E12.
 """
 
 from __future__ import annotations
@@ -17,23 +21,18 @@ import numpy as np
 
 from ..geometry.simplex import Facet, facet_ridges
 from ..hull.common import Counters, FacetFactory, initial_simplex_ranks, prepare_points
+from ..hull.sequential import FacetComplex, HullQueries
 
 __all__ = ["QuickhullResult", "quickhull"]
 
 
 @dataclass
-class QuickhullResult:
+class QuickhullResult(HullQueries):
     points: np.ndarray
     order: np.ndarray
     facets: list[Facet]
     counters: Counters
     interior: np.ndarray
-
-    def vertex_indices(self) -> set[int]:
-        return {int(self.order[i]) for f in self.facets for i in f.indices}
-
-    def facet_keys(self) -> set:
-        return {f.key() for f in self.facets}
 
 
 def quickhull(points: np.ndarray) -> QuickhullResult:
@@ -48,34 +47,18 @@ def quickhull(points: np.ndarray) -> QuickhullResult:
     counters = Counters()
     interior = pts[init].mean(axis=0)
     factory = FacetFactory(pts, interior, counters)
-
-    facets: dict[int, Facet] = {}
-    ridge_map: dict[frozenset, set[int]] = {}
-
-    def install(f: Facet) -> None:
-        facets[f.fid] = f
-        for r in facet_ridges(f.indices):
-            ridge_map.setdefault(r, set()).add(f.fid)
-
-    def uninstall(f: Facet) -> None:
-        f.alive = False
-        del facets[f.fid]
-        for r in facet_ridges(f.indices):
-            s = ridge_map[r]
-            s.discard(f.fid)
-            if not s:
-                del ridge_map[r]
+    cx = FacetComplex()
 
     everything = np.arange(n, dtype=np.int64)
     for leave_out in init:
         subset = tuple(i for i in init if i != leave_out)
-        install(factory.make(subset, everything))
+        cx.install(factory.make(subset, everything))
 
     # Facets with a nonempty outside set still need processing.
-    pending = {fid for fid, f in facets.items() if f.conflicts.size}
+    pending = {fid for fid, f in cx.facets.items() if f.conflicts.size}
     while pending:
         fid = pending.pop()
-        f0 = facets.get(fid)
+        f0 = cx.facets.get(fid)
         if f0 is None or not f0.conflicts.size:
             continue
         # Furthest outside point of this facet.
@@ -87,42 +70,35 @@ def quickhull(points: np.ndarray) -> QuickhullResult:
         while stack:
             t = stack.pop()
             for r in facet_ridges(t.indices):
-                for other_id in ridge_map[r] - {t.fid}:
+                for other_id in cx.ridges[r] - {t.fid}:
                     if other_id in visible:
                         continue
-                    other = facets[other_id]
+                    other = cx.facets[other_id]
                     counters.visibility_tests += 1
                     if other.plane.is_visible(pts[apex]):
                         visible[other_id] = other
                         stack.append(other)
-        # Horizon ridges and replacement facets.
-        new_facets: list[Facet] = []
-        for t1 in visible.values():
-            for r in facet_ridges(t1.indices):
-                others = ridge_map[r] - {t1.fid}
-                if not others:
-                    continue
-                (other_id,) = others
-                if other_id in visible:
-                    continue
-                t2 = facets[other_id]
-                candidates = np.setdiff1d(
-                    np.union1d(t1.conflicts, t2.conflicts),
-                    np.array([apex], dtype=np.int64),
-                )
-                new_facets.append(factory.make(tuple(r | {apex}), candidates))
-        for t in visible.values():
-            uninstall(t)
-            pending.discard(t.fid)
-        for t in new_facets:
-            install(t)
-            if t.conflicts.size:
-                pending.add(t.fid)
+        # Replacement facets on the horizon ridges: a new facet's outside
+        # set is drawn from its two parents' outside sets.
+        new_facets = [
+            factory.make(
+                tuple(r | {apex}),
+                np.setdiff1d(np.union1d(t1.conflicts, t2.conflicts),
+                             np.array([apex], dtype=np.int64)),
+            )
+            for r, t1, t2 in cx.horizon(visible)
+        ]
+        cx.replace(visible.values(), new_facets)
+        # One discard at a time: difference_update() may compact the
+        # set, which changes the order pop() hands out facets in.
+        for fid in visible:
+            pending.discard(fid)
+        pending.update(t.fid for t in new_facets if t.conflicts.size)
 
     return QuickhullResult(
         points=pts,
         order=order,
-        facets=sorted(facets.values(), key=lambda f: f.fid),
+        facets=cx.alive(),
         counters=counters,
         interior=interior,
     )

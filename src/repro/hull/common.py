@@ -6,7 +6,8 @@ conflict pivot ``min_S(C(t))`` is simply the smallest index in a conflict
 array), facets built against a fixed interior reference point, and
 conflict sets stored as ascending ``int64`` index arrays so that the hot
 "filter the visible candidates" loop is one vectorized hyperplane
-evaluation.
+evaluation.  :func:`setup_run` puts a run in that state, for the object
+drivers and the SoA engine alike.
 """
 
 from __future__ import annotations
@@ -29,6 +30,9 @@ __all__ = [
     "prepare_points",
     "initial_simplex_ranks",
     "promote_initial",
+    "resolve_base_size",
+    "setup_run",
+    "check_kernel",
     "FacetFactory",
 ]
 
@@ -148,7 +152,7 @@ def _exact_rank(rows: list[np.ndarray]) -> int:
     return rank
 
 
-def initial_simplex_ranks(pts: np.ndarray, base_size: int | None = None) -> list[int]:
+def initial_simplex_ranks(pts: np.ndarray) -> list[int]:
     """Pick the first affinely independent ``d+1`` ranks, scanning
     forward in insertion order.
 
@@ -159,21 +163,20 @@ def initial_simplex_ranks(pts: np.ndarray, base_size: int | None = None) -> list
     cloud is not full-dimensional.
     """
     n, d = pts.shape
-    need = (base_size if base_size is not None else d + 1)
     if sos_active():
         # Under Simulation of Simplicity every d+1 distinct ranks are
         # affinely independent (the perturbed cloud is in general
         # position), so the paper's assumption holds verbatim: the first
         # points in insertion order seed the simplex, and no input is
         # rejected as flat.
-        return list(range(need))
+        return list(range(d + 1))
     chosen: list[int] = []
     chosen_pts: list[np.ndarray] = []
     for i in range(n):
         if _affinely_independent(chosen_pts, pts[i]):
             chosen.append(i)
             chosen_pts.append(pts[i])
-            if len(chosen) == need:
+            if len(chosen) == d + 1:
                 return chosen
     raise HullSetupError(
         f"input is not full-dimensional: affine rank {len(chosen) - 1} < {d}"
@@ -190,6 +193,51 @@ def promote_initial(pts: np.ndarray, order: np.ndarray, ranks: list[int]):
         [np.asarray(ranks, dtype=np.int64), np.nonzero(keep)[0]]
     )
     return pts[perm], order[perm]
+
+
+def resolve_base_size(base_size: int | None, d: int) -> int:
+    """The bootstrap hull size of a ``d``-dimensional run: ``d + 1``
+    (the paper's simplex) when ``base_size`` is left out, else
+    ``base_size``, which must be at least that."""
+    if base_size is None:
+        return d + 1
+    if base_size < d + 1:
+        raise HullSetupError(f"base_size must be >= d+1 = {d + 1}")
+    return int(base_size)
+
+
+def setup_run(
+    points: np.ndarray,
+    order: np.ndarray | None = None,
+    seed: int | None = None,
+    base_size: int | None = None,
+) -> tuple[np.ndarray, np.ndarray, int, np.ndarray]:
+    """The set-up of every rank-ordered run: returns ``(pts, order,
+    base_size, interior)``.
+
+    :func:`prepare_points` puts the cloud in insertion order,
+    :func:`resolve_base_size` checks ``base_size`` (so a bad one raises
+    before the cloud is checked for full dimension), the initial
+    simplex is promoted to ranks ``0..d``, and its centroid is the
+    interior reference point every facet is oriented against.
+    """
+    pts, order = prepare_points(points, order, seed)
+    d = pts.shape[1]
+    base_size = resolve_base_size(base_size, d)
+    pts, order = promote_initial(pts, order, initial_simplex_ranks(pts))
+    return pts, order, base_size, pts[: d + 1].mean(axis=0)
+
+
+def check_kernel(kernel: NoisyKernel | None) -> NoisyKernel | None:
+    """Return ``kernel``, which must be ``None`` or a
+    :class:`~repro.geometry.noisy.NoisyKernel`; anything else raises
+    ``ValueError``.  Every driver and ``robust_hull`` check it here."""
+    if kernel is not None and not isinstance(kernel, NoisyKernel):
+        raise ValueError(
+            f"unknown kernel {kernel!r}: kernel= takes None or a "
+            "NoisyKernel; the engine picks the visibility path"
+        )
+    return kernel
 
 
 class FacetFactory:
@@ -222,12 +270,7 @@ class FacetFactory:
         self._interior_combo = (pts[list(interior_ranks)], interior_ranks)
         self._mutex = Mutex()
         self._next_fid = 0
-        if kernel is not None and not isinstance(kernel, NoisyKernel):
-            raise ValueError(
-                f"unknown kernel {kernel!r}: kernel= takes None or a "
-                "NoisyKernel; the engine picks the visibility path"
-            )
-        self.noisy = kernel
+        self.noisy = check_kernel(kernel)
 
     def kernel_snapshot(self) -> dict:
         """Kernel provenance for ``exec_stats``: the visibility path,
@@ -348,13 +391,3 @@ class FacetFactory:
         np.not_equal(merged[1:], merged[:-1], out=keep[1:])
         return merged[keep]
 
-
-def resolve_base_size(base_size: int | None, d: int) -> int:
-    """The bootstrap hull size of a ``d``-dimensional run: ``d + 1``
-    (the paper's simplex) when ``base_size`` is left out, else
-    ``base_size``, which must be at least that."""
-    if base_size is None:
-        return d + 1
-    if base_size < d + 1:
-        raise HullSetupError(f"base_size must be >= d+1 = {d + 1}")
-    return int(base_size)

@@ -5,7 +5,8 @@ they know all points up front; a *stream* of points doesn't allow that.
 This builder maintains the hull under arbitrary insertions by locating
 the visible region directly (testing the current facets -- O(h) per
 insertion, the textbook online variant) and stitching the horizon
-exactly like the batch code.
+through the batch drivers' own ridge complex,
+:class:`~repro.hull.sequential.FacetComplex`, with no conflict sets.
 
 It exists for downstream users who want the library as a data structure
 rather than a one-shot solver; the batch algorithms remain the
@@ -19,8 +20,9 @@ import itertools
 import numpy as np
 
 from ..geometry.hyperplane import Hyperplane
-from ..geometry.simplex import Facet, facet_ridges
+from ..geometry.simplex import Facet
 from .common import HullSetupError, _affinely_independent
+from .sequential import FacetComplex
 
 __all__ = ["OnlineHull"]
 
@@ -40,8 +42,7 @@ class OnlineHull:
         self._points: list[np.ndarray] = []
         self._buffer: list[int] = []          # indices not yet in any hull
         self._interior: np.ndarray | None = None
-        self._facets: dict[int, Facet] = {}
-        self._ridge_map: dict[frozenset, set[int]] = {}
+        self._cx = FacetComplex()
         self._fid = itertools.count()
         self.inserted = 0
         self.interior_points = 0
@@ -54,14 +55,14 @@ class OnlineHull:
 
     @property
     def facets(self) -> list[Facet]:
-        return sorted(self._facets.values(), key=lambda f: f.fid)
+        return self._cx.alive()
 
     @property
     def points(self) -> np.ndarray:
         return np.asarray(self._points, dtype=np.float64)
 
     def vertex_indices(self) -> set[int]:
-        return {i for f in self._facets.values() for i in f.indices}
+        return {i for f in self._cx.facets.values() for i in f.indices}
 
     def add(self, point) -> str:
         """Insert one point.  Returns what happened: ``"buffered"``
@@ -90,7 +91,7 @@ class OnlineHull:
         dimensionality)."""
         if self._interior is None:
             raise HullSetupError("hull is not full-dimensional yet")
-        sides = [f.plane.side(q) for f in self._facets.values()]
+        sides = [f.plane.side(q) for f in self._cx.facets.values()]
         return all(s < 0 for s in sides) if strict else all(s <= 0 for s in sides)
 
     # -- internals ---------------------------------------------------------
@@ -110,57 +111,34 @@ class OnlineHull:
         if len(chosen) < d + 1:
             return False
         self._interior = np.mean(chosen_pts, axis=0)
-        for leave_out in chosen:
-            self._install(tuple(i for i in chosen if i != leave_out))
+        self._cx.replace((), [
+            self._make(tuple(i for i in chosen if i != leave_out))
+            for leave_out in chosen
+        ])
         rest = [i for i in self._buffer if i not in set(chosen)]
         self._buffer = []
         for i in rest:
             self._insert(i)
         return True
 
-    def _install(self, indices: tuple[int, ...]) -> Facet:
+    def _make(self, indices: tuple[int, ...]) -> Facet:
         plane = Hyperplane.through(self.points[list(indices)], self._interior)
-        f = Facet(
+        return Facet(
             fid=next(self._fid),
             indices=tuple(sorted(indices)),
             plane=plane,
             conflicts=np.zeros(0, dtype=np.int64),
         )
-        self._facets[f.fid] = f
-        for r in facet_ridges(f.indices):
-            self._ridge_map.setdefault(r, set()).add(f.fid)
-        return f
-
-    def _uninstall(self, f: Facet) -> None:
-        f.alive = False
-        del self._facets[f.fid]
-        for r in facet_ridges(f.indices):
-            s = self._ridge_map.get(r)
-            if s is not None:
-                s.discard(f.fid)
-                if not s:
-                    del self._ridge_map[r]
 
     def _insert(self, idx: int) -> str:
         q = self._points[idx]
         visible = {
-            fid: f for fid, f in self._facets.items() if f.plane.is_visible(q)
+            fid: f for fid, f in self._cx.facets.items() if f.plane.is_visible(q)
         }
         if not visible:
             self.interior_points += 1
             return "interior"
-        new_indices: list[tuple[int, ...]] = []
-        for fid, t1 in visible.items():
-            for r in facet_ridges(t1.indices):
-                others = self._ridge_map[r] - {fid}
-                if not others:
-                    continue
-                (other_id,) = others
-                if other_id in visible:
-                    continue
-                new_indices.append(tuple(r | {idx}))
-        for t1 in list(visible.values()):
-            self._uninstall(t1)
-        for indices in new_indices:
-            self._install(indices)
+        self._cx.replace(visible.values(), [
+            self._make(tuple(r | {idx})) for r, _, _ in self._cx.horizon(visible)
+        ])
         return "extreme"

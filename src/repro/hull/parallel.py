@@ -28,6 +28,7 @@ the only driver of executors, the CAS/TAS multimaps and fault plans;
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Sequence
@@ -40,15 +41,8 @@ from ..runtime.executors import ExecutionStats, RoundExecutor, SerialExecutor, T
 from ..runtime.faults import FaultPlan
 from ..runtime.multimap import CASMultimap, DictMultimap, TASMultimap
 from ..runtime.workspan import WorkSpanTracker
-from .common import (
-    Counters,
-    FacetFactory,
-    initial_simplex_ranks,
-    prepare_points,
-    promote_initial,
-    resolve_base_size,
-)
-from .sequential import sequential_hull
+from .common import Counters, FacetFactory, setup_run
+from .sequential import HullQueries, bootstrap_faces
 
 __all__ = [
     "RidgeTask", "Event", "ParallelHullRun", "check_engine", "parallel_hull",
@@ -87,7 +81,7 @@ class Event:
 
 
 @dataclass
-class ParallelHullRun:
+class ParallelHullRun(HullQueries):
     """Full instrumented outcome of a parallel hull run."""
 
     points: np.ndarray
@@ -104,68 +98,28 @@ class ParallelHullRun:
     interior: np.ndarray
     base_size: int
 
-    @property
-    def dimension(self) -> int:
-        return int(self.points.shape[1])
-
-    def vertex_ranks(self) -> set[int]:
-        return {i for f in self.facets for i in f.indices}
-
-    def vertex_indices(self) -> set[int]:
-        return {int(self.order[i]) for i in self.vertex_ranks()}
-
-    def facet_keys(self) -> set:
-        return {f.key() for f in self.facets}
-
     def created_keys(self) -> set:
         return {f.key() for f in self.created}
 
-    def dependence_depth(self) -> int:
-        """Longest path in the configuration dependence graph
-        (Definition 4.1): base facets have depth 0; a created facet sits
-        one level below the deeper of its two support facets.  Facet ids
-        ascend along support edges, so a single pass suffices."""
+    def _depths(self) -> dict[int, int]:
+        """Every created facet's depth in the configuration dependence
+        graph (Definition 4.1): base facets have depth 0; a created
+        facet sits one level below the deeper of its two support
+        facets.  Facet ids ascend along support edges, so a single pass
+        suffices."""
         depth: dict[int, int] = {}
-        best = 0
         for f in self.created:
             sup = self.support.get(f.fid)
-            d = 0 if sup is None else 1 + max(depth[sup[0]], depth[sup[1]])
-            depth[f.fid] = d
-            best = max(best, d)
-        return best
+            depth[f.fid] = 0 if sup is None else 1 + max(depth[sup[0]], depth[sup[1]])
+        return depth
+
+    def dependence_depth(self) -> int:
+        """Longest path in the configuration dependence graph."""
+        return max(self._depths().values(), default=0)
 
     def depth_profile(self) -> dict[int, int]:
         """Histogram: dependence depth -> number of facets at it."""
-        depth: dict[int, int] = {}
-        hist: dict[int, int] = {}
-        for f in self.created:
-            sup = self.support.get(f.fid)
-            d = 0 if sup is None else 1 + max(depth[sup[0]], depth[sup[1]])
-            depth[f.fid] = d
-            hist[d] = hist.get(d, 0) + 1
-        return hist
-
-
-def _build_base_hull(
-    pts: np.ndarray,
-    base_size: int,
-    factory: FacetFactory,
-) -> list[Facet]:
-    """Facets of the hull of the first ``base_size`` ranks, with
-    conflict sets over all later points, made in one ``make_batch``
-    call."""
-    n, d = pts.shape
-    later = np.arange(base_size, n, dtype=np.int64)
-    if base_size == d + 1:
-        first = list(range(d + 1))
-        return factory.make_batch([
-            (tuple(i for i in first if i != leave_out), later)
-            for leave_out in first
-        ])
-    # Larger bootstrap (e.g. the Figure 1 walkthrough): build the prefix
-    # hull sequentially, then re-issue its facets with full conflict sets.
-    prefix = sequential_hull(pts[:base_size], order=np.arange(base_size))
-    return factory.make_batch([(f.indices, later) for f in prefix.facets])
+        return dict(Counter(self._depths().values()))
 
 
 class _SoAParallelRun(ParallelHullRun):
@@ -445,14 +399,9 @@ def parallel_hull(
     """
     if check_engine(engine, executor, multimap, fault_plan) == "soa":
         return _soa_parallel_run(points, order, seed, base_size, kernel)
-    pts, order = prepare_points(points, order, seed)
+    pts, order, base_size, interior = setup_run(points, order, seed, base_size)
     n, d = pts.shape
-    base_size = resolve_base_size(base_size, d)
-    init = initial_simplex_ranks(pts)
-    pts, order = promote_initial(pts, order, init)
-
     counters = Counters()
-    interior = pts[: d + 1].mean(axis=0)
     factory = FacetFactory(pts, interior, counters, kernel=kernel)
     tracker = WorkSpanTracker()
 
@@ -465,7 +414,11 @@ def parallel_hull(
     else:
         M = DictMultimap()
 
-    base_facets = _build_base_hull(pts, base_size, factory)
+    # The bootstrap hull's facets, with conflict sets over all later
+    # points, made in one make_batch call.
+    later = np.arange(base_size, n, dtype=np.int64)
+    base_facets = factory.make_batch(
+        [(idx, later) for idx in bootstrap_faces(pts, base_size)])
 
     created: list[Facet] = list(base_facets)
     support: dict[int, tuple[int, int]] = {}
@@ -603,9 +556,16 @@ def parallel_hull(
                 )
         return children
 
-    def run_rounds() -> ExecutionStats:
-        # Run the round loop inline so the trace can stamp each event
-        # with its synchronous round number.
+    def run_rounds(plan: FaultPlan | None) -> ExecutionStats:
+        # The round loop runs inline so the trace can stamp each event
+        # with its synchronous round number.  Under a fault plan each
+        # round is a transaction: a crash fault kills a ProcessRidge
+        # call *after* its work (facet creation, multimap registration,
+        # counters) but before its children commit -- at-least-once
+        # semantics -- so the round rolls back to its checkpoint and
+        # re-executes.  Faults are one-shot per ridge site, which bounds
+        # rollbacks by the number of distinct fault sites and guarantees
+        # termination.
         stats = ExecutionStats()
         frontier: list[RidgeTask] = list(initial_tasks)
         rng = getattr(executor, "_rng", None)
@@ -613,50 +573,23 @@ def parallel_hull(
             if rng is not None:
                 idx = rng.permutation(len(frontier))
                 frontier = [frontier[i] for i in idx]
-            stats.rounds += 1
-            stats.round_sizes.append(len(frontier))
-            nxt: list[RidgeTask] = []
-            for task in frontier:
-                stats.tasks_executed += 1
-                nxt.extend(process(task))
-            frontier = nxt
-            round_counter["round"] += 1
-        return stats
-
-    def run_rounds_chaotic(plan: FaultPlan) -> ExecutionStats:
-        # The fault-injected round loop: each round is a transaction.
-        # A crash fault kills a ProcessRidge call *after* its work
-        # (facet creation, multimap registration, counters) but before
-        # its children commit -- at-least-once semantics -- so the round
-        # rolls back to its checkpoint and re-executes.  Faults are
-        # one-shot per ridge site, which bounds rollbacks by the number
-        # of distinct fault sites and guarantees termination.
-        stats = ExecutionStats()
-        frontier: list[RidgeTask] = list(initial_tasks)
-        rng = getattr(executor, "_rng", None)
-
-        def site_of(task: RidgeTask) -> str:
-            return "ridge:" + "-".join(str(i) for i in sorted(task.ridge))
-
-        while frontier:
-            if rng is not None:
-                idx = rng.permutation(len(frontier))
-                frontier = [frontier[i] for i in idx]
-            ckpt = take_checkpoint(frontier)
-            stats.checkpoints += 1
+            if plan is not None:
+                ckpt = take_checkpoint(frontier)
+                stats.checkpoints += 1
             nxt: list[RidgeTask] = []
             executed_this_attempt = 0
             aborted = False
             for task in frontier:
-                site = site_of(task)
-                if plan.should_delay(site):
-                    stats.tasks_delayed += 1
-                    nxt.append(task)  # deferred, not lost: next round
-                    continue
+                if plan is not None:
+                    site = "ridge:" + "-".join(str(i) for i in sorted(task.ridge))
+                    if plan.should_delay(site):
+                        stats.tasks_delayed += 1
+                        nxt.append(task)  # deferred, not lost: next round
+                        continue
                 stats.tasks_executed += 1
                 executed_this_attempt += 1
                 children = process(task)
-                if plan.should_crash(site):
+                if plan is not None and plan.should_crash(site):
                     stats.tasks_aborted += 1
                     aborted = True
                     break
@@ -673,7 +606,7 @@ def parallel_hull(
         return stats
 
     if isinstance(executor, RoundExecutor):
-        exec_stats = run_rounds() if fault_plan is None else run_rounds_chaotic(fault_plan)
+        exec_stats = run_rounds(fault_plan)
     else:
         exec_stats = executor.run(initial_tasks, process)
 

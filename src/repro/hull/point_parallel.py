@@ -26,19 +26,14 @@ import numpy as np
 
 from ..geometry.noisy import NoisyKernel
 from ..geometry.simplex import Facet, facet_ridges
-from .common import (
-    Counters,
-    FacetFactory,
-    initial_simplex_ranks,
-    prepare_points,
-    promote_initial,
-)
+from .common import Counters, FacetFactory, setup_run
+from .sequential import ConflictComplex, HullQueries, bootstrap_faces
 
 __all__ = ["PointParallelResult", "point_parallel_hull"]
 
 
 @dataclass
-class PointParallelResult:
+class PointParallelResult(HullQueries):
     points: np.ndarray
     order: np.ndarray
     facets: list[Facet]
@@ -47,12 +42,6 @@ class PointParallelResult:
     round_sizes: list[int] = field(default_factory=list)   # points inserted per round
     deferred: list[int] = field(default_factory=list)      # conflicts-deferred per round
     interior: np.ndarray | None = None
-
-    def vertex_indices(self) -> set[int]:
-        return {int(self.order[i]) for f in self.facets for i in f.indices}
-
-    def facet_keys(self) -> set:
-        return {f.key() for f in self.facets}
 
 
 def point_parallel_hull(
@@ -70,79 +59,31 @@ def point_parallel_hull(
     the paper says had "no strong theoretical bounds" -- compare it with
     Algorithm 3's O(log n) dependence depth.
     """
-    pts, order = prepare_points(points, order, seed)
+    pts, order, _, interior = setup_run(points, order, seed)
     n, d = pts.shape
-    init = initial_simplex_ranks(pts)
-    pts, order = promote_initial(pts, order, init)
-
     counters = Counters()
-    interior = pts[: d + 1].mean(axis=0)
     factory = FacetFactory(pts, interior, counters, kernel=kernel)
-
-    facets: dict[int, Facet] = {}
-    ridge_map: dict[frozenset, set[int]] = {}
-    inverse: dict[int, set[int]] = {}
-
-    def install(f: Facet) -> None:
-        facets[f.fid] = f
-        for r in facet_ridges(f.indices):
-            ridge_map.setdefault(r, set()).add(f.fid)
-        for v in f.conflicts:
-            inverse.setdefault(int(v), set()).add(f.fid)
-
-    def uninstall(f: Facet) -> None:
-        f.alive = False
-        del facets[f.fid]
-        for r in facet_ridges(f.indices):
-            s = ridge_map.get(r)
-            if s is not None:
-                s.discard(f.fid)
-                if not s:
-                    del ridge_map[r]
-        for v in f.conflicts:
-            s = inverse.get(int(v))
-            if s is not None:
-                s.discard(f.fid)
-                if not s:
-                    del inverse[int(v)]
+    cx = ConflictComplex()
 
     all_later = np.arange(d + 1, n, dtype=np.int64)
-    first = list(range(d + 1))
-    for f in factory.make_batch([
-        (tuple(i for i in first if i != leave_out), all_later)
-        for leave_out in first
-    ]):
-        install(f)
+    cx.replace((), factory.make_batch(
+        [(idx, all_later) for idx in bootstrap_faces(pts, d + 1)]))
 
     def insert_point(v: int) -> None:
-        visible_ids = inverse.get(v)
-        if not visible_ids:
+        visible = cx.visible(v)
+        if not visible:
             return
-        visible = {fid: facets[fid] for fid in visible_ids}
-        specs: list[tuple[tuple[int, ...], np.ndarray]] = []
-        for fid, t1 in visible.items():
-            for r in facet_ridges(t1.indices):
-                others = ridge_map[r] - {fid}
-                if not others:
-                    continue
-                (other_id,) = others
-                if other_id in visible:
-                    continue
-                t2 = facets[other_id]
-                # Unlike the rank-ordered algorithms, a *lower*-rank
-                # point can still be pending here (it may have been
-                # deferred by an earlier round), so candidates are only
-                # purged of the inserted point itself.
-                candidates = np.setdiff1d(
-                    np.union1d(t1.conflicts, t2.conflicts),
-                    np.array([v], dtype=np.int64),
-                )
-                specs.append((tuple(r | {v}), candidates))
-        new_facets: list[Facet] = factory.make_batch(specs) if specs else []
-        for t1 in visible.values():
-            uninstall(t1)
-        for t in new_facets:
-            install(t)
+        # Unlike the rank-ordered algorithms, a *lower*-rank point can
+        # still be pending here (it may have been deferred by an earlier
+        # round), so candidates are only purged of the inserted point
+        # itself.
+        specs = [
+            (tuple(r | {v}),
+             np.setdiff1d(np.union1d(t1.conflicts, t2.conflicts),
+                          np.array([v], dtype=np.int64)))
+            for r, t1, t2 in cx.horizon(visible)
+        ]
+        cx.replace(visible.values(), factory.make_batch(specs) if specs else [])
 
     pending = list(range(d + 1, n))
     rounds = 0
@@ -155,14 +96,14 @@ def point_parallel_hull(
         waiting: list[int] = []
         still_pending: list[int] = []
         for v in pending:  # ascending rank = priority
-            vis = inverse.get(v)
+            vis = cx.inverse.get(v)
             if not vis:
                 continue  # interior (now or already): retires silently
             # Closed neighbourhood of the visible region.
             neighbourhood = set(vis)
             for fid in vis:
-                for r in facet_ridges(facets[fid].indices):
-                    neighbourhood |= ridge_map[r]
+                for r in facet_ridges(cx.facets[fid].indices):
+                    neighbourhood |= cx.ridges[r]
             if neighbourhood & claimed:
                 waiting.append(v)
                 still_pending.append(v)
@@ -180,7 +121,7 @@ def point_parallel_hull(
     return PointParallelResult(
         points=pts,
         order=order,
-        facets=sorted(facets.values(), key=lambda f: f.fid),
+        facets=cx.alive(),
         counters=counters,
         rounds=rounds,
         round_sizes=round_sizes,

@@ -51,7 +51,7 @@ from ..geometry.hyperplane import exact_mode
 from ..geometry.noisy import NoisyKernel
 from ..geometry.perturb import sos_mode
 from .certify import CertificateError, HullCertificate, make_certificate, verify_certificate
-from .common import resolve_base_size
+from .common import check_kernel, resolve_base_size
 from .joggle import JoggledHull, joggled_hull
 from .parallel import ParallelHullRun, check_engine, parallel_hull
 from .validate import HullValidationError, validate_hull
@@ -146,12 +146,7 @@ def robust_hull(
     """
     # Arguments are checked up front: the rungs below read a ValueError
     # as a geometric failure and would escalate past a bad argument.
-    kernel = hull_kwargs.get("kernel")
-    if kernel is not None and not isinstance(kernel, NoisyKernel):
-        raise ValueError(
-            f"unknown kernel {kernel!r}: kernel= takes None or a "
-            "NoisyKernel; the engine picks the visibility path"
-        )
+    check_kernel(hull_kwargs.get("kernel"))
     hull_kwargs["engine"] = check_engine(
         hull_kwargs.get("engine"), hull_kwargs.get("executor"),
         hull_kwargs.get("multimap", "dict"), hull_kwargs.get("fault_plan"),

@@ -130,19 +130,12 @@ from ..geometry.perturb import sos_active
 from ..geometry.simplex import Facet
 from ..runtime.executors import ExecutionStats
 from ..runtime.workspan import WorkSpanTracker
-from .common import (
-    Counters,
-    initial_simplex_ranks,
-    prepare_points,
-    promote_initial,
-    resolve_base_size,
-)
+from .common import Counters, check_kernel, setup_run
+from .sequential import bootstrap_faces
 
 __all__ = ["SoAHullEngine", "SoAHullRun", "soa_hull"]
 
 _INF = np.iinfo(np.int64).max
-
-_INDICES_OF = operator.attrgetter("indices")
 
 
 def _grown(arr: np.ndarray, cap: int) -> np.ndarray:
@@ -487,30 +480,22 @@ class SoAHullEngine:
         kernel: NoisyKernel | None = None,
         base_size: int | None = None,
     ):
-        if kernel is not None and not isinstance(kernel, NoisyKernel):
-            raise ValueError(
-                f"unknown kernel {kernel!r}: kernel= takes None or a "
-                "NoisyKernel; the engine picks the visibility path"
-            )
-        pts, order = prepare_points(points, order, seed)
+        self.noisy = check_kernel(kernel)
+        pts, order, self.base_size, self.interior = setup_run(
+            points, order, seed, base_size)
         n, d = pts.shape
-        self.base_size = resolve_base_size(base_size, d)
-        init = initial_simplex_ranks(pts)
-        pts, order = promote_initial(pts, order, init)
         self.pts = pts
         self.order = order
         self.n, self.d = n, d
         self.counters = Counters()
         self.tracker = WorkSpanTracker()
         self.stats = ExecutionStats()
-        self.interior = pts[: d + 1].mean(axis=0)
         self._interior_inf = float(np.abs(self.interior).max(initial=0.0))
         # The run's max |p|_inf: every sweep's per-plane bound.
         self._pts_inf = float(np.abs(pts).max(initial=0.0))
         combo = tuple(range(d + 1))
         self._interior_combo = (pts[list(combo)], combo)
         self.kstats = KernelStats()
-        self.noisy = kernel
         # The <=2-registrations ridge invariant is a theorem of the
         # noise-free algorithm; a lying oracle can genuinely violate it.
         self._strict_pairs = kernel is None or kernel.p == 0.0
@@ -798,19 +783,8 @@ class SoAHullEngine:
     def _bootstrap(self) -> None:
         n, d = self.n, self.d
         base = self.base_size
-        if base == d + 1:
-            cols = np.arange(d + 1, dtype=np.int64)
-            grid = np.broadcast_to(cols, (d + 1, d + 1))
-            base_rows = grid[grid != cols[:, None]].reshape(d + 1, d)
-        else:
-            # Larger bootstrap: prefix hull built sequentially, its
-            # facets re-issued with full conflict sets (parallel.py
-            # parity; the prefix run's counters are discarded there too).
-            from .sequential import sequential_hull
-            prefix = sequential_hull(self.pts[:base], order=np.arange(base))
-            base_rows = np.array(
-                list(map(_INDICES_OF, prefix.facets)), dtype=np.int64
-            ).reshape(-1, d)
+        base_rows = np.array(
+            bootstrap_faces(self.pts, base), dtype=np.int64).reshape(-1, d)
         nb = int(base_rows.shape[0])
         later = np.arange(base, n, dtype=np.int64)
         vals = np.tile(later, nb)

@@ -12,14 +12,7 @@ from .chaos import (
     sweep_stalled_multimap,
 )
 from .executors import ExecutionStats, RoundExecutor, SerialExecutor, ThreadExecutor
-from .faults import (
-    FaultEvent,
-    FaultPlan,
-    InjectedFault,
-    RetryBudgetExceeded,
-    TaskAbortInjected,
-    WorkerCrashInjected,
-)
+from .faults import FaultEvent, FaultPlan, RetryBudgetExceeded
 from .forkjoin import StealStats, simulate_work_stealing
 from .interleave import OpResult, all_schedules, run_interleaved, run_schedule
 from .pram import PRAM, ParallelHashTable, compact, log_star, pram_min, prefix_sum
@@ -40,10 +33,7 @@ __all__ = [
     "sweep_stalled_multimap",
     "FaultEvent",
     "FaultPlan",
-    "InjectedFault",
     "RetryBudgetExceeded",
-    "TaskAbortInjected",
-    "WorkerCrashInjected",
     "CheckSummary",
     "RaceChecker",
     "RaceReport",

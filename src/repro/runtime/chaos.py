@@ -62,11 +62,8 @@ class ChaosThreadExecutor(ThreadExecutor):
     the shared :class:`~repro.runtime.backoff.BackoffPolicy` --
     exponential growth with seeded jitter, capped), and spawns a
     replacement worker.  Delay faults make a worker sleep briefly
-    before executing.
-
-    ``backoff`` accepts either a :class:`BackoffPolicy` or a bare float
-    base delay (legacy knob, wrapped into a policy seeded from the
-    fault plan).
+    before executing.  The backoff policy is seeded from the fault plan
+    (``0`` without one).
 
     With ``plan=None`` it behaves exactly like :class:`ThreadExecutor`.
     Genuine exceptions from ``fn`` still propagate to the caller and are
@@ -78,18 +75,13 @@ class ChaosThreadExecutor(ThreadExecutor):
         n_workers: int = 4,
         plan: FaultPlan | None = None,
         max_retries: int = 8,
-        backoff: float | BackoffPolicy = 0.002,
     ):
         super().__init__(n_workers)
         if max_retries < 0:
             raise ValueError("max_retries must be >= 0")
         self.plan = plan
         self.max_retries = max_retries
-        if not isinstance(backoff, BackoffPolicy):
-            backoff = BackoffPolicy(
-                base=float(backoff), seed=plan.seed if plan is not None else 0
-            )
-        self.backoff = backoff
+        self.backoff = BackoffPolicy(seed=plan.seed if plan is not None else 0)
 
     def run(self, initial: Sequence[Any], fn) -> ExecutionStats:
         stats = ExecutionStats()

@@ -45,9 +45,6 @@ __all__ = [
     "CRASH",
     "DELAY",
     "FAULT_KINDS",
-    "InjectedFault",
-    "TaskAbortInjected",
-    "WorkerCrashInjected",
     "RetryBudgetExceeded",
     "FaultEvent",
     "FaultPlan",
@@ -58,21 +55,6 @@ __all__ = [
 CRASH = "crash"
 DELAY = "delay"
 FAULT_KINDS = (CRASH, DELAY)
-
-
-class InjectedFault(RuntimeError):
-    """Base class of all injected (synthetic) failures.
-
-    Deliberately *not* a subclass of any domain error so fault-handling
-    code can distinguish chaos from genuine bugs."""
-
-
-class TaskAbortInjected(InjectedFault):
-    """A ``ProcessRidge``-style task died mid-call (round executors)."""
-
-
-class WorkerCrashInjected(InjectedFault):
-    """A worker thread died after dequeuing a task (thread executors)."""
 
 
 class RetryBudgetExceeded(RuntimeError):

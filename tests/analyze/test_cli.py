@@ -190,14 +190,15 @@ class TestHotpathCli:
         the books (44 findings pre-SoA) are *gone from the baseline* --
         the object drivers are exempt as differential oracles, the
         performance path is ``hull/soa.py``, and the baseline shrank
-        strictly (now only the shared factory + app/baseline worklist
-        remains, since the per-facet batch kernel was deleted).  The SoA
-        engine itself must stay finding-free."""
+        strictly (now only the shared factory + the Bowyer-Watson app
+        loop remain, since the per-facet batch kernel was deleted and
+        quickhull's ridge loops moved into the shared facet complex).
+        The SoA engine itself must stay finding-free."""
         payload = json.loads(HOT_BASELINE.read_text())
         paths = {d["path"] for d in payload["findings"]}
         # Strict decrease from the pre-migration baseline of 44.
         assert len(payload["findings"]) < 44
-        assert len(payload["findings"]) <= 7
+        assert len(payload["findings"]) <= 4
         # Migrated driver loops no longer appear (exempt as oracles,
         # not suppressed line by line).
         for driver in ("hull/sequential.py", "hull/parallel.py",
@@ -209,7 +210,7 @@ class TestHotpathCli:
         assert any(p.endswith("hull/common.py") for p in paths)
         rules = {d["rule_id"] for d in payload["findings"]}
         assert {"RPRHOT001", "RPRHOT003"} <= rules
-        assert payload["rprhot_suppressions"] <= 13
+        assert payload["rprhot_suppressions"] <= 12
 
     def test_soa_engine_is_finding_free(self, capsys, tmp_path):
         """Run the analyzer over hull/soa.py alone with *no* baseline:

@@ -126,7 +126,7 @@ class TestEngine:
         def no_work(*args, **kwargs):
             raise AssertionError("the hull started before the engine check")
 
-        monkeypatch.setattr(par, "prepare_points", no_work)
+        monkeypatch.setattr(par, "setup_run", no_work)
         monkeypatch.setattr(soa, "SoAHullEngine", no_work)
         with pytest.raises(ValueError, match="engine"):
             parallel_hull(self.PTS, seed=1, **self.BAD[case]())
