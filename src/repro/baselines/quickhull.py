@@ -15,6 +15,7 @@ its points.  The classic practical baseline for benchmark E12.
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
@@ -54,10 +55,13 @@ def quickhull(points: np.ndarray) -> QuickhullResult:
         subset = tuple(i for i in init if i != leave_out)
         cx.install(factory.make(subset, everything))
 
-    # Facets with a nonempty outside set still need processing.
-    pending = {fid for fid, f in cx.facets.items() if f.conflicts.size}
+    # Facets with a nonempty outside set still need processing, first
+    # in, first out.  New fids are always larger, so facets go in
+    # ascending fid order; a facet that died or emptied since it was
+    # queued is skipped when it comes up.
+    pending = deque(sorted(fid for fid, f in cx.facets.items() if f.conflicts.size))
     while pending:
-        fid = pending.pop()
+        fid = pending.popleft()
         f0 = cx.facets.get(fid)
         if f0 is None or not f0.conflicts.size:
             continue
@@ -89,11 +93,7 @@ def quickhull(points: np.ndarray) -> QuickhullResult:
             for r, t1, t2 in cx.horizon(visible)
         ]
         cx.replace(visible.values(), new_facets)
-        # One discard at a time: difference_update() may compact the
-        # set, which changes the order pop() hands out facets in.
-        for fid in visible:
-            pending.discard(fid)
-        pending.update(t.fid for t in new_facets if t.conflicts.size)
+        pending.extend(t.fid for t in new_facets if t.conflicts.size)
 
     return QuickhullResult(
         points=pts,

@@ -18,6 +18,7 @@ for how often the exact path fires (one of the ablations in DESIGN.md).
 from __future__ import annotations
 
 import math
+import operator
 from fractions import Fraction
 
 import numpy as np
@@ -132,10 +133,19 @@ def _orient_ints(flat: list, d: int, weights: list[int]) -> int:
 
 
 def _orient_query(simplex: np.ndarray, query) -> int:
+    """:func:`_orient_ints` for one plain query (weight 1), lean: one
+    ``tolist`` each for the simplex and the query, and no weighted
+    tail -- the determinant ``det([s_1 - s_0; ...; q - s_0])``."""
     d = simplex.shape[1]
-    return _orient_ints(
-        simplex.ravel().tolist() + [query[j] for j in range(d)], d, [1]
-    )
+    ratios = [x.as_integer_ratio() for x in simplex.ravel().tolist()]
+    ratios += [x.as_integer_ratio()
+               for x in np.asarray(query, dtype=np.float64).tolist()]
+    den = max(q for _, q in ratios)
+    v = [p * (den // q) for p, q in ratios]
+    base = v[:d]
+    det = det_int([list(map(operator.sub, v[i:i + d], base))
+                   for i in range(d, d * d + d, d)])
+    return (det > 0) - (det < 0)
 
 
 def orient(simplex: np.ndarray, query) -> int:

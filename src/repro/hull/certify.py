@@ -17,20 +17,29 @@ is a small, serializable claim --
 
 -- checked here by an independent verifier:
 
-* a *different* float filter (LU determinants, batched over a block
-  of facets against the whole cloud, with a crude norm-product bound,
-  vs construction's cofactor normals with a Hadamard envelope);
+* a *different* float filter, staged as parlaylib's ``is_opposite``
+  is: each facet's plane is set up once -- its exact integer normal
+  (the ``d`` cofactor minors of its integer edge rows), scaled by a
+  power of two and rounded to floats once, correctly -- and each
+  (facet, point) pair then costs one multiply-add per coordinate, a
+  block of facets against the whole cloud in one matmul.  One bound
+  per facet, the dot-product error bound from the rounded normal's
+  1-norm and the cloud's max ``|p|_inf`` (the normal's and the
+  offset's roundings included) plus an underflow term, decides almost
+  every pair; construction builds float cofactor normals with a
+  Hadamard envelope instead;
 * a *different* exact stage.  Both sides scale one determinant's float
   entries by a common power of two and decide its sign on Python ints,
-  but by different means: here each float is split with
-  :func:`math.frexp` into an integer mantissa and an exponent, and
-  every coordinate of the cloud is shifted, once per certificate, to
-  the least exponent present; the determinant is a recursive Laplace
-  expansion; construction (``geometry.predicates``) uses
-  ``float.as_integer_ratio`` and ``geometry.linalg.det_int`` (closed
-  form up to 3x3, fraction-free Bareiss beyond).  The interior
-  reference enters as the integer row ``sum(p_i) - (d+1) p_0``, its
-  centroid's row scaled by ``d+1``;
+  but by different means: here each float is split with ``frexp``
+  into an integer mantissa and an exponent, and every coordinate of the
+  cloud is shifted, once per certificate, to the least exponent
+  present; the determinant is expanded along its query row -- the
+  sign of ``N . (q - b_0)`` for the facet's integer normal ``N``, whose
+  minors are recursive Laplace expansions; construction
+  (``geometry.predicates``) uses ``float.as_integer_ratio`` and
+  ``geometry.linalg.det_int`` (closed form up to 3x3, fraction-free
+  Bareiss beyond).  The interior reference enters as the integer row
+  ``sum(p_i) - (d+1) p_0``, its centroid's row scaled by ``d+1``;
 * a *different* Simulation-of-Simplicity sign (brute-force permutation
   expansion of the homogeneous perturbed matrix, vs construction's
   sparse-polynomial cofactor recursion).
@@ -45,6 +54,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Sequence
@@ -62,8 +72,9 @@ __all__ = [
 
 SCHEMA = "repro-hull-certificate/1"
 
-_EPS = float(np.finfo(np.float64).eps)
-_TINY = float(np.finfo(np.float64).tiny)
+_U = float(np.finfo(np.float64).eps) / 2  # the unit roundoff
+_MAX = float(np.finfo(np.float64).max)
+_SUB = math.ulp(0.0)  # the least subnormal, 2**-1074
 _TWO53 = float(1 << 53)
 
 
@@ -193,51 +204,90 @@ def make_certificate(run, mode: str = "float") -> HullCertificate:
 # imports from repro.geometry (tests/hull/test_certify.py enforces it).
 # --------------------------------------------------------------------------
 
-def _frexp_ints(values: list[float]) -> list[int]:
+def _frexp_ints(values: np.ndarray) -> tuple[list[int], int]:
     """``values`` as exact Python ints under one common power-of-two
-    scale, from ``math.frexp``: ``x = m * 2**e`` with ``m * 2**53`` an
-    integer, every value shifted to the least exponent present.  NaN
-    raises ``ValueError`` and inf ``OverflowError``."""
-    parts = []
-    for x in values:
-        m, e = math.frexp(x)
-        parts.append((int(m * _TWO53), e))
-    low = min((e for m, e in parts if m), default=0)
-    return [m << (e - low) if m else 0 for m, e in parts]
+    scale, from ``frexp``: ``x = m * 2**e`` with ``m * 2**53`` an
+    integer, every value shifted to the least exponent present.
+    Returns ``(ints, scale)`` with ``values[i] == ints[i] * 2**scale``.
+    NaN raises ``ValueError`` and inf ``OverflowError``."""
+    values = np.asarray(values, dtype=np.float64).ravel()
+    if not np.isfinite(values).all():
+        for x in values.tolist():
+            int(math.frexp(x)[0] * _TWO53)   # raises, as int() does
+    mant, exp = np.frexp(values)
+    mant = (mant * _TWO53).astype(np.int64)  # exact: 53-bit mantissas
+    nz = mant != 0
+    low = int(exp[nz].min()) if nz.any() else 0
+    shifts = np.where(nz, exp - low, 0).tolist()
+    return list(map(operator.lshift, mant.tolist(), shifts)), low - 53
 
 
-def _laplace_det(rows: list[list[int]]) -> int:
-    """Exact determinant by recursive Laplace expansion along the first
-    row (quadratic-factorial but independent of Bareiss; matrices are
-    (d x d))."""
-    n = len(rows)
-    if n == 1:
-        return rows[0][0]
-    total = 0
-    for j, x in enumerate(rows[0]):
-        if not x:
-            continue
-        minor = [[r[c] for c in range(n) if c != j] for r in rows[1:]]
-        term = x * _laplace_det(minor)
-        total += term if j % 2 == 0 else -term
+def _laplace_dets(mats: np.ndarray) -> np.ndarray:
+    """Exact determinants of an ``(F, k, k)`` object array of Python
+    ints, all ``F`` at once, by recursive Laplace expansion along the
+    first row (quadratic-factorial in ``k``, but independent of
+    Bareiss; ``k`` is at most ``d - 1``)."""
+    k = mats.shape[1]
+    if k == 1:
+        return mats[:, 0, 0]
+    cols = np.arange(k)
+    total = np.zeros(mats.shape[0], dtype=object)
+    for j in range(k):
+        term = mats[:, 0, j] * _laplace_dets(mats[:, 1:, cols != j])
+        total = total + term if j % 2 == 0 else total - term
     return total
 
 
-def _orient_exact_rows(base: list[list[int]], tail: list[list[int]]) -> int:
-    """Exact sign of ``det([b_1 - b_0; ...; b_{d-1} - b_0; sum_i t_i -
-    k b_0])`` for the integer rows ``b_i`` of ``base`` and the ``k``
-    rows ``t_i`` of ``tail``: the orientation of their centroid (of the
-    point itself when ``k == 1``), with the query row scaled by
-    ``k > 0``.  Rows are points as :func:`_frexp_ints` converts them,
-    under one power-of-two scale for the whole cloud: the determinant
-    is homogeneous, so a common positive scale keeps its sign."""
-    b0 = base[0]
-    rows = [[x - y for x, y in zip(b, b0)] for b in base[1:]]
-    rows.append([sum(col) - len(tail) * y for col, y in zip(zip(*tail), b0)])
-    det = _laplace_det(rows)
-    # Exact integer sign, not a float comparison; RPR004's heuristic
-    # cannot see the type.
-    return (det > 0) - (det < 0)  # repro: noqa: RPR004
+def _integer_planes(rows: np.ndarray, facets: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Exact integer planes of every facet at once: ``N`` is ``(F, d)``
+    and ``O`` is ``(F,)``, object arrays of Python ints, such that
+    ``N[f] . x - O[f] == det([b_1 - b_0; ...; b_{d-1} - b_0; x - b_0])``
+    for the integer rows ``b_i`` of facet ``f``'s vertices -- the
+    orientation determinant expanded along its query row, whose
+    cofactors are the ``d`` minors of the edge rows.  ``rows`` is the
+    ``(n, d)`` object array of the cloud's integer rows."""
+    d = rows.shape[1]
+    base = rows[facets[:, 0]]
+    edges = rows[facets[:, 1:]] - base[:, None, :]
+    cols = np.arange(d)
+    normals = np.empty((facets.shape[0], d), dtype=object)
+    for j in range(d):
+        minor = _laplace_dets(edges[:, :, cols != j])
+        normals[:, j] = minor if (d - 1 + j) % 2 == 0 else -minor
+    return normals, (normals * base).sum(axis=1)
+
+
+def _int_sign(x: int) -> int:
+    return (x > 0) - (x < 0)
+
+
+def _scaled_float(num: int, exp: int) -> float:
+    """``num * 2**exp``, correctly rounded (Python's int/int true
+    division is), and signed infinity past the float range."""
+    try:
+        return float(num << exp) if exp >= 0 else num / (1 << -exp)
+    except OverflowError:
+        return math.copysign(math.inf, num)
+
+
+def _float_planes(normals: np.ndarray, offsets: np.ndarray,
+                  scale: int) -> tuple[np.ndarray, np.ndarray]:
+    """Each facet's exact plane as floats, rounded once: its integer
+    normal times ``2**-s``, ``s`` the bit length of its largest
+    component (so the largest lands in ``[1/2, 1]`` and none overflows;
+    each component within ``u`` relative, or an underflow's absolute
+    ``2**-1075``, of exact), and its offset -- the plane through the
+    float vertices, ``O * 2**(scale - s)`` for points ``ints *
+    2**scale`` -- the same way."""
+    bits = [max(map(int.bit_length, row)) for row in normals.tolist()]
+    den = np.empty(len(bits), dtype=object)
+    den[:] = [1 << s for s in bits]
+    f_normals = (normals / den[:, None]).astype(np.float64)
+    f_offsets = np.array(
+        [_scaled_float(o, scale - s) for o, s in zip(offsets.tolist(), bits)],
+        dtype=np.float64,
+    )
+    return f_normals, f_offsets
 
 
 def _orient_sos_bruteforce(
@@ -311,41 +361,89 @@ def _orient_sos_bruteforce(
     return 1 if lead > 0 else -1
 
 
-#: Facet-point pairs per batched filter call.  A block of facets is
-#: swept against the whole cloud at once; this bounds its (pairs, d, d)
-#: determinant stack, so memory stays flat however many facets the
-#: certificate lists (a block holds at least one facet).
+def _exact_planes(pts: np.ndarray, facets: np.ndarray) -> tuple[np.ndarray, ...]:
+    """Every coordinate of ``pts`` as an exact integer under one common
+    scale (:func:`_frexp_ints`), and every facet's exact integer plane
+    (:func:`_integer_planes`) with its float twin, rounded once
+    (:func:`_float_planes`).  Returns ``(rows, normals, offsets,
+    f_normals, f_offsets)``, ``rows`` the ``(n, d)`` object array of
+    integer rows."""
+    ints, scale = _frexp_ints(pts)
+    rows = np.empty(len(ints), dtype=object)
+    rows[:] = ints
+    rows = rows.reshape(pts.shape)
+    normals, offsets = _integer_planes(rows, facets)
+    return (rows, normals, offsets, *_float_planes(normals, offsets, scale))
+
+
+#: Facet-point pairs per float-filter block.  A block of facets is
+#: swept against the whole cloud in one matmul; this bounds its
+#: ``(facets, points)`` margin array, so memory stays flat however many
+#: facets the certificate lists (a block holds at least one facet).
 _FILTER_PAIRS = 1 << 16
 
 
-def _batched_orient_filter(bases: np.ndarray, pts: np.ndarray) -> np.ndarray:
-    """Float filter over every (facet, query point) pair of a block at
-    once: ``bases`` is the ``(F, d, d)`` stack of facet vertex rows,
-    the result an ``(F, n)`` array of signs in {-1, 0, +1}, 0 meaning
-    "uncertain, decide exactly".  The bound is a crude norm-product
-    estimate -- deliberately different from (and looser than)
-    construction's Hadamard envelope.  Each pair's matrix, and the
-    order in which its bound is evaluated, are those of a one-facet
-    call, so a sign does not depend on how the facets are blocked."""
-    nf, d = bases.shape[0], bases.shape[2]
-    edges = bases[:, 1:] - bases[:, :1]                   # (F, d-1, d)
-    qrows = pts[None, :, :] - bases[:, None, 0]           # (F, n, d)
-    full = np.empty((nf, pts.shape[0], d, d))
-    full[:, :, : d - 1] = edges[:, None]
-    full[:, :, d - 1] = qrows
-    dets = np.linalg.det(full)                            # (F, n)
-    scale = np.maximum(1.0, np.abs(edges).max(axis=(1, 2), initial=0.0))
-    # Python float powers, as a scalar call takes them.
-    power = np.array([s ** (d - 1) for s in scale.tolist()])[:, None]
-    qscale = np.maximum(1.0, np.abs(qrows).max(axis=2))
-    bound = (
-        math.factorial(d) * d * d * _EPS * power * qscale
-        + d**3 * (_TINY * power * qscale)
-    )
-    out = np.zeros(dets.shape, dtype=np.int8)
-    out[dets > bound] = 1
-    out[dets < -bound] = -1
-    return out
+def _filter_bound(normals: np.ndarray, p_inf: float) -> np.ndarray:
+    """Each facet's float-filter bound: :func:`_filter_block`'s checked
+    first-order derivation, term for term, in units of ``u * NRM * P``
+    (``u = eps/2``, ``NRM`` the rounded normal's 1-norm, ``P =
+    p_inf``, the offset at most ``NRM * P``): the normals' rounding
+    ``d``, the dot product ``d^2``, the offsets' rounding and the
+    subtraction ``d + 2``.  That is over twice the rigorous ``(d+4)u``;
+    the slack covers the second-order terms, the rounding of the bound
+    itself, and an underflowed normal component's ``2**-1075`` per
+    coordinate (a nonzero normal's 1-norm is at least 1/2).  The
+    absolute term covers the products' and the offset's underflow."""
+    d = normals.shape[1]
+    bound = (d + d * d + d + 2) * _U * np.abs(normals).sum(axis=1) * p_inf
+    bound += (d + 3) * _SUB
+    return bound
+
+
+def _filter_block(
+    normals: np.ndarray, offsets: np.ndarray, pts_t: np.ndarray, p_inf: float,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Float filter over every (facet, point) pair of a block at once.
+
+    ``normals``/``offsets`` are the block's rounded exact planes
+    (:func:`_float_planes`), oriented so that "visible" is positive,
+    ``pts_t`` the ``(d, n)`` cloud and ``p_inf`` its max ``|p|_inf``.
+    One matmul gives every margin; each facet has one bound, the
+    dot-product error bound from its normal's 1-norm and ``p_inf`` (the
+    normal's and the offset's roundings included) plus an underflow
+    term.  A margin below minus its bound is proven invisible; returns
+    the ``(rows, cols)`` of every other pair, in row-major order, and
+    which of them are proven visible.  The rest -- margins inside the
+    bound, and NaN or infinite ones, which an overflow can produce --
+    are uncertain."""
+    # The margins' first-order error, derived by `repro fpcheck` and
+    # checked against the committed claim, which _filter_bound ships
+    # (atoms: NRM = the rounded normal's 1-norm, OFF = |offset|, P =
+    # p_inf; the normal and the offset are correctly rounded from exact
+    # ints):
+    # repro: fp-bound: assume d in 2..4
+    # repro: fp-bound: fact OFF <= NRM*P
+    # repro: fp-bound: guard bound
+    # repro: fp-bound: envelope bound
+    # repro: fp-bound: in normals ~ NRM err 0.5*NRM
+    # repro: fp-bound: in offsets ~ OFF err 0.5*OFF
+    # repro: fp-bound: in pts_t ~ P
+    d = normals.shape[1]
+    margins = normals @ pts_t
+    margins -= offsets[:, None]
+    # repro: fp-bound: claim margins <= (0.5*d + 0.5*d*d + 0.5*d + 1)*NRM*P
+    bound = _filter_bound(normals, p_inf)
+    look = ~(margins < -bound[:, None])
+    if p_inf > _MAX / (4 * d):
+        # Margins are at most 2d p_inf in size; past that a partial
+        # sum can overflow to an infinity of either sign.
+        look |= np.isinf(margins)
+    # The flat index: a 2-D nonzero costs ~14x a flat one.
+    flat = np.flatnonzero(look)
+    rows, cols = np.divmod(flat, margins.shape[1])
+    m = margins.ravel()[flat]
+    visible = (m > bound[rows]) & (m < np.inf)
+    return rows, cols, visible
 
 
 def _fail(msg: str) -> None:
@@ -362,14 +460,20 @@ def verify_certificate(cert: HullCertificate, points: np.ndarray) -> None:
     (no perturbed point strictly outside any facet, ridges a closed
     manifold, orientations consistent with the interior reference).
 
-    Containment runs on blocks of facets: one batched float filter
-    (:func:`_batched_orient_filter`) decides every (facet, point) pair
-    of a block against the whole cloud, ``_FILTER_PAIRS`` pairs or so
-    per block, so memory stays flat on large certificates.  The exact
-    stage reads integer rows converted once per certificate
-    (:func:`_frexp_ints`, one power-of-two scale for the whole cloud).
-    Checks still run per facet in facet order -- interior orientation,
-    then float violations, then exact rechecks -- so the first claim
+    Containment is staged.  The cloud's coordinates become integer rows
+    once per certificate (:func:`_frexp_ints`, one power-of-two scale),
+    and every facet's exact integer plane is computed once, all facets
+    at once (:func:`_integer_planes`), with its float twin rounded
+    once (:func:`_float_planes`).  The float filter
+    (:func:`_filter_block`) then tests a block of facets against the
+    whole cloud in one matmul, ``_FILTER_PAIRS`` pairs or so per block,
+    so memory stays flat on large certificates; each facet has one
+    rigorous bound (:func:`_filter_bound`).  Only the pairs inside the
+    bound reach the exact stage, the sign of an integer dot product,
+    and so does every facet's interior reference.  A facet's own
+    vertices stay out of both stages.  Checks still report per facet
+    in facet order -- interior orientation, then the lowest-rank float
+    violation, then exact rechecks in rank order -- so the first claim
     reported as violated does not depend on the blocking.
     """
     points = np.asarray(points, dtype=np.float64)
@@ -401,12 +505,13 @@ def verify_certificate(cert: HullCertificate, points: np.ndarray) -> None:
             _fail(f"facet {f} has invalid orientation sign {cert.vis_signs[pos]}")
 
     # Ridge pairing: recompute incidence from the facet list and match
-    # the certificate's claim exactly.
+    # the certificate's claim exactly.  Facets are sorted tuples of
+    # distinct ranks by now, so leaving out one position gives the
+    # sorted ridge.
     incidence: dict[tuple[int, ...], list[int]] = {}
     for pos, f in enumerate(cert.facets):
-        for i in f:
-            r = tuple(sorted(set(f) - {i}))
-            incidence.setdefault(r, []).append(pos)
+        for j in range(d):
+            incidence.setdefault(f[:j] + f[j + 1:], []).append(pos)
     bad = {r: p for r, p in incidence.items() if len(p) != 2}
     if bad:
         _fail(f"non-manifold ridges (ridge -> facet positions): {bad}")
@@ -435,30 +540,67 @@ def verify_certificate(cert: HullCertificate, points: np.ndarray) -> None:
     ]
     interior_float = np.array([float(x) for x in interior_exact])
 
-    # Every coordinate as an exact integer, once, under one common scale.
-    ints = _frexp_ints(pts.ravel().tolist())
-    rows = [ints[i:i + d] for i in range(0, n * d, d)]
-    interior_rows = [rows[i] for i in cert.interior_ranks]
-
+    # Every coordinate as an exact integer, once, under one common scale,
+    # and every facet's exact plane, all facets at once.
     facets = np.array(cert.facets, dtype=np.int64)
-    vis_signs = np.array(cert.vis_signs, dtype=np.int8)
+    rows, normals, offsets, f_normals, f_offsets = _exact_planes(pts, facets)
+
+    # The interior reference of every facet, exactly: the sign of
+    # N . (sum(t_i) - (d+1) b_0), the orientation of the integer row
+    # sum(p_i) - (d+1) p_0.
+    tail = rows[list(cert.interior_ranks)].sum(axis=0)
+    s_refs = list(map(_int_sign, ((normals * tail).sum(axis=1)
+                                  - len(cert.interior_ranks) * offsets).tolist()))
+
+    # The float filter's planes, oriented so that "visible" is positive.
+    vis_signs = np.array(cert.vis_signs, dtype=np.float64)
+    f_normals *= vis_signs[:, None]
+    f_offsets *= vis_signs
+    pts_t = np.ascontiguousarray(pts.T)
+    p_inf = float(np.abs(pts).max(initial=0.0))
+    int_normals = normals.tolist()
+    int_offsets = offsets.tolist()
+    int_rows = rows.tolist()
+
     per_block = max(1, _FILTER_PAIRS // n)
     for lo in range(0, len(cert.facets), per_block):
-        block = facets[lo:lo + per_block]
-        signs = _batched_orient_filter(pts[block], pts)
-        # A facet's own vertices lie on its plane: mark them on the
-        # invisible side, out of both the violation test and the exact
-        # stage.
-        signs[np.arange(block.shape[0])[:, None], block] = (
-            -vis_signs[lo:lo + per_block, None]
-        )
-        for k, f in enumerate(cert.facets[lo:lo + per_block]):
-            base_rows = [rows[i] for i in f]
-            vis = cert.vis_signs[lo + k]
+        hi = min(lo + per_block, len(cert.facets))
+        brows, cols, visible = _filter_block(
+            f_normals[lo:hi], f_offsets[lo:hi], pts_t, p_inf)
+        # A facet's own vertices lie on its plane: they leave both the
+        # violation test and the exact stage.
+        other = ~(facets[lo + brows] == cols[:, None]).any(axis=1)
+        brows, cols, visible = brows[other], cols[other], visible[other]
+        # Per facet, in facet order: the interior orientation, then the
+        # lowest-rank float-certain violator, then the exact rechecks in
+        # rank order.  Only a facet with a visible pair or an interior
+        # reference that is not strictly invisible can fail before its
+        # rechecks; the rechecks of the facets between two such facets
+        # run as one stream.
+        flagged = set((lo + brows[visible]).tolist())
+        flagged.update(k for k in range(lo, hi) if s_refs[k] in (0, cert.vis_signs[k]))
+        pairs = zip((lo + brows[~visible]).tolist(), cols[~visible].tolist())
+        k, i = next(pairs, (hi, 0))
+        for stop in sorted(flagged) + [hi]:
+            # The exact stage, for every uncertain pair of the facets
+            # before `stop`: the sign of N . q - O on integer rows.
+            while k < stop:
+                s = _int_sign(sum(map(operator.mul, int_normals[k], int_rows[i]))
+                              - int_offsets[k])
+                if s == 0 and cert.sos:
+                    s = _orient_sos_bruteforce(pts[list(cert.facets[k])], cert.facets[k],
+                                               pts[i], i)
+                if s == cert.vis_signs[k]:
+                    _fail(f"point rank {i} is strictly outside facet {cert.facets[k]}")
+                k, i = next(pairs, (hi, 0))
+            if stop == hi:
+                break
+            f = cert.facets[stop]
+            vis = cert.vis_signs[stop]
 
             # Orientation claim: the interior reference must be strictly
             # on the non-visible side.
-            s_ref = _orient_exact_rows(base_rows, interior_rows)
+            s_ref = s_refs[stop]
             if s_ref == 0:
                 if not cert.sos:
                     _fail(f"facet {f} is degenerate (interior on its plane)")
@@ -471,19 +613,11 @@ def verify_certificate(cert: HullCertificate, points: np.ndarray) -> None:
             if s_ref == vis:
                 _fail(f"facet {f} is oriented inside-out (interior on visible side)")
 
-            # Containment: no point may be strictly visible.  The block's
-            # float filter first, exact (or SoS) recheck for the
-            # uncertain ones.
-            row = signs[k]
-            violating = np.flatnonzero(row == vis)
-            if violating.size:
-                _fail(f"point rank {int(violating[0])} is strictly outside facet {f}")
-            for i in np.flatnonzero(row == 0).tolist():
-                s = _orient_exact_rows(base_rows, [rows[i]])
-                if s == 0 and cert.sos:
-                    s = _orient_sos_bruteforce(pts[list(f)], f, pts[i], i)
-                if s == vis:
-                    _fail(f"point rank {i} is strictly outside facet {f}")
+            # Containment: no point may be strictly visible, by the
+            # float filter first (this facet's rechecks come next).
+            hits = cols[visible & (brows == stop - lo)]
+            if hits.size:
+                _fail(f"point rank {int(hits[0])} is strictly outside facet {f}")
 
 
 # --------------------------------------------------------------------------

@@ -272,6 +272,7 @@ def _column_plane(
     err_scale,
     err_base,
     sos: bool,
+    vis_sign: int | None = None,
 ) -> Hyperplane:
     """The plane of a float-certain row, from its columns.
 
@@ -279,8 +280,10 @@ def _column_plane(
     build (``batch_planes`` is pinned bit-compatible, and the interior
     flip was applied when the row was created), so this rebuilds it
     without re-running the cofactor expansion and the interior test.
-    Always-exact rows never come here: their scalar-ladder planes are
-    kept."""
+    ``vis_sign``, when the caller knows it, is the plane's visible
+    orientation sign (``None`` leaves it to the plane's lazy exact
+    call).  Always-exact rows never come here: their scalar-ladder
+    planes are kept."""
     return Hyperplane(
         normal=normal.copy(),
         offset=float(offset),
@@ -291,6 +294,7 @@ def _column_plane(
         always_exact=False,
         base_indices=idx if sos else None,
         sos=sos,
+        vis_sign=vis_sign,
     )
 
 
@@ -298,10 +302,11 @@ class _FacetSource(NamedTuple):
     """What a :class:`~repro.geometry.simplex.Facet` is materialized
     from: per-row defining ranks, float plane, error envelope, alive
     flag and conflict window, the pool the windows index, the
-    scalar-ladder planes of always-exact rows, and the SoS flag the
-    float planes take.  The engine lends live views of its store
-    (:meth:`SoAHullEngine._source`); a finished run builds one from its
-    own copies (:attr:`SoAHullRun.facets`)."""
+    scalar-ladder planes of always-exact rows, the SoS flag the float
+    planes take, and per-row visible signs of float-certain rows (0, or
+    no array at all, where unknown).  The engine lends live views of its
+    store (:meth:`SoAHullEngine._source`); a finished run builds one
+    from its own copies (:attr:`SoAHullRun.facets`)."""
 
     pts: np.ndarray
     interior: np.ndarray
@@ -316,6 +321,7 @@ class _FacetSource(NamedTuple):
     pool: np.ndarray
     exact_planes: dict
     sos: bool
+    vis_signs: np.ndarray | None = None
 
     def facet(self, fid: int) -> Facet:
         """The one materialization routine: row ``fid`` as a ``Facet``
@@ -324,10 +330,11 @@ class _FacetSource(NamedTuple):
         idx = tuple(map(int, self.indices[fid]))
         plane = self.exact_planes.get(fid)
         if plane is None:
+            vis = None if self.vis_signs is None else int(self.vis_signs[fid])
             plane = _column_plane(
                 self.pts, self.interior, idx, self.normals[fid],
                 self.offsets[fid], self.err_scale[fid], self.err_base[fid],
-                self.sos,
+                self.sos, vis or None,
             )
         s = int(self.conf_start[fid])
         ln = int(self.conf_len[fid])
@@ -358,7 +365,11 @@ class SoAHullRun:
     these columns, ``exact_planes`` (the scalar-ladder planes of the
     alive always-exact rows) and ``sos`` (the SoS flag in force when the
     run finished); callers that read vertices, keys or columns never
-    pay for them.
+    pay for them.  Their planes carry their visible signs, so reading
+    ``plane.vis_sign`` (as :func:`~repro.hull.certify.make_certificate`
+    does) makes no exact call: an always-exact row's ladder plane has
+    it, and a float-certain row's comes from its columns
+    (:meth:`_vis_signs`).
     """
 
     points: np.ndarray
@@ -384,19 +395,43 @@ class SoAHullRun:
 
     @cached_property
     def facets(self) -> list[Facet]:
-        src = self._facet_source(self.exact_planes)
-        return list(map(src.facet, np.nonzero(self.created_alive)[0].tolist()))
+        """The alive facets, built once on first access.  Every plane
+        carries its visible sign (:meth:`_vis_signs` for float-certain
+        rows), so certificate emission makes no exact call."""
+        alive = np.nonzero(self.created_alive)[0]
+        src = self._facet_source(self.exact_planes, self._vis_signs(alive))
+        return list(map(src.facet, alive.tolist()))
 
-    def _facet_source(self, exact_planes: dict) -> _FacetSource:
+    def _vis_signs(self, fids: np.ndarray) -> np.ndarray:
+        """Per-row visible signs of the float-certain rows among
+        ``fids`` (0 elsewhere), with no exact call.  ``_facets_flat``
+        decided each such sign when it oriented the row: it stored the
+        row's ``batch_planes`` cofactor normal, negated when the
+        interior's float margin cleared the envelope on the positive
+        side.  That normal keeps ``normal . (q - p0) = det`` for every
+        d, so the sign is +1 where the stored normal is the cofactor
+        normal and -1 where it is its negation -- which one ``batch_planes``
+        call on the same rows tells, bit for bit."""
+        signs = np.zeros(self.created_alive.shape[0], dtype=np.int8)
+        rows = fids[~np.isin(fids, list(self.exact_planes))]
+        if rows.size:
+            cof = batch_planes(self.points.take(self.created_indices[rows], axis=0))[0]
+            same = (self.created_normals[rows] == cof).all(axis=1)
+            signs[rows] = np.where(same, 1, -1)
+        return signs
+
+    def _facet_source(self, exact_planes: dict,
+                      vis_signs: np.ndarray | None = None) -> _FacetSource:
         """These columns as a facet source, with ``exact_planes`` for
-        the always-exact rows it will be asked for."""
+        the always-exact rows it will be asked for (and ``vis_signs``,
+        per row, where known)."""
         lens = self.conflict_lens
         return _FacetSource(
             self.points, self.interior, self.created_indices,
             self.created_normals, self.created_offsets,
             self.created_err_scale, self.created_err_base,
             self.created_alive, np.cumsum(lens) - lens, lens,
-            self.conflict_pool, exact_planes, self.sos,
+            self.conflict_pool, exact_planes, self.sos, vis_signs,
         )
 
     @property
@@ -645,13 +680,13 @@ class SoAHullEngine:
 
         def plane_for(row: int) -> Hyperplane:
             # An envelope fallback on a float-certain row: its columns
-            # are already its plane.
+            # are already its plane, and its flip its visible sign.
             plane = row_planes.get(row)
             if plane is None:
                 plane = _column_plane(
                     self.pts, self.interior, tuple(map(int, new_idx[row])),
                     normals[row], offsets[row], e_scale[row], e_base[row],
-                    sos_active(),
+                    sos_active(), -1 if flip[row] else 1,
                 )
                 row_planes[row] = plane
             return plane

@@ -19,7 +19,7 @@ from itertools import combinations
 
 import numpy as np
 
-from ..geometry.predicates import orient_exact
+from ..geometry.predicates import STATS, orient_exact
 from ..geometry.simplex import Facet, facet_ridges
 
 __all__ = [
@@ -45,6 +45,13 @@ class HullValidationError(AssertionError):
     """A hull invariant failed."""
 
 
+#: Facet-point pairs per stacked float-test block: a block of facet
+#: planes is tested against every point in one matmul, and this bounds
+#: its ``(facets, points)`` margin array (a block holds at least one
+#: facet).
+_CONTAIN_PAIRS = 1 << 16
+
+
 def check_containment(facets: list[Facet], points: np.ndarray) -> None:
     """No input point may be strictly visible from any facet.
 
@@ -53,33 +60,119 @@ def check_containment(facets: list[Facet], points: np.ndarray) -> None:
     cloud -- on-plane points count as outside exactly when the symbolic
     tie-break says so, making the check as strict as construction.
 
-    Each facet takes the float test of
+    Each float-certain plane takes the float test of
     :meth:`~repro.geometry.hyperplane.Hyperplane.visible_mask` over all
     points, and the exact ladder for the rows it leaves uncertain --
     except the facet's own vertices (rows of ``points`` equal to the
     plane's base points).  They lie on the plane, so the ladder can
     only call them "not visible"; they still take the float test, which
-    reports a plane whose stored normal or offset contradicts them.
+    reports a plane whose stored normal or offset contradicts them.  An
+    always-exact plane sends every other row to the ladder.
+
+    The float test runs stacked: the planes' ``(normal, offset,
+    err_scale, err_base)`` rows are stacked once, and each block of
+    facets (``_CONTAIN_PAIRS`` pairs or so) meets every point in one
+    matmul.  Each plane's bound ``err_scale * (err_base + P)``, ``P``
+    the points' max ``|p|_inf``, decides almost every margin; only the
+    rest form the per-row envelope ``err_scale * (err_base +
+    |q|_inf)``.  Rounding is monotone, so the bound is at least every
+    row's envelope, and a margin it decides is one the envelope alone
+    decides the same way.  The exact calls run facet by facet, in facet
+    order, and the violation reported is the first facet's
+    lowest-ranked one -- as a one-plane-at-a-time check would.
     """
+    if not facets:
+        return
     n = points.shape[0]
-    for f in facets:
-        plane = f.plane
-        own = list(f.indices)
-        on_plane = np.zeros(n, dtype=bool)
-        on_plane[own] = (points[own] == plane.base_points).all(axis=1)
-        if plane.always_exact:
-            mask = np.zeros(n, dtype=bool)
-            uncertain = ~on_plane
-        else:
-            mask, uncertain = plane.float_filter(points)
-            uncertain &= ~on_plane
-        for i in np.nonzero(uncertain)[0].tolist():
-            mask[i] = plane._side_exact(points[i], i if plane.sos else None) > 0
-        if mask.any():
-            bad = int(np.nonzero(mask)[0][0])
-            raise HullValidationError(
-                f"point {bad} is strictly outside facet {f.indices}"
-            )
+    planes = [f.plane for f in facets]
+    indices = np.array([f.indices for f in facets], dtype=np.int64)
+    normals = np.stack([p.normal for p in planes])
+    offsets = np.array([p.offset for p in planes], dtype=np.float64)
+    e_scale = np.array([p.err_scale for p in planes], dtype=np.float64)
+    e_base = np.array([p.err_base for p in planes], dtype=np.float64)
+    exact = np.array([p.always_exact for p in planes], dtype=bool)
+    # Own vertices: the rows of a facet's indices equal to its plane's
+    # base points.
+    own = (points[indices] == np.stack([p.base_points for p in planes])).all(axis=2)
+    q_inf = np.abs(points).max(axis=1)
+    p_inf = float(q_inf.max(initial=0.0))
+    pts_t = np.ascontiguousarray(points.T)
+    everyone = np.arange(n)
+    per_block = max(1, _CONTAIN_PAIRS // max(n, 1))
+    for lo in range(0, len(facets), per_block):
+        hi = min(lo + per_block, len(facets))
+        rows, cols, visible, uncertain = _stacked_float_test(
+            normals[lo:hi], offsets[lo:hi], e_scale[lo:hi], e_base[lo:hi],
+            pts_t, q_inf, p_inf)
+        STATS.count_float(n * int(np.count_nonzero(~exact[lo:hi])))
+        rows += lo
+        on_plane = ((indices[rows] == cols[:, None]) & own[rows]).any(axis=1)
+        float_rows = ~exact[rows]
+        # Each float plane's lowest float-visible rank (rows, then cols,
+        # ascend).
+        vis_k, first = np.unique(rows[visible & float_rows], return_index=True)
+        lowest = dict(zip(vis_k.tolist(), cols[visible & float_rows][first].tolist()))
+        # The exact ladder's (facet, rank) stream, in facet then rank
+        # order: a float plane's uncertain rows but its own vertices,
+        # and every row but its own vertices of an always-exact plane.
+        take = uncertain & ~on_plane & float_rows
+        ks, qs = [rows[take]], [cols[take]]
+        for k in (lo + np.flatnonzero(exact[lo:hi])).tolist():
+            ranks = np.setdiff1d(everyone, indices[k][own[k]])
+            ks.append(np.full(ranks.shape[0], k))
+            qs.append(ranks)
+        ks, qs = np.concatenate(ks), np.concatenate(qs)
+        order = np.lexsort((qs, ks))
+        pairs = zip(ks[order].tolist(), qs[order].tolist())
+        # A facet is reported after its exact calls up to its first
+        # exact hit, or after all of them when only the float test saw
+        # it: its lowest violating rank, facets in order.
+        k, i = next(pairs, (hi, 0))
+        for stop in sorted(lowest) + [hi]:
+            while k <= stop and k < hi:
+                plane = planes[k]
+                if plane._side_exact(points[i], i if plane.sos else None) > 0:
+                    _outside(min(i, lowest.get(k, i)), facets[k])
+                k, i = next(pairs, (hi, 0))
+            if stop < hi:
+                _outside(lowest[stop], facets[stop])
+
+
+def _outside(rank: int, facet: Facet) -> None:
+    raise HullValidationError(f"point {rank} is strictly outside facet {facet.indices}")
+
+
+def _stacked_float_test(normals, offsets, err_scale, err_base, pts_t, q_inf, p_inf):
+    """The float test of a block of float planes against every point:
+    ``(rows, cols)`` of every (plane, point) pair the per-plane bound
+    does not prove invisible, in row-major order, and which of them are
+    float-visible and which uncertain (inside the per-row envelope).
+    Rows of always-exact planes come out too; the caller ignores them.
+    """
+    # The envelope of Hyperplane.float_filter, with the stacked plane
+    # rows standing in for one plane's, and the per-plane bound of
+    # visible_flat in front of it (P = the points' max |p|_inf).
+    # Checked by `repro fpcheck`:
+    # repro: fp-bound: assume d in 2..3
+    # repro: fp-bound: fact OFF <= d*NRM*B
+    # repro: fp-bound: fact Q <= P
+    # repro: fp-bound: guard bound env
+    # repro: fp-bound: envelope bound env
+    # repro: fp-bound: in normals ~ NRM err 6*H
+    # repro: fp-bound: in offsets ~ OFF err 6*d*H*B + 2*d^2*NRM*B
+    # repro: fp-bound: in pts_t ~ Q
+    # repro: fp-bound: in p_inf ~ P
+    margins = normals @ pts_t
+    margins -= offsets[:, None]
+    # repro: fp-bound: claim margins <= 16*d*(d*d*H + NRM + 1)*(B + Q)
+    # repro: fp-bound: claim margins <= 16*d*(d*d*H + NRM + 1)*(B + P)
+    bound = err_scale * (err_base + p_inf)
+    # Everything but a margin below minus its bound (NaN included).
+    flat = np.flatnonzero(~(margins < -bound[:, None]))
+    rows, cols = np.divmod(flat, margins.shape[1])
+    m = margins.ravel()[flat]
+    env = err_scale[rows] * (err_base[rows] + q_inf[cols])
+    return rows, cols, m > env, np.abs(m) <= env
 
 
 def check_ridge_manifold(facets: list[Facet]) -> None:

@@ -32,6 +32,7 @@ from repro.analyze.fperror import EPS, poly_atoms, poly_eval
 from repro.geometry.degenerate import corpus_case, corpus_names
 from repro.geometry.kernels import batch_planes, orient_batch
 from repro.geometry.linalg import det_exact, det_with_error_bound
+from repro.hull import certify
 
 REPO = Path(__file__).resolve().parents[2]
 
@@ -45,11 +46,12 @@ for _c in _RESULT.claims:
     CLAIMS.setdefault((_c.qualname, _c.name, _c.pin), []).append(_c)
 
 
-def _claim(qual_tail: str, name: str, d: int, atom: str | None = None):
+def _claim(qual_tail: str, name: str, d: int, atom: str | None = None,
+           package: str = "geometry"):
     """The claim on ``name``; where a value carries several, the one
     whose committed bound mentions ``atom``."""
-    cs = CLAIMS.get((f"repro.geometry.{qual_tail}", name, ("d", d))) \
-        or CLAIMS.get((f"repro.geometry.{qual_tail}", name, ("n", d)))
+    cs = CLAIMS.get((f"repro.{package}.{qual_tail}", name, ("d", d))) \
+        or CLAIMS.get((f"repro.{package}.{qual_tail}", name, ("n", d)))
     assert cs, (qual_tail, name, d)
     if atom is not None:
         cs = [c for c in cs if atom in poly_atoms(c.committed)]
@@ -237,6 +239,85 @@ class TestMarginSweeps:
             assert env <= bound[fi], (label, m, env, bound[fi])
             assert bound[fi] <= poly_eval(c_p.committed, a) * EPS * SLACK, \
                 (label, m, bound[fi])
+
+
+class TestStackedContainment:
+    @pytest.mark.parametrize("label,sims,qs", BLOCKS, ids=_ids())
+    def test_validator_margins_three_way(self, label, sims, qs):
+        """``validate._stacked_float_test``'s margins (one matmul of the
+        plane stack against the points) against both its claims: the
+        per-row envelope (atom Q) and the per-plane bound (atom P)."""
+        d = sims.shape[1]
+        normals, offsets, e_scale, e_base = batch_planes(sims)
+        atoms = _plane_atoms(sims, normals, offsets, e_base)
+        # The stacked sweep, operand for operand.
+        margins = normals @ np.ascontiguousarray(qs.T)
+        margins -= offsets[:, None]
+        p_max = float(np.abs(qs).max())
+        c_q = _claim("validate._stacked_float_test", "margins", d, atom="Q", package="hull")
+        c_p = _claim("validate._stacked_float_test", "margins", d, atom="P", package="hull")
+        for fi in range(sims.shape[0]):
+            n_ex, off_ex = _exact_plane(sims[fi])
+            for qi in range(qs.shape[0]):
+                a = dict(atoms[fi])
+                a["Q"] = float(np.abs(qs[qi]).max(initial=0.0))
+                a["P"] = p_max
+                exact = sum(n * Fraction(x)
+                            for n, x in zip(n_ex, qs[qi].tolist())) - off_ex
+                obs = abs(Fraction(float(margins[fi, qi])) - exact)
+                for c in (c_q, c_p):
+                    _chain(poly_eval(c.committed, a) * EPS,
+                           poly_eval(c.derived, a) * EPS,
+                           float(obs), f"{label} stacked[{fi},{qi}]")
+
+
+def _verifier_blocks():
+    """BLOCKS, plus random d=4 blocks at three scales: the verifier's
+    filter is claimed for d in 2..4."""
+    rng = np.random.default_rng(2)
+    extra = [(f"random-d4-s{scale:g}", rng.standard_normal((3, 4, 4)) * scale,
+              rng.standard_normal((5, 4)) * scale)
+             for scale in (1.0, 1e8, 1e-8)]
+    return BLOCKS + extra
+
+
+VERIFIER_BLOCKS = _verifier_blocks()
+
+
+class TestVerifierFilter:
+    @pytest.mark.parametrize("label,sims,qs", VERIFIER_BLOCKS,
+                             ids=[b[0] for b in VERIFIER_BLOCKS])
+    def test_verifier_margins_three_way(self, label, sims, qs):
+        """``certify._filter_block``'s margins against its claim, and the
+        bound the filter ships (``certify._filter_bound``) against the
+        committed envelope.  The exact margin is the one of the exact
+        integer plane scaled by ``2**-s`` -- the plane the rounded
+        normal and offset stand for."""
+        nf, d, _ = sims.shape
+        pts = np.vstack([sims.reshape(-1, d), qs])
+        facets = np.arange(nf * d).reshape(nf, d)
+        rows, normals, offsets, f_normals, f_offsets = certify._exact_planes(pts, facets)
+        p_inf = float(np.abs(pts).max())
+        # The filter's sweep, operand for operand.
+        margins = f_normals @ np.ascontiguousarray(pts.T)
+        margins -= f_offsets[:, None]
+        bound = certify._filter_bound(f_normals, p_inf)
+        c = _claim("certify._filter_block", "margins", d, package="hull")
+        ints = rows.tolist()
+        unit = Fraction(2) ** certify._frexp_ints(pts)[1]   # pts == ints * unit
+        for fi in range(nf):
+            n_int = normals[fi].tolist()
+            s = max(map(int.bit_length, n_int))
+            a = {"NRM": float(np.abs(f_normals[fi]).sum()),
+                 "OFF": float(abs(f_offsets[fi])), "P": p_inf}
+            committed = poly_eval(c.committed, a) * EPS
+            assert bound[fi] * SLACK >= committed, (label, fi, bound[fi], committed)
+            for qi in range(pts.shape[0]):
+                exact = Fraction(sum(n * q for n, q in zip(n_int, ints[qi]))
+                                 - offsets[fi]) * unit / 2 ** s
+                obs = abs(Fraction(float(margins[fi, qi])) - exact)
+                _chain(committed, poly_eval(c.derived, a) * EPS,
+                       float(obs), f"{label} filter[{fi},{qi}]")
 
 
 def _det_matrices():

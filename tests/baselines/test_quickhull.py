@@ -49,3 +49,32 @@ class TestAccounting:
         res = quickhull(pts)
         for f in res.facets:
             assert not f.plane.visible_mask(res.points).any()
+
+
+class TestProcessingOrder:
+    @pytest.mark.parametrize("make,d,n,seed", [
+        (uniform_ball, 2, 150, 152), (uniform_ball, 3, 120, 123),
+        (uniform_ball, 4, 60, 64),
+        # A set-of-fids pending pool took this one out of order.
+        (on_sphere, 3, 300, 3),
+    ])
+    def test_facets_processed_in_ascending_fid_order(self, make, d, n, seed, monkeypatch):
+        # Each horizon walk starts from the facet being processed (the
+        # first key of its visible region): the queue hands facets out
+        # first in, first out, and new fids only grow, so the order is
+        # the fid order, whatever the set layout of the interpreter.
+        from repro.hull.sequential import FacetComplex
+
+        processed: list[int] = []
+        real = FacetComplex.horizon
+
+        def recording(self, visible):
+            processed.append(next(iter(visible)))
+            return real(self, visible)
+
+        monkeypatch.setattr(FacetComplex, "horizon", recording)
+        pts = make(n, d, seed=seed)
+        res = quickhull(pts)
+        assert len(processed) > 1
+        assert processed == sorted(set(processed))
+        assert res.vertex_indices() == set(ScipyHull(pts).vertices.tolist())

@@ -6,14 +6,18 @@ import ast
 import importlib.util
 import json
 import math
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.configspace.spaces.delaunay2d import lift_to_paraboloid
-from repro.geometry import integer_grid, uniform_ball
+from repro.geometry import integer_grid, predicates, uniform_ball
 from repro.geometry.degenerate import corpus_case
+from repro.geometry.linalg import det_exact
 from repro.hull import (
     facet_sets_global,
     parallel_hull,
@@ -28,6 +32,7 @@ from repro.hull.certify import (
     make_certificate,
     verify_certificate,
 )
+from repro.hull.soa import soa_hull
 
 
 @pytest.fixture(params=[2, 3], ids=["d2", "d3"])
@@ -167,25 +172,87 @@ class TestIndependentExactStage:
             verify_certificate(cert, pts)
 
 
-def _per_facet_filter(base: np.ndarray, pts: np.ndarray) -> np.ndarray:
-    """The verifier's float filter for one facet, as it ran before
-    facets were blocked: the reference the blocked filter must match
-    sign for sign."""
-    d = base.shape[1]
-    edges = base[1:] - base[0]
-    qrows = pts - base[0]
-    mats = np.broadcast_to(edges, (pts.shape[0], d - 1, d))
-    dets = np.linalg.det(np.concatenate([mats, qrows[:, None, :]], axis=1))
-    scale = max(1.0, float(np.abs(edges).max(initial=0.0)))
-    qscale = np.maximum(1.0, np.abs(qrows).max(axis=1))
-    bound = (
-        math.factorial(d) * d * d * certify._EPS * (scale ** (d - 1)) * qscale
-        + d**3 * (certify._TINY * scale ** (d - 1) * qscale)
-    )
-    out = np.zeros(pts.shape[0], dtype=np.int8)
-    out[dets > bound] = 1
-    out[dets < -bound] = -1
-    return out
+def _filter_signs(pts: np.ndarray, facets: np.ndarray, vis: np.ndarray,
+                  per_block: int) -> np.ndarray:
+    """The verifier's float stage over every (facet, point) pair, in
+    blocks of ``per_block`` facets, as orientation signs: +1 or -1
+    where the filter decides the pair, 0 where it leaves it to the
+    exact stage.  ``vis`` orients each plane as a certificate's visible
+    sign does."""
+    _, _, _, f_normals, f_offsets = certify._exact_planes(pts, facets)
+    f_normals *= vis[:, None]
+    f_offsets *= vis
+    pts_t = np.ascontiguousarray(pts.T)
+    p_inf = float(np.abs(pts).max())
+    out = np.full((len(facets), len(pts)), -1, dtype=np.int8)
+    for lo in range(0, len(facets), per_block):
+        rows, cols, visible = certify._filter_block(
+            f_normals[lo:lo + per_block], f_offsets[lo:lo + per_block], pts_t, p_inf)
+        out[lo + rows, cols] = visible
+    return out * vis[:, None].astype(np.int8)
+
+
+def _exact_sign(base: np.ndarray, q: np.ndarray) -> int:
+    """``sign det([b_1 - b_0; ...; q - b_0])`` in Fractions."""
+    b0 = [Fraction(x) for x in base[0].tolist()]
+    rows = [[Fraction(x) - y for x, y in zip(r.tolist(), b0)]
+            for r in list(base[1:]) + [q]]
+    det = det_exact(rows)
+    return (det > 0) - (det < 0)
+
+
+@st.composite
+def _filter_cases(draw):
+    """(points, facets, visible signs): a cloud of one of the kinds the
+    filter must stay sound on, and a few of its d-subsets as planes."""
+    d = draw(st.sampled_from([2, 3, 4]))
+    kind = draw(st.sampled_from(
+        ["floats", "small-int", "lifted", "planted", "sliver", "outlier", "subnormal"]))
+    n = draw(st.integers(d + 1, 9))
+    if kind in ("floats", "outlier"):
+        coord = st.floats(-1e3, 1e3, allow_nan=False, allow_infinity=False)
+        pts = np.array(draw(st.lists(coord, min_size=n * d, max_size=n * d))).reshape(n, d)
+        if kind == "outlier":
+            pts[draw(st.integers(0, n - 1))] *= 1e300 / max(1.0, float(np.abs(pts).max()))
+    elif kind in ("small-int", "lifted", "subnormal"):
+        ints = st.integers(-3, 3)
+        pts = np.array(draw(st.lists(ints, min_size=n * d, max_size=n * d)),
+                       dtype=np.float64).reshape(n, d)
+        if kind == "lifted":
+            # Cospherical / coplanar ties: the last coordinate on the
+            # paraboloid over the others.
+            pts[:, -1] = (pts[:, :-1] ** 2).sum(axis=1)
+        elif kind == "subnormal":
+            pts *= 2.0 ** -1074 * draw(st.sampled_from([1.0, 3.0, 2.0 ** 20]))
+    else:
+        # Integer vertices, points exactly on their plane (small integer
+        # affine combinations, e.g. b + c - a) and points one ulp off it.
+        # A sliver's edges are a long edge plus small steps, so its
+        # normal is far shorter than the products it is made of: a
+        # float cofactor loses it to cancellation.
+        big = st.integers(-(2 ** 20), 2 ** 20)
+        base = np.array(draw(st.lists(big, min_size=d * d, max_size=d * d)),
+                        dtype=np.float64).reshape(d, d)
+        if kind == "sliver":
+            long = np.array(draw(st.lists(st.integers(2 ** 29, 2 ** 30), min_size=d,
+                                          max_size=d)), dtype=np.float64)
+            steps = np.array(draw(st.lists(st.integers(-3, 3), min_size=d * d,
+                                           max_size=d * d)), dtype=np.float64)
+            base[1:] = base[0] + np.arange(1, d)[:, None] * long + steps.reshape(d, d)[1:]
+        lam = np.array(draw(st.lists(st.integers(-2, 2), min_size=(n - d) * (d - 1),
+                                     max_size=(n - d) * (d - 1))),
+                       dtype=np.float64).reshape(n - d, d - 1)
+        planted = base[0] + lam @ (base[1:] - base[0])
+        for k in range(0, n - d, 2):
+            j = draw(st.integers(0, d - 1))
+            planted[k, j] = np.nextafter(planted[k, j], draw(st.sampled_from([-np.inf, np.inf])))
+        pts = np.vstack([base, planted])
+    subsets = st.permutations(range(n)).map(lambda p: tuple(sorted(p[:d])))
+    facets = np.array(draw(st.lists(subsets, min_size=1, max_size=5, unique=True)),
+                      dtype=np.int64)
+    vis = np.array(draw(st.lists(st.sampled_from([-1.0, 1.0]), min_size=len(facets),
+                                 max_size=len(facets))))
+    return pts, facets, vis
 
 
 FILTER_INPUTS = {
@@ -200,21 +267,26 @@ FILTER_INPUTS = {
 
 class TestBlockedVerifier:
     """Containment is decided for a block of facets at once, over
-    integers converted once per certificate; blocking must change no
-    sign, no verdict and no message."""
+    integers converted once per certificate: a float stage whose every
+    decided sign is exact, and an exact stage on integer planes;
+    blocking must change no sign, no verdict and no message."""
 
-    @pytest.mark.parametrize("name", sorted(FILTER_INPUTS))
-    def test_blocked_signs_match_per_facet_reference(self, name):
-        points = FILTER_INPUTS[name]()
-        cert = robust_hull(points, seed=0).certificate
-        pts = points[cert.order]
-        facets = np.array(cert.facets)
-        want = np.stack([_per_facet_filter(pts[f], pts) for f in facets])
-        assert np.array_equal(certify._batched_orient_filter(pts[facets], pts), want)
-        # Blocks that split the facet list: each piece is its own stack.
-        pieces = [certify._batched_orient_filter(pts[facets[lo:lo + 3]], pts)
-                  for lo in range(0, len(facets), 3)]
-        assert np.array_equal(np.concatenate(pieces), want)
+    @settings(max_examples=300, deadline=None)
+    @given(_filter_cases())
+    def test_filter_signs_are_exact_signs(self, case):
+        # Every sign the float stage decides is the exact sign, every
+        # exact zero (a facet's own vertices included) is left
+        # uncertain, and blocking changes nothing.
+        pts, facets, vis = case
+        signs = _filter_signs(pts, facets, vis, per_block=len(facets))
+        for k, f in enumerate(facets):
+            for i, q in enumerate(pts):
+                want = _exact_sign(pts[f], q)
+                if want == 0:
+                    assert signs[k, i] == 0, (k, i)
+                elif signs[k, i]:
+                    assert signs[k, i] == want, (k, i)
+        assert np.array_equal(_filter_signs(pts, facets, vis, per_block=1), signs)
 
     @pytest.mark.parametrize("name", sorted(FILTER_INPUTS))
     def test_split_blocks_give_the_same_verdicts(self, name, monkeypatch):
@@ -268,3 +340,21 @@ class TestBlockedVerifier:
         monkeypatch.setattr(certify, "_FILTER_PAIRS", 1)
         with pytest.raises(CertificateError, match=want):
             verify_certificate(cert, pts)
+
+
+class TestVisibleSigns:
+    """Emission reads every facet's visible sign; an SoA run's planes
+    carry theirs, so reading them makes no exact call."""
+
+    @pytest.mark.parametrize("d", [2, 3, 4])
+    def test_soa_planes_carry_their_visible_signs(self, d):
+        run = soa_hull(uniform_ball(300, d, seed=d), seed=1)
+        before = predicates.STATS.exact_calls
+        signs = {f.indices: f.plane.vis_sign for f in run.facets}
+        cert = make_certificate(run)
+        assert predicates.STATS.exact_calls == before
+        assert cert.vis_signs == [signs[f] for f in cert.facets]
+        assert list(signs.values()) == [
+            -predicates.orient_exact(f.plane.base_points, run.interior)
+            for f in run.facets
+        ]

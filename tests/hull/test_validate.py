@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from repro.geometry import uniform_ball
-from repro.hull import sequential_hull
+from repro.hull import robust_hull, sequential_hull
 from repro.hull.validate import (
     HullValidationError,
     brute_force_extreme_ranks,
@@ -18,6 +18,7 @@ from repro.hull.validate import (
     check_ridge_manifold,
     validate_hull,
 )
+from tests.hull.test_certify import FILTER_INPUTS
 
 
 @pytest.fixture
@@ -161,3 +162,77 @@ class TestBruteForce:
         facets = brute_force_facet_sets(pts)
         for f in facets:
             assert f != frozenset({0, 1})
+
+
+def _containment_one_plane_at_a_time(facets, points):
+    """``check_containment`` as it ran before planes were stacked, one
+    plane's float test and exact ladder at a time: the reference the
+    stacked check must match violation for violation."""
+    n = points.shape[0]
+    for f in facets:
+        plane = f.plane
+        own = list(f.indices)
+        on_plane = np.zeros(n, dtype=bool)
+        on_plane[own] = (points[own] == plane.base_points).all(axis=1)
+        if plane.always_exact:
+            mask = np.zeros(n, dtype=bool)
+            uncertain = ~on_plane
+        else:
+            mask, uncertain = plane.float_filter(points)
+            uncertain &= ~on_plane
+        for i in np.nonzero(uncertain)[0].tolist():
+            mask[i] = plane._side_exact(points[i], i if plane.sos else None) > 0
+        if mask.any():
+            raise HullValidationError(
+                f"point {int(np.nonzero(mask)[0][0])} is strictly outside facet {f.indices}"
+            )
+
+
+def _first_violation(check, facets, points) -> str:
+    try:
+        check(facets, points)
+    except HullValidationError as exc:
+        return str(exc)
+    return "contained"
+
+
+class TestStackedContainment:
+    """The stacked check reports what a one-plane-at-a-time check
+    reports: the first facet in order, the lowest rank on it."""
+
+    @pytest.mark.parametrize("name", sorted(FILTER_INPUTS))
+    def test_moved_point_reports_the_reference_violation(self, name):
+        run = robust_hull(FILTER_INPUTS[name](), seed=0).run
+        facets, pts = run.facets, run.points
+        d = pts.shape[1]
+        interior = pts[: d + 1].mean(axis=0)
+        vertices = {i for f in facets for i in f.indices}
+        messages = [_first_violation(check_containment, facets, pts)]
+        for f in (facets[0], facets[len(facets) // 2], facets[-1]):
+            # A rank off the facet (a non-vertex where there is one),
+            # moved through it: far out, and 1e-12 of the way out.
+            off = [j for j in range(len(pts) - 1, -1, -1) if j not in f.indices]
+            j = ([i for i in off if i not in vertices] or off)[0]
+            c = pts[list(f.indices)].mean(axis=0)
+            for t in (1.0, 1e-12):
+                moved = pts.copy()
+                moved[j] = c + t * (c - interior)
+                got = _first_violation(check_containment, facets, moved)
+                assert got == _first_violation(_containment_one_plane_at_a_time, facets, moved)
+                messages.append(got)
+        assert messages[0] == "contained"
+        assert any(m != "contained" for m in messages[1:])
+
+    @pytest.mark.skipif(
+        os.environ.get("REPRO_FORCE_EXACT", "0") not in ("", "0"),
+        reason="mutates the float offset, which always-exact planes "
+        "never consult (they re-derive the side from base_points)",
+    )
+    def test_shifted_offset_reports_the_reference_violation(self):
+        tetra = np.array([[0.0, 0, 0], [4, 0, 0], [0, 4, 0], [0, 0, 4], [1, 1, 1]])
+        run = sequential_hull(tetra, order=np.arange(5))
+        (facet,) = [f for f in run.facets if f.indices == (1, 2, 3)]
+        facet.plane.offset -= 1e-6
+        want = _first_violation(_containment_one_plane_at_a_time, run.facets, run.points)
+        assert want == "point 1 is strictly outside facet (1, 2, 3)"
+        assert _first_violation(check_containment, run.facets, run.points) == want

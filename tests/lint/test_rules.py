@@ -389,7 +389,7 @@ class TestNoqaAudit:
     #: every family and are therefore pinned to zero implicitly.
     FAMILIES = ("RPREFF", "RPRHOT", "RPRFP")
     PINNED = {
-        "RPR": {"halfspaces.py": 1, "certify.py": 1},
+        "RPR": {"halfspaces.py": 1},
         "RPREFF": {},
         "RPRHOT": {
             "kernels.py": 2,
