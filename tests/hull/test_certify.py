@@ -289,6 +289,30 @@ class TestBlockedVerifier:
         assert np.array_equal(_filter_signs(pts, facets, vis, per_block=1), signs)
 
     @pytest.mark.parametrize("name", sorted(FILTER_INPUTS))
+    def test_blocked_signs_match_per_facet_reference(self, name):
+        # On a real certificate's facets and visible signs: the float
+        # stage's signs over the whole facet list are its per-facet
+        # signs and those of blocks that split the list; every decided
+        # sign is the exact sign, every exact zero is left uncertain,
+        # and no decided pair is visible.
+        points = FILTER_INPUTS[name]()
+        cert = robust_hull(points, seed=0).certificate
+        pts = points[cert.order]
+        facets = np.array(cert.facets)
+        vis = np.array(cert.vis_signs, dtype=np.float64)
+        signs = _filter_signs(pts, facets, vis, per_block=len(facets))
+        assert np.array_equal(_filter_signs(pts, facets, vis, per_block=1), signs)
+        assert np.array_equal(_filter_signs(pts, facets, vis, per_block=3), signs)
+        assert not (signs == vis[:, None]).any()
+        for k, f in enumerate(facets):
+            for i, q in enumerate(pts):
+                want = _exact_sign(pts[f], q)
+                if want == 0:
+                    assert signs[k, i] == 0, (k, i)
+                elif signs[k, i]:
+                    assert signs[k, i] == want, (k, i)
+
+    @pytest.mark.parametrize("name", sorted(FILTER_INPUTS))
     def test_split_blocks_give_the_same_verdicts(self, name, monkeypatch):
         points = FILTER_INPUTS[name]()
         cert = robust_hull(points, seed=0).certificate
