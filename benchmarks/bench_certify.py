@@ -2,7 +2,7 @@
 
 A plain script, like ``bench_kernels.py`` (the ``degenerate-smoke`` CI
 job drives its ``--smoke`` mode).  For each input it times, best of
-``--repeats`` back-to-back runs:
+3 back-to-back runs (1 in ``--smoke``):
 
 * ``hull_s``: the ``parallel_hull`` call a ``robust_hull`` rung makes
   (the SoA engine), with its alive facets materialized;
@@ -137,7 +137,8 @@ def _row(name: str, pts: np.ndarray, repeats: int) -> dict:
     }
 
 
-def run_certify_bench(smoke: bool = False, repeats: int = 3) -> dict:
+def run_certify_bench(smoke: bool = False) -> dict:
+    repeats = 1 if smoke else 3
     rows = []
     for name, pts in _inputs(smoke):
         rows.append(_row(name, pts, repeats))
@@ -197,13 +198,10 @@ def main(argv: list[str] | None = None) -> int:
     ap.add_argument("--smoke", action="store_true",
                     help="small inputs, one repeat: checks certificates and "
                          "corruptions, records the gates without enforcing them")
-    ap.add_argument("--repeats", type=int, default=None,
-                    help="best-of repeats per stage (default 3, 1 in smoke)")
     ap.add_argument("--out", default="BENCH_certify.json", metavar="PATH")
     args = ap.parse_args(argv)
-    repeats = args.repeats or (1 if args.smoke else 3)
 
-    report = run_certify_bench(smoke=args.smoke, repeats=repeats)
+    report = run_certify_bench(smoke=args.smoke)
     with open(args.out, "w") as fh:
         json.dump(report, fh, indent=2)
         fh.write("\n")

@@ -137,11 +137,8 @@ def _orient_query(simplex: np.ndarray, query) -> int:
     ``tolist`` each for the simplex and the query, and no weighted
     tail -- the determinant ``det([s_1 - s_0; ...; q - s_0])``."""
     d = simplex.shape[1]
-    ratios = [x.as_integer_ratio() for x in simplex.ravel().tolist()]
-    ratios += [x.as_integer_ratio()
-               for x in np.asarray(query, dtype=np.float64).tolist()]
-    den = max(q for _, q in ratios)
-    v = [p * (den // q) for p, q in ratios]
+    v = _scaled_ints(simplex.ravel().tolist()
+                     + np.asarray(query, dtype=np.float64).tolist())
     base = v[:d]
     det = det_int([list(map(operator.sub, v[i:i + d], base))
                    for i in range(d, d * d + d, d)])

@@ -272,7 +272,7 @@ def _column_plane(
     err_scale,
     err_base,
     sos: bool,
-    vis_sign: int | None = None,
+    vis_sign: int | None,
 ) -> Hyperplane:
     """The plane of a float-certain row, from its columns.
 
@@ -280,10 +280,10 @@ def _column_plane(
     build (``batch_planes`` is pinned bit-compatible, and the interior
     flip was applied when the row was created), so this rebuilds it
     without re-running the cofactor expansion and the interior test.
-    ``vis_sign``, when the caller knows it, is the plane's visible
-    orientation sign (``None`` leaves it to the plane's lazy exact
-    call).  Always-exact rows never come here: their scalar-ladder
-    planes are kept."""
+    ``vis_sign`` is the plane's visible orientation sign, or ``None``
+    where the caller does not know it (the plane's lazy exact call
+    decides it then).  Always-exact rows never come here: their
+    scalar-ladder planes are kept."""
     return Hyperplane(
         normal=normal.copy(),
         offset=float(offset),
@@ -303,10 +303,10 @@ class _FacetSource(NamedTuple):
     from: per-row defining ranks, float plane, error envelope, alive
     flag and conflict window, the pool the windows index, the
     scalar-ladder planes of always-exact rows, the SoS flag the float
-    planes take, and per-row visible signs of float-certain rows (0, or
-    no array at all, where unknown).  The engine lends live views of its
-    store (:meth:`SoAHullEngine._source`); a finished run builds one
-    from its own copies (:attr:`SoAHullRun.facets`)."""
+    planes take, and per-row visible signs of the float-certain rows
+    (no array at all where they are unknown).  The engine lends live
+    views of its store (:meth:`SoAHullEngine._source`); a finished run
+    builds one from its own copies (:attr:`SoAHullRun.facets`)."""
 
     pts: np.ndarray
     interior: np.ndarray
@@ -334,7 +334,7 @@ class _FacetSource(NamedTuple):
             plane = _column_plane(
                 self.pts, self.interior, idx, self.normals[fid],
                 self.offsets[fid], self.err_scale[fid], self.err_base[fid],
-                self.sos, vis or None,
+                self.sos, vis,
             )
         s = int(self.conf_start[fid])
         ln = int(self.conf_len[fid])

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from repro.geometry import uniform_ball
-from repro.hull import robust_hull, sequential_hull
+from repro.hull import robust_hull, sequential_hull, validate
 from repro.hull.validate import (
     HullValidationError,
     brute_force_extreme_ranks,
@@ -200,28 +200,52 @@ class TestStackedContainment:
     """The stacked check reports what a one-plane-at-a-time check
     reports: the first facet in order, the lowest rank on it."""
 
-    @pytest.mark.parametrize("name", sorted(FILTER_INPUTS))
-    def test_moved_point_reports_the_reference_violation(self, name):
+    @staticmethod
+    def _moved_clouds(name):
+        """A hull of a ``FILTER_INPUTS`` cloud, and that cloud with a
+        rank off one facet (a non-vertex where there is one) moved
+        through the facet, far out and 1e-12 of the way out, for the
+        first, middle and last facets -- and with all three moved far
+        out at once, so that several facets are violated."""
         run = robust_hull(FILTER_INPUTS[name](), seed=0).run
         facets, pts = run.facets, run.points
         d = pts.shape[1]
         interior = pts[: d + 1].mean(axis=0)
         vertices = {i for f in facets for i in f.indices}
-        messages = [_first_violation(check_containment, facets, pts)]
+        clouds, together = [], pts.copy()
         for f in (facets[0], facets[len(facets) // 2], facets[-1]):
-            # A rank off the facet (a non-vertex where there is one),
-            # moved through it: far out, and 1e-12 of the way out.
             off = [j for j in range(len(pts) - 1, -1, -1) if j not in f.indices]
             j = ([i for i in off if i not in vertices] or off)[0]
             c = pts[list(f.indices)].mean(axis=0)
             for t in (1.0, 1e-12):
                 moved = pts.copy()
                 moved[j] = c + t * (c - interior)
-                got = _first_violation(check_containment, facets, moved)
-                assert got == _first_violation(_containment_one_plane_at_a_time, facets, moved)
-                messages.append(got)
+                clouds.append(moved)
+            together[j] = c + (c - interior)
+        return facets, pts, clouds + [together]
+
+    @pytest.mark.parametrize("name", sorted(FILTER_INPUTS))
+    def test_moved_point_reports_the_reference_violation(self, name):
+        facets, pts, clouds = self._moved_clouds(name)
+        messages = [_first_violation(check_containment, facets, pts)]
+        for moved in clouds:
+            got = _first_violation(check_containment, facets, moved)
+            assert got == _first_violation(_containment_one_plane_at_a_time, facets, moved)
+            messages.append(got)
         assert messages[0] == "contained"
         assert any(m != "contained" for m in messages[1:])
+
+    @pytest.mark.parametrize("per_block", [1, 2])
+    @pytest.mark.parametrize("name", sorted(FILTER_INPUTS))
+    def test_split_blocks_report_the_reference_violation(self, name, per_block,
+                                                         monkeypatch):
+        # One or two facets per block, so blocks split the facet list.
+        facets, pts, clouds = self._moved_clouds(name)
+        monkeypatch.setattr(validate, "_CONTAIN_PAIRS", per_block * len(pts))
+        assert _first_violation(check_containment, facets, pts) == "contained"
+        for moved in clouds:
+            assert (_first_violation(check_containment, facets, moved)
+                    == _first_violation(_containment_one_plane_at_a_time, facets, moved))
 
     @pytest.mark.skipif(
         os.environ.get("REPRO_FORCE_EXACT", "0") not in ("", "0"),
