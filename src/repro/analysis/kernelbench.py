@@ -60,10 +60,11 @@ KERNEL_BENCH_SCHEMA = "repro.bench.kernels/2"
 
 def _facet_specs(
     pts: np.ndarray, n_facets: int, rng: np.random.Generator
-) -> tuple[list[Hyperplane], list[np.ndarray]]:
+) -> tuple[list[Hyperplane], list[np.ndarray], np.ndarray]:
     """Build ``n_facets`` well-defined planes through random d-subsets,
     each tested against every other point -- the dense analogue of the
-    hull's ragged conflict blocks.
+    hull's ragged conflict blocks.  Returns the planes, their candidate
+    blocks and their defining ranks (one row per plane).
 
     The RPRHOT suppressions here and in ``_predicate_row`` are the
     measurement harness itself: the scalar closures *time* the
@@ -74,6 +75,7 @@ def _facet_specs(
     interior = pts.mean(axis=0)
     planes: list[Hyperplane] = []
     cand_list: list[np.ndarray] = []
+    indices = np.empty((n_facets, d), dtype=np.int64)
     everything = np.arange(n, dtype=np.int64)
     while len(planes) < n_facets:
         idx = tuple(sorted(int(i) for i in rng.choice(n, size=d, replace=False)))
@@ -85,9 +87,10 @@ def _facet_specs(
             continue  # degenerate draw would bench the exact path only
         keep = np.ones(n, dtype=bool)  # repro: noqa: RPRHOT003
         keep[list(idx)] = False
+        indices[len(planes)] = idx
         planes.append(plane)  # repro: noqa: RPRHOT003
         cand_list.append(everything[keep])  # repro: noqa: RPRHOT003
-    return planes, cand_list
+    return planes, cand_list, indices
 
 
 def _time(fn, repeats: int) -> tuple[float, object]:
@@ -119,10 +122,11 @@ def _predicate_row(
 ) -> dict:  # repro: hot-entry
     rng = np.random.default_rng(seed)
     pts = uniform_ball(n, d, seed=seed)
-    planes, cand_list = _facet_specs(pts, n_facets, rng)
+    planes, cand_list, indices = _facet_specs(pts, n_facets, rng)
     # The flat stream and its plane columns, built once outside the
     # stopwatch: plane k tests the blocks[k] consecutive ranks of its
-    # candidate block.
+    # candidate block; its defining ranks and visible sign serve the
+    # sweep's exact stage.
     sizes = [int(c.size) for c in cand_list]
     ranks = np.concatenate(cand_list)
     blocks = np.asarray(sizes, dtype=np.int64)
@@ -130,6 +134,7 @@ def _predicate_row(
     offsets = np.array([p.offset for p in planes])
     err_scale = np.array([p.err_scale for p in planes])
     err_base = np.array([p.err_base for p in planes])
+    vis_sign = np.array([p.vis_sign for p in planes], dtype=np.int8)
 
     def scalar() -> list[np.ndarray]:
         out = []
@@ -148,7 +153,7 @@ def _predicate_row(
     def batch(stats: KernelStats | None = None) -> np.ndarray:
         return visible_flat(  # repro: noqa: RPRHOT006
             pts, normals, offsets, err_scale, err_base, blocks, ranks,
-            plane_for=planes.__getitem__, stats=stats,
+            indices, vis_sign, stats=stats,
         )
 
     scalar_s, scalar_masks = _time(scalar, repeats)

@@ -40,9 +40,9 @@ import numpy as np
 
 from .linalg import cofactor_normal
 from .perturb import orient_sos, orient_sos_combo, sos_active
-from .predicates import STATS, orient_exact, orient_exact_combo
+from .predicates import STATS, orient_exact, orient_exact_batch, orient_exact_combo
 
-__all__ = ["Hyperplane", "exact_mode", "exact_active"]
+__all__ = ["Hyperplane", "exact_mode", "exact_active", "side_exact_batch"]
 
 _EPS = float(np.finfo(np.float64).eps)
 
@@ -327,3 +327,37 @@ class Hyperplane:
         env = self.err_scale * (self.err_base + np.abs(pts).max(axis=1))
         STATS.count_float(int(pts.shape[0]))
         return margins > env, np.abs(margins) <= env
+
+
+def side_exact_batch(simplices, base_indices, vis_sign, sos, rows, pts,
+                     ranks) -> np.ndarray:
+    """The batched twin of :meth:`Hyperplane._side_exact`: the exact
+    side (+1 visible, -1 invisible, 0 on the plane) of point
+    ``pts[ranks[e]]`` against plane ``rows[e]``, for every entry ``e``.
+
+    Plane ``k`` is given by its defining points ``simplices[k]`` (a
+    ``(K, d, d)`` stack), their ranks ``base_indices[k]``, the
+    :func:`orient_exact` value ``vis_sign[k]`` that means visible, and
+    whether it breaks ties by Simulation of Simplicity (``sos``: one
+    flag for every plane or one per plane).  Every entry takes one
+    exact orientation in a single :func:`orient_exact_batch` call; an
+    exact zero on an SoS plane then takes :func:`orient_sos`, one entry
+    at a time, except where the rank is one of the plane's own (a point
+    is never strictly visible from its own facet).  With ``vis_sign``
+    ``None`` the tie-broken orientations come back instead, for a
+    caller that reads visible signs only where one is needed."""
+    s = orient_exact_batch(np.take(simplices, rows, axis=0),
+                           np.take(pts, ranks, axis=0))
+    tied = np.flatnonzero(s == 0)
+    if tied.size:
+        tied = tied[np.broadcast_to(sos, (len(base_indices),))[rows[tied]]]
+        own = (base_indices[rows[tied]] == ranks[tied, None]).any(axis=1)
+        for e in tied[~own].tolist():
+            k, r = int(rows[e]), int(ranks[e])
+            s[e] = orient_sos(simplices[k], tuple(base_indices[k].tolist()),
+                              pts[r], r)
+    if vis_sign is None:
+        return s
+    side = np.where(s == np.take(vis_sign, rows), 1, -1).astype(np.int8)
+    side[s == 0] = 0
+    return side

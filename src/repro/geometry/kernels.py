@@ -48,7 +48,8 @@ import numpy as np
 
 from ..analyze.shapes import observe
 from ..runtime.atomics import ShardedCounter
-from .predicates import STATS, orient_exact
+from .hyperplane import side_exact_batch
+from .predicates import STATS, orient_exact_batch
 
 __all__ = [
     "KernelStats",
@@ -244,10 +245,11 @@ def orient_batch(simplices: np.ndarray, queries: np.ndarray) -> np.ndarray:
 
     One einsum sweep computes all ``F x Q`` float margins; entries whose
     margin falls inside the (per-plane, per-query) error envelope are
-    re-decided by the exact integer path -- the same
-    :func:`~repro.geometry.predicates.orient_exact` the scalar predicate
-    escalates to, so agreement with the scalar oracle is structural, not
-    statistical.
+    re-decided by the exact integer path, in one
+    :func:`~repro.geometry.predicates.orient_exact_batch` call -- entry
+    for entry the :func:`~repro.geometry.predicates.orient_exact` the
+    scalar predicate escalates to, so agreement with the scalar oracle
+    is structural, not statistical.
     """
     # repro: shape: simplices=(F,d,d):float64, queries=(Q,d):float64
     # repro: shape: margins=(F,Q):float64, signs=(F,Q):int8 -> (F,Q):int64
@@ -277,11 +279,11 @@ def orient_batch(simplices: np.ndarray, queries: np.ndarray) -> np.ndarray:
     n_fall = int(uncertain.sum())
     STATS.count_float(n_signs)
     if n_fall:
-        # The exact-fallback loop IS the filter design: only the
-        # envelope-ambiguous entries (a vanishing fraction) take the
-        # per-element exact ladder.
-        for f, q in zip(*np.nonzero(uncertain)):
-            signs[f, q] = orient_exact(simplices[f], queries[q])  # repro: noqa: RPRHOT002
+        # Only the envelope-ambiguous entries (a vanishing fraction)
+        # take the exact stage, all in one batch.
+        fs, qs = np.nonzero(uncertain)
+        signs[fs, qs] = orient_exact_batch(np.take(simplices, fs, axis=0),
+                                           np.take(queries, qs, axis=0))
     KERNEL_STATS.count_sweep(n_signs, n_fall)
     observe("repro.geometry.kernels.orient_batch",
             simplices=simplices, queries=queries, margins=margins,
@@ -326,8 +328,10 @@ def visible_flat(
     err_base: np.ndarray,
     blocks: np.ndarray,
     ranks: np.ndarray,
+    indices: np.ndarray,
+    vis_sign: np.ndarray,
     force_exact: np.ndarray | None = None,
-    plane_for=None,
+    sos: bool = False,
     stats: KernelStats | None = None,
     pts_inf: float | None = None,
 ) -> np.ndarray:
@@ -341,11 +345,19 @@ def visible_flat(
     (ready facet x conflict point) block.  One einsum computes every
     float margin; entries inside the per-plane error envelope -- plus
     every entry of a plane flagged in ``force_exact`` (always-exact
-    planes carry no trustworthy float sign) -- are re-decided by the
-    scalar ladder of the materialized
-    :class:`~repro.geometry.hyperplane.Hyperplane` that ``plane_for(k)``
-    returns, so the flat sweep cannot silently disagree with the scalar
-    oracle: identical filter, identical fallback.
+    planes carry no trustworthy float sign) -- are re-decided exactly,
+    all of the sweep's at once, by
+    :func:`~repro.geometry.hyperplane.side_exact_batch`, the batched
+    twin of the scalar ladder that
+    :class:`~repro.geometry.hyperplane.Hyperplane` falls back to.  It
+    needs each row's defining ranks ``indices`` (the plane is the one
+    through ``pts[indices[k]]``, in that order), the orientation sign
+    ``vis_sign[k]`` that means visible (a float-certain row's is +1
+    where its stored normal is the cofactor normal and -1 where it is
+    negated; an always-exact row's is its ladder plane's), and whether
+    the rows break exact ties by Simulation of Simplicity (``sos``).
+    So the flat sweep cannot silently disagree with the scalar oracle:
+    identical filter, identical fallback decisions.
 
     The filter is staged.  Each plane first gets one bound,
     ``s*P + s*b`` for its envelope scale ``s`` and base ``b``, where
@@ -357,10 +369,11 @@ def visible_flat(
     Round-to-nearest is monotone, so ``|p|_inf <= P`` makes every
     entry's computed envelope at most its plane's computed bound: an
     entry the first stage decides is one the envelope alone would
-    decide the same way, and the mask, the fallback set and the order
-    of the ``plane_for`` calls are those of the single-stage sweep.
+    decide the same way, and the mask and the fallback entries, in
+    order, are those of the single-stage sweep.
     """
     # repro: shape: ranks=(M,):int64, blocks=(K,):int64
+    # repro: shape: indices=(K,d):int64, vis_sign=(K,):int8
     # repro: shape: pts_flat=(M,d):float64, margins=(M,):float64
     # repro: shape: bound=(M,):float64, mask=(M,):bool
     #
@@ -431,13 +444,13 @@ def visible_flat(
         if force_exact is not None:
             uncertain |= np.take(force_exact, plane_of)
         fall = near[uncertain]
-        fall_plane = plane_of[uncertain]
         n_fall = int(fall.shape[0])
-        # Envelope-ambiguous (or forced-exact) entries only: the
-        # by-design per-element exact ladder, as in orient_batch.
-        for m, k in zip(fall.tolist(), fall_plane.tolist()):
-            r = int(ranks[m])
-            mask[m] = plane_for(k)._side_exact(pts[r], r) > 0  # repro: noqa: RPRHOT002
+        if n_fall:
+            # Envelope-ambiguous (or forced-exact) entries only, in one
+            # exact stage, as in orient_batch.
+            mask[fall] = side_exact_batch(
+                np.take(pts, indices, axis=0), indices, vis_sign, sos,
+                plane_of[uncertain], pts, np.take(ranks, fall)) > 0
     KERNEL_STATS.count_sweep(n_signs, n_fall)
     if stats is not None:
         stats.count_sweep(n_signs, n_fall)

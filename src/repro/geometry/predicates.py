@@ -11,6 +11,12 @@ the sign of the determinant of the given floats.  The fallback thus
 decides *exactly the input that was given* -- degeneracies (zero
 returns) are real, not round-off artifacts.
 
+:func:`orient_exact_batch` decides many (simplex, query) pairs at once,
+with the same determinant formulas: it splits the floats with
+``frexp``, scales each pair's entries to ints under the pair's own
+power of two, and evaluates :func:`~repro.geometry.linalg.det_int`'s
+closed forms on whole columns of Python ints.
+
 Counters on :class:`PredicateStats` let the experiment harness account
 for how often the exact path fires (one of the ablations in DESIGN.md).
 """
@@ -32,9 +38,21 @@ __all__ = [
     "STATS",
     "orient",
     "orient_exact",
+    "orient_exact_batch",
     "orient_exact_combo",
     "in_circle",
 ]
+
+#: Pairs per chunk of :func:`orient_exact_batch`'s integer stage, so
+#: its Python ints stay a fixed size however many pairs one call takes.
+_EXACT_CHUNK = 4096
+
+#: ``2**53``: a ``frexp`` mantissa times this is an integer below it.
+_TWO53 = float(1 << 53)
+
+#: The largest shift that keeps a shifted 53-bit mantissa below
+#: ``2**62``, so that differences of two stay inside int64.
+_INT64_SHIFT = 9
 
 
 class PredicateStats:
@@ -171,6 +189,70 @@ def orient_exact(simplex, query) -> int:
     simplex = np.asarray(simplex, dtype=np.float64)
     STATS.count_exact()
     return _orient_query(simplex, query)
+
+
+def orient_exact_batch(simplices, queries) -> np.ndarray:
+    """Exact orientations of ``E`` (simplex, query) pairs at once: an
+    ``(E,)`` int8 array with ``out[e] == orient_exact(simplices[e],
+    queries[e])`` for every ``e`` (``simplices`` is ``(E, d, d)``,
+    ``queries`` ``(E, d)``).  Counts ``E`` exact calls.
+
+    Pairs go through the integer stage ``_EXACT_CHUNK`` at a time, so
+    its Python ints take the same memory however large ``E`` is.  NaN
+    raises ``ValueError`` and inf ``OverflowError``, for the first pair
+    that holds one, as :func:`orient_exact` does."""
+    simplices = np.asarray(simplices, dtype=np.float64)
+    queries = np.asarray(queries, dtype=np.float64)
+    e = int(queries.shape[0])
+    STATS.count_exact(e)
+    out = np.empty(e, dtype=np.int8)
+    for lo in range(0, e, _EXACT_CHUNK):
+        hi = min(lo + _EXACT_CHUNK, e)
+        out[lo:hi] = _orient_chunk(simplices[lo:hi], queries[lo:hi])
+    return out
+
+
+def _orient_chunk(simplices: np.ndarray, queries: np.ndarray) -> np.ndarray:
+    """:func:`orient_exact_batch` for one chunk.
+
+    Every finite double is ``m * 2**(x - 53)`` with ``m = frexp
+    mantissa * 2**53`` an integer, so shifting each pair's mantissas to
+    the pair's least exponent ``x_min`` gives ints ``m << (x - x_min)``
+    that are its entries times one positive power of two -- the
+    determinant keeps its sign.  Where no shift exceeds
+    ``_INT64_SHIFT`` the ints and their differences fit int64 and are
+    formed there; the other pairs shift and subtract as Python ints.
+    The edge rows ``s_i - s_0`` and ``q - s_0`` then take
+    :func:`~repro.geometry.linalg.det_int`: its closed forms (``d <=
+    3``) are plain ring arithmetic and run on whole columns of Python
+    ints at once; beyond, each pair takes its own Bareiss elimination."""
+    c, d = queries.shape
+    if not c:
+        return np.zeros(0, dtype=np.int8)
+    vals = np.concatenate([simplices.reshape(c, d * d), queries], axis=1)
+    finite = np.isfinite(vals).all(axis=1)
+    if not finite.all():
+        # The first such pair's own conversion raises the right error.
+        _scaled_ints(vals[int(np.argmin(finite))].tolist())
+    mant, expo = np.frexp(vals)
+    mant = (mant * _TWO53).astype(np.int64)
+    nonzero = mant != 0
+    shift = expo - np.where(nonzero, expo, np.iinfo(expo.dtype).max).min(
+        axis=1, keepdims=True)
+    shift[~nonzero] = 0
+    small = (shift <= _INT64_SHIFT).all(axis=1)
+    edges = np.empty((c, d, d), dtype=object)
+    if small.any():
+        v = mant[small] * np.left_shift(np.int64(1), shift[small])
+        edges[small] = (v[:, d:].reshape(-1, d, d) - v[:, None, :d]).astype(object)
+    if not small.all():
+        v = np.left_shift(mant[~small].astype(object), shift[~small].astype(object))
+        edges[~small] = v[:, d:].reshape(-1, d, d) - v[:, None, :d]
+    if d <= 3:
+        det = det_int([[edges[:, i, j] for j in range(d)] for i in range(d)])
+    else:
+        det = np.array(list(map(det_int, edges.tolist())), dtype=object)
+    return (det > 0).astype(np.int8) - (det < 0)
 
 
 def orient_exact_combo(simplex, combo_points, weights=None) -> int:

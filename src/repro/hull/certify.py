@@ -29,15 +29,18 @@ is a small, serializable claim --
   every pair; construction builds float cofactor normals with a
   Hadamard envelope instead;
 * a *different* exact stage.  Both sides scale one determinant's float
-  entries by a common power of two and decide its sign on Python ints,
-  but by different means: here each float is split with ``frexp``
-  into an integer mantissa and an exponent, and every coordinate of the
-  cloud is shifted, once per certificate, to the least exponent
-  present; the determinant is expanded along its query row -- the
-  sign of ``N . (q - b_0)`` for the facet's integer normal ``N``, whose
-  minors are recursive Laplace expansions; construction
-  (``geometry.predicates``) uses ``float.as_integer_ratio`` and
-  ``geometry.linalg.det_int`` (closed form up to 3x3, fraction-free
+  entries by a power of two and decide its sign on Python ints, but by
+  different means: here each float is split with ``frexp`` into an
+  integer mantissa and an exponent, and every coordinate of the cloud
+  is shifted, once per certificate, to the least exponent present; the
+  determinant is expanded along its query row -- the sign of
+  ``N . (q - b_0)`` for the facet's integer normal ``N``, set up once
+  per facet, whose minors are recursive Laplace expansions.
+  Construction (``geometry.predicates``) scales each determinant on
+  its own -- ``float.as_integer_ratio`` for one call, ``frexp`` and the
+  pair's own least exponent for a batch -- and evaluates every entry's
+  full determinant with ``geometry.linalg.det_int``'s formulas
+  (closed form up to 3x3, on whole columns in a batch; fraction-free
   Bareiss beyond).  The interior reference enters as the integer row
   ``sum(p_i) - (d+1) p_0``, its centroid's row scaled by ``d+1``;
 * a *different* Simulation-of-Simplicity sign (brute-force permutation

@@ -23,7 +23,13 @@ four-rung ladder:
 Each rung is attempted, validated, **certified** (a
 :class:`~repro.hull.certify.HullCertificate` checked by the independent
 exact verifier -- construction bugs cannot self-approve), and on
-failure the next rung is tried.  The escalation path ends up both in
+failure the next rung is tried.  A certified rung validates structure
+only (:func:`~repro.hull.validate.check_structure`: facets exist, ridges
+pair up, counts hold) and leaves containment to the verifier, which
+proves it independently; a hull that breaks containment there escalates
+as ``CertificateError``.  An uncertified rung runs
+:func:`~repro.hull.validate.validate_hull` in full, containment
+included.  The escalation path ends up both in
 the result and in the run's ``exec_stats.escalations`` so chaos reports
 and experiment logs can see which inputs needed which tier.  The joggle
 rung runs on the conflict-list SoA engine, and so does every other rung
@@ -54,7 +60,7 @@ from .certify import CertificateError, HullCertificate, make_certificate, verify
 from .common import check_kernel, resolve_base_size
 from .joggle import JoggledHull, joggled_hull
 from .parallel import ParallelHullRun, check_engine, parallel_hull
-from .validate import HullValidationError, validate_hull
+from .validate import HullValidationError, check_structure, validate_hull
 
 __all__ = ["RobustHullResult", "robust_hull"]
 
@@ -105,11 +111,16 @@ def robust_hull(
     """Compute a hull of ``points``, escalating through the predicate
     ladder on failure.
 
-    ``validate=True`` (default) runs :func:`validate_hull` after every
-    rung, so a structurally broken hull escalates instead of being
-    returned; ``certify=True`` (default) additionally emits a
-    certificate and checks it with the independent exact verifier
-    (recorded as ``"mode:CertificateError"`` when it fails).
+    ``validate=True`` (default) validates every rung's hull, so a
+    broken hull escalates instead of being returned.  ``certify=True``
+    (default) emits a certificate and checks it with the independent
+    exact verifier (recorded as ``"mode:CertificateError"`` when it
+    fails); the verifier proves containment, so validation there runs
+    only the structural checks
+    (:func:`~repro.hull.validate.check_structure`), and a hull with a
+    point outside a facet escalates as ``CertificateError``.  With
+    ``certify=False``, validation is :func:`validate_hull` in full,
+    containment included.
     ``allow_sos=False`` skips symbolic perturbation; with both
     ``allow_sos=False`` and ``allow_joggle=False`` the exact rung's
     failure is re-raised (callers that need the *true* face lattice of
@@ -173,7 +184,10 @@ def robust_hull(
         if kernel_override is not None:
             kwargs["kernel"] = kernel_override
         run = parallel_hull(points, seed=seed, order=order, **kwargs)
-        if validate:
+        if validate and certify:
+            # The verifier below proves containment.
+            check_structure(run.facets, run.points.shape[1])
+        elif validate:
             validate_hull(run.facets, run.points)
         cert = None
         if certify:

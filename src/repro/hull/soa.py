@@ -69,10 +69,11 @@ The round transaction (all vectorized, no per-facet Python loop):
    sweep (:func:`~repro.geometry.kernels.visible_flat`) with the same
    envelope filter -- staged: one bound per plane, from the run's max
    ``|p|_inf``, decides almost every entry before any per-entry
-   envelope is formed -- and the same per-entry exact fallback as the
-   scalar path (a fallback on a float-certain row takes the plane its
-   columns already hold, not a second ``Hyperplane.through``); each
-   facet's candidates are one contiguous block, so
+   envelope is formed -- and the same exact decisions as the scalar
+   path, all of the round's fallbacks in one batched exact stage fed
+   by each row's defining ranks and visible sign (a float-certain
+   row's sign is its interior flip, so no ``Hyperplane`` is built to
+   decide it); each facet's candidates are one contiguous block, so
    the sweep takes ``blocks`` and repeats the plane rows instead of
    gathering them through a per-entry owner column;
 5. count each facet's survivors with one segmented sum of the mask
@@ -668,7 +669,10 @@ class SoAHullEngine:
         normals[flip] = -normals[flip]
         offsets[flip] = -offsets[flip]
         exact_rows = ~certain
-        row_planes: dict[int, Hyperplane] = {}
+        # The visible orientation sign of every row: a float-certain
+        # row's is its flip, an always-exact row's its ladder plane's.
+        vis_sign = np.where(flip, -1, 1).astype(np.int8)
+        planes: list[Hyperplane] = []
         ks = np.nonzero(exact_rows)[0]
         if ks.size:
             planes = list(map(self._through_row, map(tuple, new_idx[ks].tolist())))
@@ -676,25 +680,12 @@ class SoAHullEngine:
             offsets[ks] = np.fromiter(
                 map(operator.attrgetter("offset"), planes), np.float64, count=ks.size
             )
-            row_planes.update(zip(ks.tolist(), planes))
-
-        def plane_for(row: int) -> Hyperplane:
-            # An envelope fallback on a float-certain row: its columns
-            # are already its plane, and its flip its visible sign.
-            plane = row_planes.get(row)
-            if plane is None:
-                plane = _column_plane(
-                    self.pts, self.interior, tuple(map(int, new_idx[row])),
-                    normals[row], offsets[row], e_scale[row], e_base[row],
-                    sos_active(), -1 if flip[row] else 1,
-                )
-                row_planes[row] = plane
-            return plane
+            vis_sign[ks] = list(map(operator.attrgetter("vis_sign"), planes))
 
         vis = visible_flat(
             self.pts, normals, offsets, e_scale, e_base, blocks, vals,
-            force_exact=exact_rows, plane_for=plane_for, stats=self.kstats,
-            pts_inf=self._pts_inf,
+            new_idx, vis_sign, force_exact=exact_rows, sos=sos_active(),
+            stats=self.kstats, pts_inf=self._pts_inf,
         )
         if self.noisy is not None:
             # Flip the true mask block by block, keyed (sorted defining
@@ -709,10 +700,7 @@ class SoAHullEngine:
         # Persist the scalar-ladder planes of always-exact rows so later
         # sweeps (and materialization) reuse them, keyed by fid.
         fid0 = self.store.size
-        self._exact_planes.update(
-            zip((fid0 + r for r in ks.tolist()),
-                map(row_planes.__getitem__, ks.tolist()))
-        )
+        self._exact_planes.update(zip((fid0 + ks).tolist(), planes))
         return vis, (normals, offsets, e_scale, e_base, exact_rows)
 
     # -- ridge pairing (the multimap M, per round) -------------------------

@@ -19,6 +19,7 @@ from itertools import combinations
 
 import numpy as np
 
+from ..geometry.hyperplane import side_exact_batch
 from ..geometry.predicates import STATS, orient_exact
 from ..geometry.simplex import Facet, facet_ridges
 
@@ -27,6 +28,7 @@ __all__ = [
     "check_containment",
     "check_ridge_manifold",
     "check_counts",
+    "check_structure",
     "validate_hull",
     "facet_sets_global",
     "brute_force_extreme_ranks",
@@ -77,9 +79,13 @@ def check_containment(facets: list[Facet], points: np.ndarray) -> None:
     rest form the per-row envelope ``err_scale * (err_base +
     |q|_inf)``.  Rounding is monotone, so the bound is at least every
     row's envelope, and a margin it decides is one the envelope alone
-    decides the same way.  The exact calls run facet by facet, in facet
-    order, and the violation reported is the first facet's
-    lowest-ranked one -- as a one-plane-at-a-time check would.
+    decides the same way.  A block's ladder stream then takes one
+    :func:`~repro.geometry.hyperplane.side_exact_batch` call, and a
+    plane's visible sign is read only where one of its exact signs is
+    nonzero, as the scalar ladder reads it -- so a passing check makes
+    the exact calls a one-plane-at-a-time check makes.  The violation
+    reported is the first facet's lowest-ranked one, as that check
+    would report; a failing check may have decided pairs past it.
     """
     if not facets:
         return
@@ -91,13 +97,16 @@ def check_containment(facets: list[Facet], points: np.ndarray) -> None:
     e_scale = np.array([p.err_scale for p in planes], dtype=np.float64)
     e_base = np.array([p.err_base for p in planes], dtype=np.float64)
     exact = np.array([p.always_exact for p in planes], dtype=bool)
+    sos = np.array([p.sos for p in planes], dtype=bool)
+    base_points = np.stack([p.base_points for p in planes])
+    base_indices = np.array([p.base_indices if p.sos else f.indices
+                             for p, f in zip(planes, facets)], dtype=np.int64)
     # Own vertices: the rows of a facet's indices equal to its plane's
     # base points.
-    own = (points[indices] == np.stack([p.base_points for p in planes])).all(axis=2)
+    own = (points[indices] == base_points).all(axis=2)
     q_inf = np.abs(points).max(axis=1)
     p_inf = float(q_inf.max(initial=0.0))
     pts_t = np.ascontiguousarray(points.T)
-    everyone = np.arange(n)
     per_block = max(1, _CONTAIN_PAIRS // max(n, 1))
     for lo in range(0, len(facets), per_block):
         hi = min(lo + per_block, len(facets))
@@ -108,34 +117,32 @@ def check_containment(facets: list[Facet], points: np.ndarray) -> None:
         rows += lo
         on_plane = ((indices[rows] == cols[:, None]) & own[rows]).any(axis=1)
         float_rows = ~exact[rows]
-        # Each float plane's lowest float-visible rank (rows, then cols,
-        # ascend).
-        vis_k, first = np.unique(rows[visible & float_rows], return_index=True)
-        lowest = dict(zip(vis_k.tolist(), cols[visible & float_rows][first].tolist()))
-        # The exact ladder's (facet, rank) stream, in facet then rank
-        # order: a float plane's uncertain rows but its own vertices,
-        # and every row but its own vertices of an always-exact plane.
+        # The exact ladder's (facet, rank) stream: a float plane's
+        # uncertain rows but its own vertices, and every row but its
+        # own vertices of an always-exact plane.
         take = uncertain & ~on_plane & float_rows
-        ks, qs = [rows[take]], [cols[take]]
-        for k in (lo + np.flatnonzero(exact[lo:hi])).tolist():
-            ranks = np.setdiff1d(everyone, indices[k][own[k]])
-            ks.append(np.full(ranks.shape[0], k))
-            qs.append(ranks)
-        ks, qs = np.concatenate(ks), np.concatenate(qs)
-        order = np.lexsort((qs, ks))
-        pairs = zip(ks[order].tolist(), qs[order].tolist())
-        # A facet is reported after its exact calls up to its first
-        # exact hit, or after all of them when only the float test saw
-        # it: its lowest violating rank, facets in order.
-        k, i = next(pairs, (hi, 0))
-        for stop in sorted(lowest) + [hi]:
-            while k <= stop and k < hi:
-                plane = planes[k]
-                if plane._side_exact(points[i], i if plane.sos else None) > 0:
-                    _outside(min(i, lowest.get(k, i)), facets[k])
-                k, i = next(pairs, (hi, 0))
-            if stop < hi:
-                _outside(lowest[stop], facets[stop])
+        ek = lo + np.flatnonzero(exact[lo:hi])
+        kk, qq = np.repeat(ek, n), np.tile(np.arange(n), ek.size)
+        mine = ((indices[kk] == qq[:, None]) & own[kk]).any(axis=1)
+        ks = np.concatenate([rows[take], kk[~mine]])
+        qs = np.concatenate([cols[take], qq[~mine]])
+        bad_k, bad_q = [rows[visible & float_rows]], [cols[visible & float_rows]]
+        if ks.size:
+            s = side_exact_batch(base_points, base_indices, None, sos, ks, points, qs)
+            # Visible signs of the planes with a nonzero exact sign only:
+            # a lazy one costs an exact call, as on the scalar ladder.
+            signed = np.flatnonzero(s)
+            need = np.unique(ks[signed])
+            vis = np.zeros(len(facets), dtype=np.int8)
+            vis[need] = [planes[k].vis_sign for k in need.tolist()]
+            hit = signed[s[signed] == vis[ks[signed]]]
+            bad_k.append(ks[hit])
+            bad_q.append(qs[hit])
+        # The first violated facet, and its lowest violating rank.
+        bad_k, bad_q = np.concatenate(bad_k), np.concatenate(bad_q)
+        if bad_k.size:
+            first = np.lexsort((bad_q, bad_k))[0]
+            _outside(int(bad_q[first]), facets[int(bad_k[first])])
 
 
 def _outside(rank: int, facet: Facet) -> None:
@@ -198,14 +205,22 @@ def check_counts(facets: list[Facet], d: int) -> None:
         )
 
 
-def validate_hull(facets: list[Facet], points: np.ndarray) -> None:
-    """Run every structural check; raises :class:`HullValidationError`."""
+def check_structure(facets: list[Facet], d: int) -> None:
+    """The checks that need no geometry: the hull has facets, every
+    ridge is shared by two of them, and the counts of a simplicial hull
+    in R^d hold.  A certified ``robust_hull`` rung runs these alone and
+    leaves containment to the certificate's independent verifier."""
     if not facets:
         raise HullValidationError("hull has no facets")
-    d = points.shape[1]
-    check_containment(facets, points)
     check_ridge_manifold(facets)
     check_counts(facets, d)
+
+
+def validate_hull(facets: list[Facet], points: np.ndarray) -> None:
+    """Run every check -- containment, then :func:`check_structure` --
+    and raise :class:`HullValidationError` on the first failure."""
+    check_containment(facets, points)
+    check_structure(facets, points.shape[1])
 
 
 def brute_force_extreme_ranks(points: np.ndarray) -> set[int]:

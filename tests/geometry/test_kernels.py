@@ -6,13 +6,17 @@ the kernel machinery itself: the filter knob, the counters, and the
 flat sweep against the scalar ``FacetFactory`` facet by facet.
 """
 
+import contextlib
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from repro.geometry import kernels, uniform_ball
-from repro.geometry.hyperplane import Hyperplane, exact_mode
+from repro.geometry.hyperplane import Hyperplane, exact_mode, side_exact_batch
+from repro.geometry.perturb import sos_mode
 from repro.geometry.kernels import (
     KERNEL_STATS,
     KernelStats,
@@ -122,20 +126,43 @@ def _flat_masks(pts, facets, stats=None):
     facet."""
     cand_list = [np.setdiff1d(np.arange(pts.shape[0]), f.indices) for f in facets]
     sizes = [c.size for c in cand_list]
-    planes = [f.plane for f in facets]
     mask = visible_flat(
-        pts,
+        pts, *_columns([f.plane for f in facets]),
+        np.asarray(sizes, dtype=np.int64), np.concatenate(cand_list),
+        *_ladder([f.indices for f in facets], [f.plane for f in facets]),
+        force_exact=np.array([f.plane.always_exact for f in facets]),
+        stats=stats,
+    )
+    return cand_list, np.split(mask, np.cumsum(sizes)[:-1])
+
+
+def _columns(planes):
+    """The float plane columns ``visible_flat`` sweeps."""
+    return (
         np.stack([p.normal for p in planes]),
         np.array([p.offset for p in planes]),
         np.array([p.err_scale for p in planes]),
         np.array([p.err_base for p in planes]),
-        np.asarray(sizes, dtype=np.int64),
-        np.concatenate(cand_list),
-        force_exact=np.array([p.always_exact for p in planes]),
-        plane_for=planes.__getitem__,
-        stats=stats,
     )
-    return cand_list, np.split(mask, np.cumsum(sizes)[:-1])
+
+
+def _ladder(specs, planes):
+    """What ``visible_flat``'s exact stage needs of each plane: its
+    defining ranks and its visible sign."""
+    return (np.array(specs, dtype=np.int64),
+            np.array([p.vis_sign for p in planes], dtype=np.int8))
+
+
+class _ExactStage:
+    """Wraps the sweep's exact stage and logs its (plane row, rank)
+    inputs, in order."""
+
+    def __init__(self):
+        self.log = []
+
+    def __call__(self, simplices, base_indices, vis_sign, sos, rows, pts, ranks):
+        self.log.extend(zip(rows.tolist(), ranks.tolist()))
+        return side_exact_batch(simplices, base_indices, vis_sign, sos, rows, pts, ranks)
 
 
 @pytest.mark.parametrize("d", [2, 3])
@@ -161,9 +188,9 @@ def test_visible_flat_blocks_contract():
     """Empty blocks at the start, middle and end, an always-exact
     (forced) plane between float ones, and an envelope fallback in a
     later block: every entry is decided exactly like its own plane's
-    ``visible_mask``, each exact decision asks ``plane_for`` for the
-    plane whose block holds the entry, and the counters charge one
-    fallback per forced or envelope-ambiguous entry."""
+    ``visible_mask``, each exact decision goes to the exact stage as the
+    row of the plane whose block holds the entry, and the counters
+    charge one fallback per forced or envelope-ambiguous entry."""
     d = 3
     n = 60
     pts = uniform_ball(n, d, seed=21)
@@ -186,25 +213,16 @@ def test_visible_flat_blocks_contract():
     cands = [empty, off_plane(1, 20), empty, off_plane(3, 9),
              np.union1d(off_plane(4, 15), [specs[4][1]]), empty]
     blocks = np.array([c.size for c in cands], dtype=np.int64)
-    asked = []
-
-    def plane_for(k):
-        asked.append(k)
-        return planes[k]
-
+    stage = _ExactStage()
     stats = KernelStats()
-    mask = visible_flat(
-        pts,
-        np.stack([p.normal for p in planes]),
-        np.array([p.offset for p in planes]),
-        np.array([p.err_scale for p in planes]),
-        np.array([p.err_base for p in planes]),
-        blocks,
-        np.concatenate(cands),
-        force_exact=np.array([p.always_exact for p in planes]),
-        plane_for=plane_for,
-        stats=stats,
-    )
+    with mock.patch.object(kernels, "side_exact_batch", stage):
+        mask = visible_flat(
+            pts, *_columns(planes), blocks, np.concatenate(cands),
+            *_ladder(specs, planes),
+            force_exact=np.array([p.always_exact for p in planes]),
+            stats=stats,
+        )
+    asked = [k for k, _ in stage.log]
     got = np.split(mask, np.cumsum(blocks)[:-1])
     for p, c, m in zip(planes, cands, got):
         assert np.array_equal(m, p.visible_mask(pts[c], indices=c))
@@ -337,21 +355,25 @@ class _Asked:
 @given(st.data())
 @settings(max_examples=60, deadline=None)
 def test_visible_flat_prefilter_matches_single_stage(data):
-    """The per-plane pre-filter changes no decision: against a
-    single-stage reference sweep, the mask, the fallback entries (as
-    the ordered ``plane_for`` / exact-ladder calls) and the
-    ``KernelStats`` are equal -- with exact ties (each plane's own
-    vertices, integer grids), one-ulp near ties, margins planted on and
-    next to the per-entry envelope and the per-plane bound,
-    forced-exact planes, an inflated ``filter_scale``, empty blocks,
-    and a 1e12-magnitude outlier that lifts every plane's bound above
-    all its margins."""
+    """The per-plane pre-filter and the batched exact stage change no
+    decision: against a single-stage reference sweep that sends every
+    fallback to its plane's own ``_side_exact``, the mask, the fallback
+    entries (the exact stage's (plane row, rank) inputs against the
+    reference's calls, in order) and the ``KernelStats`` are equal --
+    with exact ties (each plane's own vertices, integer grids, and a
+    copy of a vertex at another rank), one-ulp near ties, margins
+    planted on and next to the per-entry envelope and the per-plane
+    bound, forced-exact planes, SoS planes under ``sos_mode()`` (whose
+    exact zeros off their own ranks take the symbolic tie-break), an
+    inflated ``filter_scale``, empty blocks, and a 1e12-magnitude
+    outlier that lifts every plane's bound above all its margins."""
     d = data.draw(st.sampled_from([2, 3, 4]), label="d")
     seed = data.draw(st.integers(0, 2**31 - 1), label="seed")
     grid = data.draw(st.booleans(), label="grid")
     outlier = data.draw(st.booleans(), label="outlier")
     scale = data.draw(st.sampled_from([1.0, 1.0, 4.0, 1e6]), label="scale")
     run_bound = data.draw(st.booleans(), label="run_bound")
+    sos = data.draw(st.booleans(), label="sos")
     rng = np.random.default_rng(seed)
     n = 30
     if grid:
@@ -359,81 +381,82 @@ def test_visible_flat_prefilter_matches_single_stage(data):
     else:
         pts = rng.standard_normal((n, d))
     ref = rng.standard_normal(d) * 0.1 + 0.05
-    planes, specs = [], []
-    for _ in range(6):
-        idx = tuple(sorted(rng.choice(n, size=d, replace=False).tolist()))
-        forced = bool(rng.random() < 0.3)
-        try:
-            if forced:
-                with exact_mode():
-                    plane = Hyperplane.through(pts[list(idx)], ref)
-            else:
-                plane = Hyperplane.through(pts[list(idx)], ref)
-        except ValueError:
-            continue
-        planes.append(plane)
-        specs.append(idx)
-    assume(planes)
-    # One-ulp near ties: a vertex of every plane nudged by one ulp.
-    near = np.array([pts[idx[0]] for idx in specs])
-    near[:, 0] = np.nextafter(near[:, 0], np.where(rng.random(len(specs)) < 0.5,
-                                                    np.inf, -np.inf))
-    extra = [near]
-    if outlier:
-        extra.append(1e12 * rng.standard_normal((1, d)))
-    # Points planted off each plane's first vertex v along its normal, at
-    # margins inside the per-entry envelope but above s*b, on the
-    # envelope, on the per-plane bound and just past it (P taken over
-    # the points so far; the planted ones sit next to v).
-    p_max = float(np.abs(np.concatenate([pts] + extra)).max())
-    band = []
-    for plane, idx in zip(planes, specs):
-        v = pts[idx[0]]
-        s = scale * plane.err_scale
-        env = s * float(np.abs(v).max()) + s * plane.err_base
-        bound = s * p_max + s * plane.err_base
-        sign = 1.0 if rng.random() < 0.5 else -1.0
-        for target in (s * plane.err_base + 0.5 * (env - s * plane.err_base),
-                       env, bound, bound * (1 + 1e-9)):
-            band.append(v + sign * target / (plane.normal @ plane.normal)
-                        * plane.normal)
-    pts = np.concatenate([pts] + extra + [np.array(band)])
-    total = pts.shape[0]
-    first_band = total - len(band)
-    cands = []
-    for k, idx in enumerate(specs):
-        size = int(rng.integers(0, 12)) if rng.random() < 0.8 else 0
-        pick = rng.choice(total, size=size, replace=False)
-        # Exact ties: the plane's own vertices; near ties; the band.
-        pick = np.union1d(pick, list(idx) + [n + k]
-                          + list(range(first_band + 4 * k, first_band + 4 * k + 4)))
+    with sos_mode() if sos else contextlib.nullcontext():
+        planes, specs = [], []
+        for _ in range(6):
+            idx = tuple(sorted(rng.choice(n, size=d, replace=False).tolist()))
+            forced = bool(rng.random() < 0.3)
+            ranks_kw = {"indices": idx} if sos else {}
+            try:
+                with exact_mode() if forced else contextlib.nullcontext():
+                    plane = Hyperplane.through(pts[list(idx)], ref, **ranks_kw)
+            except ValueError:
+                continue
+            planes.append(plane)
+            specs.append(idx)
+        assume(planes)
+        assert all(p.sos == sos for p in planes)
+        # One-ulp near ties: a vertex of every plane nudged by one ulp;
+        # exact ties off the plane's own ranks: a copy of a vertex.
+        near = np.array([pts[idx[0]] for idx in specs])
+        near[:, 0] = np.nextafter(near[:, 0], np.where(rng.random(len(specs)) < 0.5,
+                                                        np.inf, -np.inf))
+        copies = np.array([pts[idx[-1]] for idx in specs])
+        extra = [near, copies]
         if outlier:
-            pick = np.union1d(pick, [n + len(specs)])
-        if rng.random() < 0.2:
-            pick = pick[:0]                      # an empty block
-        cands.append(pick.astype(np.int64))
-    blocks = np.array([c.size for c in cands], dtype=np.int64)
-    assume(blocks.sum() > 0)
-    ranks = np.concatenate(cands)
-    cols = (
-        np.stack([p.normal for p in planes]),
-        np.array([p.offset for p in planes]),
-        np.array([p.err_scale for p in planes]),
-        np.array([p.err_base for p in planes]),
-    )
-    force_exact = np.array([p.always_exact for p in planes])
-    pts_inf = float(np.abs(pts).max()) if run_bound else None
-    staged, single = _Asked(planes), _Asked(planes)
-    st_staged, st_single = KernelStats(), KernelStats()
-    with filter_scale(scale):
-        got = visible_flat(pts, *cols, blocks, ranks, force_exact=force_exact,
-                           plane_for=staged, stats=st_staged, pts_inf=pts_inf)
-        want = _single_stage_sweep(pts, *cols, blocks, ranks, force_exact,
-                                   single, st_single)
-    assert np.array_equal(got, want)
-    assert staged.log == single.log
-    assert st_staged.snapshot() == st_single.snapshot()
-    for p, c, m in zip(planes, np.split(ranks, np.cumsum(blocks)[:-1]),
-                       np.split(got, np.cumsum(blocks)[:-1])):
-        if c.size and scale == 1.0:
-            assert np.array_equal(m, p.visible_mask(pts[c], indices=c))
+            extra.append(1e12 * rng.standard_normal((1, d)))
+        # Points planted off each plane's first vertex v along its
+        # normal, at margins inside the per-entry envelope but above
+        # s*b, on the envelope, on the per-plane bound and just past it
+        # (P taken over the points so far; the planted ones sit next to
+        # v).
+        p_max = float(np.abs(np.concatenate([pts] + extra)).max())
+        band = []
+        for plane, idx in zip(planes, specs):
+            v = pts[idx[0]]
+            s = scale * plane.err_scale
+            env = s * float(np.abs(v).max()) + s * plane.err_base
+            bound = s * p_max + s * plane.err_base
+            sign = 1.0 if rng.random() < 0.5 else -1.0
+            for target in (s * plane.err_base + 0.5 * (env - s * plane.err_base),
+                           env, bound, bound * (1 + 1e-9)):
+                band.append(v + sign * target / (plane.normal @ plane.normal)
+                            * plane.normal)
+        pts = np.concatenate([pts] + extra + [np.array(band)])
+        total = pts.shape[0]
+        first_band = total - len(band)
+        cands = []
+        for k, idx in enumerate(specs):
+            size = int(rng.integers(0, 12)) if rng.random() < 0.8 else 0
+            pick = rng.choice(total, size=size, replace=False)
+            # Exact ties: the plane's own vertices and its vertex copy;
+            # near ties; the band.
+            pick = np.union1d(pick, list(idx) + [n + k, n + len(specs) + k]
+                              + list(range(first_band + 4 * k, first_band + 4 * k + 4)))
+            if outlier:
+                pick = np.union1d(pick, [n + 2 * len(specs)])
+            if rng.random() < 0.2:
+                pick = pick[:0]                      # an empty block
+            cands.append(pick.astype(np.int64))
+        blocks = np.array([c.size for c in cands], dtype=np.int64)
+        assume(blocks.sum() > 0)
+        ranks = np.concatenate(cands)
+        cols = _columns(planes)
+        force_exact = np.array([p.always_exact for p in planes])
+        pts_inf = float(np.abs(pts).max()) if run_bound else None
+        staged, single = _ExactStage(), _Asked(planes)
+        st_staged, st_single = KernelStats(), KernelStats()
+        with filter_scale(scale):
+            with mock.patch.object(kernels, "side_exact_batch", staged):
+                got = visible_flat(pts, *cols, blocks, ranks, *_ladder(specs, planes),
+                                   force_exact=force_exact, sos=sos,
+                                   stats=st_staged, pts_inf=pts_inf)
+            want = _single_stage_sweep(pts, *cols, blocks, ranks, force_exact,
+                                       single, st_single)
+        assert np.array_equal(got, want)
+        assert staged.log == single.log
+        assert st_staged.snapshot() == st_single.snapshot()
+        for p, c, m in zip(planes, np.split(ranks, np.cumsum(blocks)[:-1]),
+                           np.split(got, np.cumsum(blocks)[:-1])):
+            if c.size and scale == 1.0:
+                assert np.array_equal(m, p.visible_mask(pts[c], indices=c))

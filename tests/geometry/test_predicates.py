@@ -3,18 +3,21 @@
 import math
 import os
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from repro.geometry import predicates
 from repro.geometry.linalg import sign_exact
 from repro.geometry.predicates import (
     STATS,
     in_circle,
     orient,
     orient_exact,
+    orient_exact_batch,
     orient_exact_combo,
 )
 
@@ -318,3 +321,107 @@ class TestNonFiniteInputs:
         with np.errstate(all="ignore"):
             with pytest.raises(exc):
                 in_circle([1, 0], [0, 1], [-1, 0], [bad, 0.0])
+
+
+# -- orient_exact_batch vs orient_exact, entry by entry ----------------------
+#
+# The batch scales each pair's floats to ints through ``frexp`` instead
+# of ``as_integer_ratio`` and evaluates whole columns at once, in chunks;
+# every sign must still be ``orient_exact``'s.
+
+
+@st.composite
+def _batch_case(draw):
+    """``(simplices, queries)``: ``E`` pairs in R^d of one kind --
+    full-mantissa floats, small-integer degenerate pairs (exact zeros:
+    queries on their simplex's hyperplane), queries one ulp off a
+    vertex, magnitudes from 1e-300 to 1e300 mixed within a pair, or
+    subnormals mixed with normal floats."""
+    d = draw(st.sampled_from([2, 3, 4]), label="d")
+    e = draw(st.integers(0, 40), label="E")
+    kind = draw(st.sampled_from(["full", "small", "ulp", "mixed", "subnormal"]),
+                label="kind")
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1), label="seed"))
+    if kind == "small":
+        s = rng.integers(-2, 3, size=(e, d, d)).astype(np.float64)
+        # Integer combinations of the vertices with coefficients summing
+        # to 1 lie on the hyperplane; a third of the queries are free.
+        w = rng.integers(-2, 3, size=(e, d))
+        w[:, 0] = 1 - w[:, 1:].sum(axis=1)
+        q = np.einsum("ek,ekj->ej", w, s)
+        free = rng.random(e) < 0.3
+        q[free] = rng.integers(-2, 3, size=(int(free.sum()), d))
+        return s, q
+    if kind == "mixed":
+        mant = rng.integers(-(1 << 52), 1 << 52, size=(e, d * d + d))
+        vals = np.ldexp(mant.astype(np.float64), rng.integers(-1048, 944, size=mant.shape))
+    elif kind == "subnormal":
+        vals = np.where(rng.random((e, d * d + d)) < 0.6,
+                        rng.integers(-9, 10, size=(e, d * d + d)) * 5e-324,
+                        rng.standard_normal((e, d * d + d)))
+    else:
+        vals = rng.standard_normal((e, d * d + d)) * 10.0 ** rng.uniform(-3, 3)
+    s, q = vals[:, : d * d].reshape(e, d, d), vals[:, d * d:].copy()
+    if kind == "ulp" and e:
+        # A vertex, one ulp off in one coordinate (a third stay on it).
+        rows = np.arange(e)
+        q = s[rows, rng.integers(0, d, size=e)].copy()
+        nudged = rows[rng.random(e) < 0.7]
+        j = rng.integers(0, d, size=nudged.size)
+        q[nudged, j] = np.nextafter(q[nudged, j], np.where(
+            rng.random(nudged.size) < 0.5, np.inf, -np.inf))
+    return s, q
+
+
+class TestOrientExactBatch:
+    @given(_batch_case(), st.integers(1, 9))
+    @settings(max_examples=300, deadline=None)
+    def test_signs_are_orient_exact_signs(self, case, chunk):
+        simplices, queries = case
+        want = [orient_exact(s, q) for s, q in zip(simplices, queries)]
+        before = STATS.exact_calls
+        # A chunk of a few pairs, so that batches cross chunk boundaries.
+        with mock.patch.object(predicates, "_EXACT_CHUNK", chunk):
+            got = orient_exact_batch(simplices, queries)
+        assert STATS.exact_calls - before == len(want)
+        assert got.dtype == np.int8 and got.tolist() == want
+
+    def test_empty_batch(self):
+        for d in (2, 3, 4):
+            got = orient_exact_batch(np.zeros((0, d, d)), np.zeros((0, d)))
+            assert got.shape == (0,)
+
+    def test_across_the_real_chunk_boundary(self):
+        rng = np.random.default_rng(3)
+        e = predicates._EXACT_CHUNK + 5
+        simplices = rng.integers(-2, 3, size=(e, 3, 3)).astype(np.float64)
+        queries = rng.integers(-2, 3, size=(e, 3)).astype(np.float64)
+        want = [orient_exact(s, q) for s, q in zip(simplices, queries)]
+        assert orient_exact_batch(simplices, queries).tolist() == want
+        assert 0 in want[-5:] or len(set(want[-5:])) > 1
+
+    @given(st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_non_finite_raises_as_orient_exact(self, data):
+        # NaN and inf anywhere in a batch: the first pair holding one
+        # raises what orient_exact raises on it.
+        d = data.draw(st.sampled_from([2, 3, 4]))
+        e = data.draw(st.integers(1, 12))
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        vals = rng.standard_normal((e, d * d + d))
+        for bad in data.draw(st.lists(st.sampled_from([np.nan, np.inf, -np.inf]),
+                                      min_size=1, max_size=3)):
+            vals[rng.integers(0, e), rng.integers(0, d * d + d)] = bad
+        simplices, queries = vals[:, : d * d].reshape(e, d, d), vals[:, d * d:]
+        want = None
+        for s, q in zip(simplices, queries):
+            try:
+                orient_exact(s, q)
+            except (ValueError, OverflowError) as exc:
+                want = type(exc)
+                break
+        assert want is not None
+        chunk = data.draw(st.integers(1, 5))
+        with mock.patch.object(predicates, "_EXACT_CHUNK", chunk):
+            with pytest.raises(want):
+                orient_exact_batch(simplices, queries)

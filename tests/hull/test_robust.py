@@ -107,25 +107,66 @@ class TestRobustHull:
     def test_escalates_on_validation_failure(self, monkeypatch):
         # Force the float rung to produce an invalid hull: the ladder
         # must record the validation failure and climb to exact, where
-        # (unpatched) validation succeeds.
+        # (unpatched) validation succeeds.  A certified rung validates
+        # with the structural checks alone.
         import repro.hull.robust as robust_mod
         from repro.hull.validate import HullValidationError
 
-        real_validate = robust_mod.validate_hull
+        real_validate = robust_mod.check_structure
         calls = {"n": 0}
 
-        def flaky_validate(facets, points, **kw):
+        def flaky_validate(facets, d, **kw):
             calls["n"] += 1
             if calls["n"] == 1:
                 raise HullValidationError("synthetic float-rung corruption")
-            return real_validate(facets, points, **kw)
+            return real_validate(facets, d, **kw)
 
-        monkeypatch.setattr(robust_mod, "validate_hull", flaky_validate)
+        monkeypatch.setattr(robust_mod, "check_structure", flaky_validate)
         pts = uniform_ball(40, 2, seed=2)
         res = robust_hull(pts, seed=0)
         assert res.mode == "exact"
         assert res.escalations == ["float:HullValidationError", "exact:ok"]
         assert all(f.plane.always_exact for f in res.run.facets)
+
+    def test_certified_rungs_leave_containment_to_the_verifier(self, monkeypatch):
+        # A certified rung runs the structural checks and the verifier,
+        # never validation's containment test; an uncertified one runs
+        # validate_hull in full.
+        from repro.hull import validate
+
+        calls = []
+        real = validate.check_containment
+        monkeypatch.setattr(validate, "check_containment",
+                            lambda *a: calls.append(1) or real(*a))
+        for pts in (uniform_ball(40, 3, seed=2), integer_grid(4, 3, seed=1)):
+            res = robust_hull(pts, seed=0)
+            assert res.certificate is not None and calls == []
+        res = robust_hull(pts, seed=0, certify=False)
+        assert res.certificate is None and calls == [1]
+
+    def test_containment_failure_escalates_as_certificate_error(self, monkeypatch):
+        # The float rung builds the hull of a cloud whose most extreme
+        # point was pulled inside: structurally sound, so only the
+        # verifier, checking the real points, can reject it.
+        import repro.hull.robust as robust_mod
+        from repro.hull import validate
+
+        real_hull = robust_mod.parallel_hull
+        calls = []
+
+        def pulled_first(points, **kw):
+            calls.append(1)
+            if len(calls) == 1:
+                points = points.copy()
+                far = int(np.argmax(np.abs(points).max(axis=1)))
+                points[far] *= 0.01
+            return real_hull(points, **kw)
+
+        monkeypatch.setattr(robust_mod, "parallel_hull", pulled_first)
+        monkeypatch.setattr(validate, "check_containment", None)
+        res = robust_hull(uniform_ball(40, 2, seed=2), seed=0)
+        assert res.escalations == ["float:CertificateError", "exact:ok"]
+        assert res.mode == "exact"
 
     def test_integer_grid_handled(self):
         # Degenerate-but-full-dimensional input: exact predicates handle

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from repro.geometry import uniform_ball
+from repro.geometry.hyperplane import exact_mode
 from repro.hull import robust_hull, sequential_hull, validate
 from repro.hull.validate import (
     HullValidationError,
@@ -246,6 +247,22 @@ class TestStackedContainment:
         for moved in clouds:
             assert (_first_violation(check_containment, facets, moved)
                     == _first_violation(_containment_one_plane_at_a_time, facets, moved))
+
+    @pytest.mark.parametrize("name", sorted(FILTER_INPUTS))
+    def test_exact_planes_report_the_reference_violation(self, name):
+        # Hulls built under exact_mode(): every plane is always-exact, so
+        # every pair but a facet's own vertices takes the batched exact
+        # ladder (SoS tie-breaks on the coplanar input's sos rung).
+        with exact_mode():
+            facets, pts, clouds = self._moved_clouds(name)
+        assert all(f.plane.always_exact for f in facets)
+        assert _first_violation(check_containment, facets, pts) == "contained"
+        messages = []
+        for moved in clouds:
+            got = _first_violation(check_containment, facets, moved)
+            assert got == _first_violation(_containment_one_plane_at_a_time, facets, moved)
+            messages.append(got)
+        assert any(m != "contained" for m in messages)
 
     @pytest.mark.skipif(
         os.environ.get("REPRO_FORCE_EXACT", "0") not in ("", "0"),

@@ -42,10 +42,13 @@ under a randomly inflated float-filter envelope, sampled
 ``orient_batch`` blocks must agree elementwise with scalar
 ``orient``, and a direct ``visible_flat`` sample -- random block sizes,
 zeros included, against scalar planes, some of them always-exact
-(forced), with entries planted on and next to each plane's per-entry
-envelope and per-plane bound and a 1e12-magnitude outlier swept in a
-second pass -- must agree entry by entry with each plane's
-``visible_mask``.
+(forced), half the time SoS planes built under ``sos_mode()``, with
+entries planted exactly on each plane's affine hull (copies of its
+vertices at other ranks, and exact midpoints of two vertices, so the
+batched exact stage runs every iteration), on and next to each
+plane's per-entry envelope and per-plane bound, and a 1e12-magnitude
+outlier swept in a second pass -- must agree entry by entry with each
+plane's ``visible_mask``.
 
 ``--effects`` mutation-fuzzes the static effect analyzer
 (:mod:`repro.analyze`): random structural mutations of seed programs
@@ -71,8 +74,10 @@ Run:  python tools/fuzz.py [--iterations N] [--seed S] [--verbose]
 from __future__ import annotations
 
 import argparse
+import contextlib
 import sys
 import time
+from fractions import Fraction
 
 import numpy as np
 from scipy.spatial import ConvexHull as ScipyHull
@@ -344,6 +349,7 @@ def one_kernel_case(rng: np.random.Generator, verbose: bool) -> str | None:
         orient_batch,
         visible_flat,
     )
+    from repro.geometry.perturb import sos_mode
     from repro.geometry.predicates import orient
     from repro.hull import soa_hull
     from repro.hull.common import Counters, FacetFactory
@@ -401,51 +407,63 @@ def one_kernel_case(rng: np.random.Generator, verbose: bool) -> str | None:
                         return (f"{label}: orient_batch[{f},{q}] = {got[f, q]} "
                                 f"!= orient {want}")
 
-            # Flat-sweep sample: random blocks (a quarter of them empty)
-            # of random ranks, own vertices included, against scalar
-            # planes, a third of them always-exact so their rows are
-            # forced; each block must equal its plane's visible_mask.
+        # Flat-sweep sample: random blocks (a quarter of them empty) of
+        # random ranks, own vertices included, against scalar planes, a
+        # third of them always-exact so their rows are forced, all of
+        # them SoS planes half the time; each block must equal its
+        # plane's visible_mask.
+        sos = bool(rng.integers(0, 2))
+        with filter_scale(env_scale), (sos_mode() if sos else contextlib.nullcontext()):
             factory = FacetFactory(pts, pts[: d + 1].mean(axis=0), Counters())
             empty = np.zeros(0, dtype=np.int64)
-            planes = []
+            planes, specs = [], []
             for _ in range(int(rng.integers(1, 8))):
                 idx = tuple(sorted(rng.choice(n, size=d, replace=False).tolist()))
-                if rng.integers(0, 3) == 0:
-                    with exact_mode():
-                        planes.append(factory.make(idx, empty).plane)
-                else:
+                with exact_mode() if rng.integers(0, 3) == 0 else contextlib.nullcontext():
                     planes.append(factory.make(idx, empty).plane)
+                specs.append(idx)
             sizes = rng.integers(0, 2 * n, size=len(planes))
             empty_block = rng.random(len(planes)) < 0.25
             empty_block[0] = False
             sizes[empty_block] = 0
             cands = [rng.integers(0, n, size=int(s)) for s in sizes]
             # Planted entries, so the sweep's second stage (the
-            # per-entry envelope under each plane's bound) runs every
-            # iteration: off each plane's first vertex along its
-            # normal, at margins on the per-entry envelope, on the
-            # per-plane bound (P = max |p|_inf over the input) and just
-            # past it, on a random side; and a 1e12-magnitude outlier,
-            # which a second sweep includes in every non-empty block,
-            # lifting every bound above every margin.
+            # per-entry envelope under each plane's bound) and its exact
+            # stage run every iteration: off each plane's first vertex
+            # along its normal, at margins on the per-entry envelope, on
+            # the per-plane bound (P = max |p|_inf over the input) and
+            # just past it, on a random side; exactly on the plane's
+            # affine hull, a copy of each vertex at another rank (an
+            # exact zero that an SoS plane breaks by rank) and, where
+            # floats hold it exactly, the midpoint of two vertices;
+            # and a 1e12-magnitude outlier, which a second sweep
+            # includes in every non-empty block, lifting every bound
+            # above every margin.
             p_max = float(np.abs(pts).max())
-            planted = []
-            for plane in planes:
+            planted, own_block = [], []
+            for k, plane in enumerate(planes):
                 v = plane.base_points[0]
                 sc = env_scale * plane.err_scale
                 env = sc * float(np.abs(v).max()) + sc * plane.err_base
                 bound = sc * p_max + sc * plane.err_base
                 side = rng.choice([-1.0, 1.0])
+                mine = list(plane.base_points)
+                mid = (plane.base_points[0] + plane.base_points[1]) / 2
+                if all(2 * Fraction(m) == Fraction(a) + Fraction(b) for m, a, b
+                       in zip(mid, plane.base_points[0], plane.base_points[1])):
+                    mine.append(mid)
                 for target in (env, bound, bound * (1.0 + 1e-9)):
-                    planted.append(v + side * target
-                                   / (plane.normal @ plane.normal) * plane.normal)
+                    mine.append(v + side * target
+                                / (plane.normal @ plane.normal) * plane.normal)
+                own_block.append(n + len(planted) + np.arange(len(mine)))
+                planted += mine
             outlier = n + len(planted)
             swept = np.concatenate([pts, np.array(planted),
                                     1e12 * rng.standard_normal((1, d))])
             for with_outlier in (False, True):
                 blocks_of = [
                     c if empty else
-                    np.concatenate([c, n + 3 * k + np.arange(3)]
+                    np.concatenate([c, own_block[k]]
                                    + ([[outlier]] if with_outlier else []))
                     for k, (c, empty) in enumerate(zip(cands, empty_block))
                 ]
@@ -460,8 +478,10 @@ def one_kernel_case(rng: np.random.Generator, verbose: bool) -> str | None:
                     np.array([p.err_base for p in planes]),
                     sizes,
                     np.concatenate(blocks_of),
+                    np.array(specs, dtype=np.int64),
+                    np.array([p.vis_sign for p in planes], dtype=np.int8),
                     force_exact=np.array([p.always_exact for p in planes]),
-                    plane_for=planes.__getitem__,
+                    sos=sos,
                     stats=stats,
                     pts_inf=None if with_outlier else p_max,
                 )
@@ -471,10 +491,12 @@ def one_kernel_case(rng: np.random.Generator, verbose: bool) -> str | None:
                     if not np.array_equal(m, want):
                         return (f"{label}: visible_flat block {k} of sizes "
                                 f"{sizes.tolist()} (outlier swept: "
-                                f"{with_outlier}) differs from visible_mask")
+                                f"{with_outlier}, sos: {sos}) differs from "
+                                f"visible_mask")
                 forced = int(sum(c.size for p, c in zip(planes, blocks_of)
                                  if p.always_exact))
-                if stats.batched_signs != int(sizes.sum()) or stats.fallbacks < forced:
+                if (stats.batched_signs != int(sizes.sum())
+                        or stats.fallbacks < max(forced, 1)):
                     return (f"{label}: visible_flat counted {stats.snapshot()} "
                             f"for sizes {sizes.tolist()}, {forced} forced")
     except Exception as exc:  # noqa: BLE001 - fuzzing surface
