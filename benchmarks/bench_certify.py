@@ -6,20 +6,25 @@ job drives its ``--smoke`` mode).  For each input it times, best of
 
 * ``hull_s``: the ``parallel_hull`` call a ``robust_hull`` rung makes
   (the SoA engine), with its alive facets materialized;
-* ``validate_s``, ``make_s``, ``verify_s``: the three checks of a
-  certified rung (``validate_hull``, ``make_certificate``,
-  ``verify_certificate``);
-* ``robust_s``: one whole ``robust_hull`` call, and ``soa_s``: a plain
-  ``soa_hull`` of the same points, with their ratio.
+* ``validate_s``: an uncertified rung's check (``validate_hull``,
+  containment included); a certified rung runs its structural checks
+  only, then ``make_certificate`` and ``verify_certificate``
+  (``make_s``, ``verify_s``), and the verifier proves containment;
+* ``robust_s``: one whole (certified) ``robust_hull`` call, and
+  ``soa_s``: a plain ``soa_hull`` of the same points, with their ratio.
 
 Inputs: a d=3 ball at n in {5e3, 2e4, 5e4} and the 10x10 and 30x30
 integer grids lifted to the paraboloid (cocircular grid points lift to
 coplanar quadruples: exact ties throughout).  It also records the peak
 traced memory (``tracemalloc``) of the verifier and of
-``check_containment`` at n=2e4, checks Stage A's gates (ROADMAP item
-4), verifies every certificate and requires every corruption mode to
-be rejected.  The report carries its environment: timings from
-different machines are not one trajectory.
+``check_containment`` at n=2e4, and the exact rung, where every plane
+is always-exact and every (facet, point) pair takes the exact stage:
+``soa_hull`` under ``exact_mode()`` on a d=3 ball at n=3000 (time, exact
+fallbacks, peak traced memory) and an uncertified ``validate_hull`` of
+a 600-point ball's hull built under it (time, exact calls).  It checks
+Stage A's gates (ROADMAP item 4), verifies every certificate and
+requires every corruption mode to be rejected.  The report carries its
+environment: timings from different machines are not one trajectory.
 
     PYTHONPATH=src python benchmarks/bench_certify.py            # full
     PYTHONPATH=src python benchmarks/bench_certify.py --smoke    # CI
@@ -46,6 +51,8 @@ import scipy  # noqa: E402
 
 from repro.configspace.spaces.delaunay2d import lift_to_paraboloid  # noqa: E402
 from repro.geometry import integer_grid, uniform_ball  # noqa: E402
+from repro.geometry.hyperplane import exact_mode  # noqa: E402
+from repro.geometry.predicates import STATS  # noqa: E402
 from repro.hull import parallel_hull, robust_hull, soa_hull  # noqa: E402
 from repro.hull.certify import (  # noqa: E402
     CORRUPTION_MODES,
@@ -131,9 +138,34 @@ def _row(name: str, pts: np.ndarray, repeats: int) -> dict:
         "hull_s": hull_s, "validate_s": validate_s,
         "make_s": make_s, "verify_s": verify_s, "robust_s": robust_s,
         "soa_s": soa_s, "robust_over_soa": robust_s / soa_s,
-        "validate_share_of_robust": validate_s / robust_s,
         "certificate_verified": _verifies(cert, pts) and _verifies(res.certificate, pts),
         "corruptions_rejected": all(rejected),
+    }
+
+
+def _exact_rung(smoke: bool, repeats: int) -> dict:
+    """The exact rung: ``soa_hull`` under ``exact_mode()`` on a d=3
+    ball, and an uncertified ``validate_hull`` of a smaller ball's hull
+    built under it, where every pair but a facet's own vertices takes
+    the exact stage."""
+    n_hull, n_val = (300, 150) if smoke else (3000, 600)
+    pts = uniform_ball(n_hull, 3, seed=0)
+    with exact_mode():
+        hull_s, run = _best(lambda: soa_hull(pts, seed=1), repeats)
+        peak = _peak_mb(lambda: soa_hull(pts, seed=1))
+        val = parallel_hull(uniform_ball(n_val, 3, seed=0), seed=1)
+        facets = val.facets
+    before = STATS.exact_calls
+    validate_s, _ = _best(lambda: validate_hull(facets, val.points), repeats)
+    return {
+        "soa_hull_exact": {
+            "n": n_hull, "d": 3, "s": hull_s, "peak_mb": peak,
+            "fallbacks": run.exec_stats.kernel_stats["fallbacks"],
+        },
+        "validate_hull_exact": {
+            "n": n_val, "d": 3, "facets": len(facets), "s": validate_s,
+            "exact_calls": (STATS.exact_calls - before) // repeats,
+        },
     }
 
 
@@ -158,6 +190,12 @@ def run_certify_bench(smoke: bool = False) -> dict:
         "verify_peak_mb": _peak_mb(lambda: verify_certificate(cert, pts)),
         "check_containment_peak_mb": _peak_mb(lambda: check_containment(facets, run.points)),
     }
+
+    exact_rung = _exact_rung(smoke, repeats)
+    print(f"exact rung: soa_hull n={exact_rung['soa_hull_exact']['n']} "
+          f"{exact_rung['soa_hull_exact']['s']:.3f}s, validate_hull "
+          f"n={exact_rung['validate_hull_exact']['n']} "
+          f"{exact_rung['validate_hull_exact']['s']:.3f}s", flush=True)
 
     by_name = {r["input"]: r for r in rows}
     gates = {"verify_5e4_reanchor_s": VERIFY_5E4_REANCHOR_S}
@@ -184,6 +222,7 @@ def run_certify_bench(smoke: bool = False) -> dict:
         "repeats": repeats,
         "rows": rows,
         "memory": memory,
+        "exact_rung": exact_rung,
         "gates": gates,
         "summary": {
             "all_certificates_verified": all(r["certificate_verified"] for r in rows),

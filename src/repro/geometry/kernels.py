@@ -11,11 +11,13 @@ The fast path is *filtered*, exactly like the scalar predicates: each
 batched margin comes with the same conservative forward error envelope
 that :class:`~repro.geometry.hyperplane.Hyperplane` attaches to its
 float normal, and every entry whose margin falls inside the envelope is
-re-decided by the existing scalar ladder (exact integer arithmetic,
-then Simulation-of-Simplicity tie-breaking on SoS planes).  A sweep
+re-decided exactly, as the scalar ladder decides it (exact integer
+orientation, then Simulation-of-Simplicity tie-breaking on SoS planes),
+all of a sweep's such entries in one batch
+(:func:`~repro.geometry.hyperplane.side_exact_batch`).  A sweep
 therefore cannot *silently* disagree with the scalar oracle: it either
-proves a sign with the float filter or delegates the entry to the very
-code path the scalar predicates use -- the differential suite under
+proves a sign with the float filter or decides the entry exactly, entry
+for entry as the scalar predicates do -- the differential suite under
 ``tests/differential/`` pins this down input class by input class,
 including the adversarial degenerate corpus.
 

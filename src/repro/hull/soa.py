@@ -697,8 +697,8 @@ class SoAHullEngine:
             ))
         self.counters.visibility_tests += int(vals.shape[0])
         self.counters.facets_created += k
-        # Persist the scalar-ladder planes of always-exact rows so later
-        # sweeps (and materialization) reuse them, keyed by fid.
+        # Persist the scalar-ladder planes of always-exact rows, keyed by
+        # fid, for materialization.
         fid0 = self.store.size
         self._exact_planes.update(zip((fid0 + ks).tolist(), planes))
         return vis, (normals, offsets, e_scale, e_base, exact_rows)

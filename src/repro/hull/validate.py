@@ -142,11 +142,9 @@ def check_containment(facets: list[Facet], points: np.ndarray) -> None:
         bad_k, bad_q = np.concatenate(bad_k), np.concatenate(bad_q)
         if bad_k.size:
             first = np.lexsort((bad_q, bad_k))[0]
-            _outside(int(bad_q[first]), facets[int(bad_k[first])])
-
-
-def _outside(rank: int, facet: Facet) -> None:
-    raise HullValidationError(f"point {rank} is strictly outside facet {facet.indices}")
+            raise HullValidationError(
+                f"point {int(bad_q[first])} is strictly outside facet "
+                f"{facets[int(bad_k[first])].indices}")
 
 
 def _stacked_float_test(normals, offsets, err_scale, err_base, pts_t, q_inf, p_inf):
