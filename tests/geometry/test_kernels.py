@@ -126,11 +126,12 @@ def _flat_masks(pts, facets, stats=None):
     facet."""
     cand_list = [np.setdiff1d(np.arange(pts.shape[0]), f.indices) for f in facets]
     sizes = [c.size for c in cand_list]
+    planes = [f.plane for f in facets]
     mask = visible_flat(
-        pts, *_columns([f.plane for f in facets]),
+        pts, *_columns(planes),
         np.asarray(sizes, dtype=np.int64), np.concatenate(cand_list),
-        *_ladder([f.indices for f in facets], [f.plane for f in facets]),
-        force_exact=np.array([f.plane.always_exact for f in facets]),
+        *_ladder([f.indices for f in facets], planes),
+        force_exact=np.array([p.always_exact for p in planes]),
         stats=stats,
     )
     return cand_list, np.split(mask, np.cumsum(sizes)[:-1])
