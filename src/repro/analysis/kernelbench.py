@@ -123,10 +123,12 @@ def _predicate_row(
     rng = np.random.default_rng(seed)
     pts = uniform_ball(n, d, seed=seed)
     planes, cand_list, indices = _facet_specs(pts, n_facets, rng)
-    # The flat stream and its plane columns, built once outside the
-    # stopwatch: plane k tests the blocks[k] consecutive ranks of its
-    # candidate block; its defining ranks and visible sign serve the
-    # sweep's exact stage.
+    # The flat stream, the points in column form and the plane
+    # columns, built once outside the stopwatch (the SoA engine
+    # transposes its points once per run): plane k tests the blocks[k]
+    # consecutive ranks of its candidate block; its defining ranks and
+    # visible sign serve the sweep's exact stage.
+    pts_cols = np.ascontiguousarray(pts.T)
     sizes = [int(c.size) for c in cand_list]
     ranks = np.concatenate(cand_list)
     blocks = np.asarray(sizes, dtype=np.int64)
@@ -152,7 +154,7 @@ def _predicate_row(
 
     def batch(stats: KernelStats | None = None) -> np.ndarray:
         return visible_flat(  # repro: noqa: RPRHOT006
-            pts, normals, offsets, err_scale, err_base, blocks, ranks,
+            pts_cols, normals, offsets, err_scale, err_base, blocks, ranks,
             indices, vis_sign, stats=stats,
         )
 

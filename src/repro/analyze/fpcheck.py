@@ -16,7 +16,12 @@ the symbolic dimension to each value in turn, so branch tests on the
 pinned variable are decided exactly and dimension-specific claims
 (``@d=3``) attach to the right walk.  Bounds flow interprocedurally
 through ``out`` summaries on annotated callees (reusing PR 5's call
-graph), and the hot region from PR 6's BFS scopes the comparison rule.
+graph) and through the bodies of unannotated private helpers of the
+same file, walked inline at the caller's pin; the hot region from
+PR 6's BFS scopes the comparison rule.  A ``for`` loop over a
+``range(...)`` that the pin decides is unrolled, its index bound to
+each value in turn, so a loop of ``d`` multiply-adds derives what the
+same statements written out derive.
 
 ``RPRFP001`` envelope-under-derived
     A ``claim``/``out`` envelope constant does not dominate the bound
@@ -32,6 +37,11 @@ graph), and the hot region from PR 6's BFS scopes the comparison rule.
 ``RPRFP004`` filter-knob-misuse
     A ``filter_scale``-style multiplicative knob below 1, or an
     envelope adjusted *after* it was already used in a comparison.
+``RPRFP005`` undecided-loop
+    A loop whose trip count the pin does not decide (or that would
+    unroll past :data:`MAX_UNROLL` trips) and that assigns tracked
+    float data: one walk of its body would under-derive every bound it
+    feeds, so the data it assigns is left unknown.
 ``RPRFP999`` annotation-error
     A file that cannot be parsed, or a malformed ``fp-bound:`` clause.
 
@@ -87,6 +97,11 @@ FP_RULES: dict[str, tuple[str, str]] = {
         "a filter_scale-style knob below 1, or an envelope adjusted "
         "after it was used in a comparison",
     ),
+    "RPRFP005": (
+        "undecided-loop",
+        "a loop over tracked float data whose trip count the pinned "
+        "dimension does not decide, so its bounds cannot be derived",
+    ),
     "RPRFP999": (
         "annotation-error",
         "a file could not be parsed or an fp-bound clause is malformed",
@@ -94,6 +109,18 @@ FP_RULES: dict[str, tuple[str, str]] = {
 }
 
 _CMP_OPS = (ast.Lt, ast.LtE, ast.Gt, ast.GtE, ast.Eq, ast.NotEq)
+
+#: most trips a decided ``range(...)`` loop is unrolled for; a longer
+#: loop is treated as undecided.
+MAX_UNROLL = 64
+
+#: most unrolled trips and inlined calls one walk spends, nested loops
+#: and helpers included; past it, loops count as undecided and calls
+#: as unknown, so nested loops cannot blow the walk up.
+WALK_BUDGET = 4096
+
+#: deepest chain of private helpers walked inline.
+MAX_INLINE_DEPTH = 4
 
 #: calls that preserve magnitude and error exactly (or are plain
 #: relabelings); with several tracked arguments the result joins them.
@@ -180,13 +207,23 @@ class _Interp:
         pin: tuple | None,
         program: Program,
         annotations: dict[str, fe.FpFnAnnotation],
+        depth: int = 0,
+        budget: list | None = None,
     ) -> None:
         self.info = info
         self.ann = ann
         self.pin = pin
         self.program = program
         self.annotations = annotations
+        self.depth = depth
+        #: the walk's remaining WALK_BUDGET, shared with inlined helpers
+        self.budget = [WALK_BUDGET] if budget is None else budget
         self.env: dict[str, object] = {}
+        #: names bound to known ints: unrolled loop indices, and the
+        #: constant arguments of an inlined helper's parameters.
+        self.known: dict[str, int] = {}
+        #: values of the ``return`` statements walked (inlined helpers)
+        self.returns: list = []
         self.findings: list[Finding] = []
         self.claims: list[ClaimCheck] = []
         self.guards = ann.guard_names()
@@ -305,6 +342,8 @@ class _Interp:
         if isinstance(node, ast.Name):
             if self.pin is not None and node.id == self.pin[0]:
                 return self.pin[1]
+            if node.id in self.known:
+                return self.known[node.id]
             raise _Undecidable
         if isinstance(node, ast.UnaryOp):
             v = self._const(node.operand)
@@ -528,6 +567,9 @@ class _Interp:
         summary = self._user_summary(bare)
         if summary is not None:
             return summary
+        inlined = self._inline(node, bare, args)
+        if inlined is not None:
+            return inlined
 
         fpargs = [v for v in args if isinstance(v, fe.FpVal)]
         if receiver is not None and isinstance(receiver, fe.FpVal):
@@ -620,6 +662,72 @@ class _Interp:
             return vals[0] if len(vals) == 1 else vals
         return None
 
+    def _inline(self, node: ast.Call, bare: str | None,
+                args: list) -> object:
+        """The value of a call to an unannotated private helper defined
+        in this file (a bare ``_name(...)`` call with exactly one such
+        definition): its body walked by a fresh interpreter at this
+        pin, its parameters bound to the argument values (and to the
+        arguments' ints where the pin decides them), the join of its
+        ``return`` values.  None where the call is not such a helper."""
+        if (not bare or not bare.startswith("_")
+                or not isinstance(node.func, ast.Name)):
+            return None
+        infos = [
+            i for i in self.program.functions_named(bare)
+            if i.path == self.info.path and i.cls is None
+            and isinstance(i.node, ast.FunctionDef)
+            and i.qualname not in self.annotations
+            and i.qualname != self.info.qualname
+        ]
+        if len(infos) != 1:
+            return None
+        info = infos[0]
+        if (any(isinstance(a, ast.Starred) for a in node.args)
+                or any(kw.arg is None for kw in node.keywords)
+                or self.depth >= MAX_INLINE_DEPTH or self.budget[0] < 1):
+            return fe.TOP
+        self.budget[0] -= 1
+        sub = _Interp(info, fe.FpFnAnnotation(), self.pin, self.program,
+                      self.annotations, depth=self.depth + 1,
+                      budget=self.budget)
+        sub.guards, sub.envelopes = self.guards, self.envelopes
+        sub._facts = self._facts
+        spec = info.node.args
+        params = [a.arg for a in spec.posonlyargs + spec.args]
+        defaults = dict(zip(params[len(params) - len(spec.defaults):],
+                            spec.defaults))
+        bound = dict(zip(params, zip(node.args, args)))
+        self._quiet += 1
+        try:
+            for kw in node.keywords:
+                bound[kw.arg] = (kw.value, self._eval(kw.value))
+        finally:
+            self._quiet -= 1
+        for name in params:
+            if name in bound:
+                arg, value = bound[name]
+                try:
+                    known = self._const(arg)
+                except Exception:
+                    known = None
+            elif name in defaults:
+                arg = defaults[name]
+                value, known = sub._eval(arg), None
+            else:
+                sub.env[name] = fe.TOP
+                continue
+            sub.env[name] = value
+            if isinstance(known, int) and not isinstance(known, bool):
+                sub.known[name] = known
+        sub._exec_block(info.node.body)
+        if not self._quiet:
+            self.findings.extend(sub.findings)
+        values = [v for v in sub.returns if isinstance(v, fe.FpVal)]
+        if not values or len(values) != len(sub.returns):
+            return fe.TOP
+        return fe.fp_join(*values)
+
     # -- statements ------------------------------------------------------
 
     def run(self) -> None:
@@ -675,26 +783,21 @@ class _Interp:
         elif isinstance(stmt, ast.Expr):
             self._eval(stmt.value)
         elif isinstance(stmt, ast.Return):
-            if stmt.value is not None:
-                self._eval(stmt.value)
+            self.returns.append(fe.NONFP if stmt.value is None
+                                else self._eval(stmt.value))
             self.returned = True
         elif isinstance(stmt, ast.Raise):
             self.returned = True
         elif isinstance(stmt, ast.If):
             self._exec_if(stmt)
         elif isinstance(stmt, (ast.For, ast.AsyncFor)):
-            self._eval(stmt.iter)
-            self._assign(stmt.target, fe.NONFP, None)
-            self._exec_block(stmt.body)
-            self.returned = False  # zero-iteration path exists
-            self._exec_block(stmt.orelse)
+            self._exec_for(stmt)
         elif isinstance(stmt, ast.While):
             t = self._decide(stmt.test)
             if t is None:
                 self._eval(stmt.test)
             if t is not False:
-                self._exec_block(stmt.body)
-                self.returned = False
+                self._exec_once(stmt)
             self._exec_block(stmt.orelse)
         elif isinstance(stmt, (ast.With, ast.AsyncWith)):
             for item in stmt.items:
@@ -729,6 +832,75 @@ class _Interp:
             scan = stmt
         if any(isinstance(n, ast.Compare) for n in ast.walk(scan)):
             self._compared_envs |= self._stmt_names(scan) & self.envelopes
+
+    def _trips(self, stmt: ast.For) -> range | None:
+        """The values a ``for`` loop's index takes, where its iterable
+        is a ``range(...)`` the pin decides within :data:`MAX_UNROLL`
+        trips (and the walk's budget); None otherwise."""
+        it = stmt.iter
+        if not (isinstance(it, ast.Call) and isinstance(it.func, ast.Name)
+                and it.func.id == "range" and not it.keywords
+                and 1 <= len(it.args) <= 3
+                and isinstance(stmt.target, ast.Name)):
+            return None
+        try:
+            bounds = [self._const(a) for a in it.args]
+            trips = range(*bounds)
+        except Exception:
+            return None
+        if len(trips) > min(MAX_UNROLL, self.budget[0]):
+            return None
+        self.budget[0] -= len(trips)
+        return trips
+
+    def _exec_for(self, stmt: ast.For) -> None:
+        """Unroll a decided ``range(...)`` loop; walk any other loop
+        once (:meth:`_exec_once`)."""
+        trips = self._trips(stmt)
+        self._eval(stmt.iter)
+        if trips is None:
+            self._assign(stmt.target, fe.NONFP, None)
+            self._exec_once(stmt)
+            self._exec_block(stmt.orelse)
+            return
+        name = stmt.target.id
+        if not trips:
+            self._drop_span(stmt.body)
+        for value in trips:
+            self.env[name] = fe.NONFP
+            self.known[name] = value
+            self._exec_block(stmt.body)
+            if self.returned:
+                break
+        self.known.pop(name, None)
+        if not self.returned:
+            self._exec_block(stmt.orelse)
+
+    def _exec_once(self, stmt) -> None:
+        """Walk the body of a loop whose trip count is not decided
+        once, for its comparisons and envelope discipline.  One walk
+        under-derives whatever the loop accumulates, so every name the
+        body assigns that holds tracked float data afterwards becomes
+        unknown, and the loop is reported (RPRFP005)."""
+        self._exec_block(stmt.body)
+        self.returned = False  # zero-iteration path exists
+        assigned = sorted(
+            name for name in _assigned_names(stmt.body)
+            if _is_float_data(self.env.get(name))
+        )
+        if not assigned:
+            return
+        for name in assigned:
+            self.env[name] = fe.TOP
+        need = (f"a range(...) that folds to at most {MAX_UNROLL} trips"
+                if isinstance(stmt, ast.For) else "a test that folds")
+        self._finding(
+            "RPRFP005", stmt,
+            f"loop assigns tracked float data ({', '.join(assigned)}) "
+            "but the pinned dimension does not decide its trip count "
+            f"(it needs {need}), so the bounds it feeds cannot be "
+            "derived" + self._pin_tag(),
+        )
 
     def _exec_if(self, stmt: ast.If) -> None:
         t = self._decide(stmt.test)
@@ -867,6 +1039,47 @@ class _Interp:
                     "round-toward-conservative operations "
                     "(abs/max/+/*) only",
                 )
+
+
+def _is_float_data(val: object) -> bool:
+    """Tracked float data: a value whose bound involves an input atom
+    (an int counter or a float constant only folds constants)."""
+    return (isinstance(val, fe.FpVal) and val.is_tracked
+            and bool(fe.poly_atoms(val.mag) or fe.poly_atoms(val.err)))
+
+
+def _assigned_names(stmts: list) -> set:
+    """Names (and dotted attribute keys) a block of statements assigns,
+    subscripted targets by their base, ``out=`` keywords included."""
+    names: set = set()
+
+    def add(target: ast.AST) -> None:
+        if isinstance(target, ast.Name):
+            names.add(target.id)
+        elif isinstance(target, ast.Attribute):
+            names.add(ast.unparse(target))
+        elif isinstance(target, ast.Subscript):
+            add(target.value)
+        elif isinstance(target, (ast.Tuple, ast.List)):
+            for t in target.elts:
+                add(t)
+        elif isinstance(target, ast.Starred):
+            add(target.value)
+
+    for stmt in stmts:
+        for n in ast.walk(stmt):
+            if isinstance(n, ast.Assign):
+                for t in n.targets:
+                    add(t)
+            elif isinstance(n, (ast.AugAssign, ast.AnnAssign)):
+                add(n.target)
+            elif isinstance(n, (ast.For, ast.AsyncFor)):
+                add(n.target)
+            elif isinstance(n, ast.Call):
+                for kw in n.keywords:
+                    if kw.arg == "out":
+                        add(kw.value)
+    return names
 
 
 # -- pipeline ------------------------------------------------------------

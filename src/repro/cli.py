@@ -723,7 +723,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser(
         "fpcheck",
         help="static floating-point filter-soundness analysis of the "
-             "predicate kernels (rules RPRFP001-004, 999)",
+             "predicate kernels (rules RPRFP001-005, 999)",
     )
     p.add_argument("paths", nargs="*",
                    help="files/dirs to analyse (default: src)")

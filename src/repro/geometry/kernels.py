@@ -5,7 +5,10 @@ tests* -- "is point q strictly outside the hyperplane of facet t?" --
 the unit Theorem 5.4 counts.  The scalar object drivers evaluate them
 one :meth:`~repro.geometry.hyperplane.Hyperplane.visible_mask` call per
 facet (the oracle); this module evaluates whole (facet x candidate)
-blocks in one ``einsum`` sweep over precomputed cofactor normals.
+blocks in one sweep over precomputed cofactor normals: the flat sweep
+runs in column form (per coordinate, one 1-D gather of the points and
+one multiply-add per entry, summed in the order the row-form ``einsum``
+sums), the standalone block kernel in one ``einsum``.
 
 The fast path is *filtered*, exactly like the scalar predicates: each
 batched margin comes with the same conservative forward error envelope
@@ -30,7 +33,8 @@ Four entry points:
   (facet, point) stream: the sweep every round of the SoA engine
   (:mod:`repro.hull.soa`) runs, and its only visibility path;
 * :func:`gather_segments` -- the prefix-sum gather that flattens the
-  engine's ragged conflict segments into that stream;
+  engine's ragged conflict segments into that stream, each entry tagged
+  with its segment's key;
 * :func:`orient_batch` -- a standalone (F, d, d) x (Q, d) -> (F, Q)
   sign kernel, the differential-testing surface against scalar
   :func:`~repro.geometry.predicates.orient`.
@@ -294,36 +298,90 @@ def orient_batch(simplices: np.ndarray, queries: np.ndarray) -> np.ndarray:
 
 
 def gather_segments(
-    starts: np.ndarray, lens: np.ndarray
+    starts: np.ndarray, lens: np.ndarray, tags: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
     """Flatten ragged segments of a pooled array into gather positions.
 
     Segment ``k`` occupies ``pool[starts[k] : starts[k] + lens[k]]``.
-    Returns ``(pos, owner)`` where ``pool[pos]`` is the concatenation of
-    all segments in order and ``owner[i]`` is the segment index that
-    produced entry ``i`` -- the prefix-sum gather the SoA conflict-list
-    engine uses to pull every ready facet's conflict list in one indexed
-    load, with no per-facet Python loop.
+    Returns ``(pos, tag)`` where ``pool[pos]`` is the concatenation of
+    all segments in order and ``tag[i]`` is ``tags[k]`` for the segment
+    ``k`` that produced entry ``i`` -- the prefix-sum gather the SoA
+    conflict-list engine uses to pull every ready facet's conflict list
+    in one indexed load, with no per-facet Python loop.  The engine tags
+    each segment with its new facet's sort key (``tags =
+    np.arange(K)`` gives the segment index).  ``tag`` is a fresh array
+    the caller may write to.
     """
-    # repro: shape: starts=(K,):int64, lens=(K,):int64
-    # repro: shape: pos=(M,):int64, owner=(M,):int64
+    # repro: shape: starts=(K,):int64, lens=(K,):int64, tags=(K,):int64
+    # repro: shape: pos=(M,):int64, tag=(M,):int64
     starts = np.asarray(starts, dtype=np.int64)
     lens = np.asarray(lens, dtype=np.int64)
-    owner = np.repeat(np.arange(lens.shape[0], dtype=np.int64), lens)
+    tag = np.repeat(np.asarray(tags, dtype=np.int64), lens)
     total = int(lens.sum())
     if not total:
-        return np.zeros(0, dtype=np.int64), owner
+        return np.zeros(0, dtype=np.int64), tag
     ends = np.cumsum(lens)
     # Within-segment offsets: a global arange minus each segment's
     # cumulative start, rebased onto the pool start.
     pos = np.arange(total, dtype=np.int64) + np.repeat(starts - (ends - lens), lens)
     observe("repro.geometry.kernels.gather_segments",
-            starts=starts, lens=lens, pos=pos, owner=owner)
-    return pos, owner
+            starts=starts, lens=lens, pos=pos, tag=tag)
+    return pos, tag
+
+
+def _column_margins(xs: np.ndarray, gn: np.ndarray, go: np.ndarray) -> np.ndarray:
+    """Margins ``gn[:, m] . xs[:, m] - go[m]`` of a stream in column
+    form, bit for bit the row form's ``einsum("md,md->m") - go``.
+
+    ``xs`` and ``gn`` are ``(d, M)``: row ``c`` holds coordinate ``c``
+    of every entry's point and of its plane's normal.  One in-place
+    multiply turns ``gn`` into the products (the caller's scratch; it
+    is overwritten), and the products are summed in einsum's order:
+    NumPy's x86-64 baseline adds a row in two 128-bit lanes, the even
+    coordinates in one and the odd in the other (:func:`_lane_sum`),
+    and adds the two lanes last, with no fused multiply-add.  Every
+    step is one 1-D pass over the stream, so the margins cost ``d``
+    multiplies and ``d`` adds per entry, with no row gather and no
+    strided reduction.  The bit-identity is with that build's einsum;
+    the error envelope bounds any summation order, so on a build that
+    sums otherwise every sign is still proven or decided exactly."""
+    d = xs.shape[0]
+    gn *= xs
+    margins = _lane_sum(gn, 0, d)
+    if d > 1:
+        margins += _lane_sum(gn, 1, d)
+    margins -= go
+    return margins
+
+
+def _lane_sum(p: np.ndarray, lane: int, d: int) -> np.ndarray:
+    """Rows ``lane, lane + 2, ...`` of the ``(d, M)`` products ``p``,
+    summed in the order one lane of einsum's accumulator adds them
+    (into row ``lane`` of ``p`` where ``d < 8``).
+
+    Below eight coordinates the lane adds its rows front to back.  From
+    eight on, einsum first takes whole groups of eight coordinates,
+    four per lane, and adds each group's four back to front onto the
+    lane; the rest follow front to back."""
+    if d < 8:
+        acc = p[lane]
+        for c in range(lane + 2, d, 2):
+            acc += p[c]
+        return acc
+    head = d - d % 8
+    acc = p[lane + 6] + p[lane + 4]
+    acc += p[lane + 2]
+    acc += p[lane]
+    for b in range(8, head, 8):
+        for k in (6, 4, 2, 0):
+            acc += p[b + k + lane]
+    for c in range(head + lane, d, 2):
+        acc += p[c]
+    return acc
 
 
 def visible_flat(
-    pts: np.ndarray,
+    pts_cols: np.ndarray,
     normals: np.ndarray,
     offsets: np.ndarray,
     err_scale: np.ndarray,
@@ -339,21 +397,27 @@ def visible_flat(
 ) -> np.ndarray:
     """Strict-visibility mask for a flat (facet, point) stream.
 
-    ``ranks`` are point ranks into ``pts``, grouped by plane: the first
-    ``blocks[0]`` entries are tested against plane 0, the next
-    ``blocks[1]`` against plane 1, and so on (``blocks`` has one
-    non-negative count per row of the plane stack, zeros allowed, and
-    sums to ``len(ranks)``) -- the flattened form of a whole round's
-    (ready facet x conflict point) block.  One einsum computes every
-    float margin; entries inside the per-plane error envelope -- plus
-    every entry of a plane flagged in ``force_exact`` (always-exact
-    planes carry no trustworthy float sign) -- are re-decided exactly,
-    all of the sweep's at once, by
+    The points come in column form: ``pts_cols`` is ``(d, n)``, row
+    ``c`` holding coordinate ``c`` of every point (a caller that sweeps
+    many rounds transposes its points once).  ``ranks`` are point ranks
+    into it, grouped by plane: the first ``blocks[0]`` entries are
+    tested against plane 0, the next ``blocks[1]`` against plane 1, and
+    so on (``blocks`` has one non-negative count per row of the plane
+    stack, zeros allowed, and sums to ``len(ranks)``) -- the flattened
+    form of a whole round's (ready facet x conflict point) block.  The
+    sweep computes every float margin in column form: one 1-D gather
+    per coordinate, the plane columns expanded along the stream by a
+    single repeat, and ``d`` multiply-adds per entry summed in the
+    order the row-form ``einsum`` uses (:func:`_column_margins`), so
+    each margin is that einsum's bit for bit.  Entries inside the
+    per-plane error envelope -- plus every entry of a plane flagged in
+    ``force_exact`` (always-exact planes carry no trustworthy float
+    sign) -- are re-decided exactly, all of the sweep's at once, by
     :func:`~repro.geometry.hyperplane.side_exact_batch`, the batched
     twin of the scalar ladder that
     :class:`~repro.geometry.hyperplane.Hyperplane` falls back to.  It
     needs each row's defining ranks ``indices`` (the plane is the one
-    through ``pts[indices[k]]``, in that order), the orientation sign
+    through those points, in that order), the orientation sign
     ``vis_sign[k]`` that means visible (a float-certain row's is +1
     where its stored normal is the cofactor normal and -1 where it is
     negated; an always-exact row's is its ladder plane's), and whether
@@ -365,19 +429,20 @@ def visible_flat(
     ``s*P + s*b`` for its envelope scale ``s`` and base ``b``, where
     ``P`` is ``pts_inf``: a bound on ``|p|_inf`` over the swept points
     (a caller that sweeps many rounds passes its run's maximum once;
-    ``None`` takes the maximum over the gathered block).  A margin above
-    its plane's bound in absolute value is decided by its sign alone.
-    Only the rest compute the per-entry envelope ``s*|p|_inf + s*b``.
-    Round-to-nearest is monotone, so ``|p|_inf <= P`` makes every
-    entry's computed envelope at most its plane's computed bound: an
-    entry the first stage decides is one the envelope alone would
-    decide the same way, and the mask and the fallback entries, in
-    order, are those of the single-stage sweep.
+    ``None`` takes the maximum over the gathered columns).  A margin
+    above its plane's bound in absolute value is decided by its sign
+    alone.  Only the rest compute the per-entry envelope
+    ``s*|p|_inf + s*b``.  Round-to-nearest is monotone, so ``|p|_inf
+    <= P`` makes every entry's computed envelope at most its plane's
+    computed bound: an entry the first stage decides is one the
+    envelope alone would decide the same way, and the mask and the
+    fallback entries, in order, are those of the single-stage sweep.
     """
-    # repro: shape: ranks=(M,):int64, blocks=(K,):int64
-    # repro: shape: indices=(K,d):int64, vis_sign=(K,):int8
-    # repro: shape: pts_flat=(M,d):float64, margins=(M,):float64
-    # repro: shape: bound=(M,):float64, mask=(M,):bool
+    # repro: shape: pts_cols=(d,?):float64, ranks=(M,):int64
+    # repro: shape: blocks=(K,):int64, indices=(K,d):int64
+    # repro: shape: vis_sign=(K,):int8, xs=(d,M):float64
+    # repro: shape: margins=(M,):float64, bound=(M,):float64
+    # repro: shape: mask=(M,):bool
     #
     # Filter-boundary admission for `repro fpcheck`: the plane columns
     # arrive with batch_planes' proven error summaries, and the margin
@@ -394,36 +459,36 @@ def visible_flat(
     # repro: fp-bound: envelope scale scaled_base packed bound env
     if not ranks.size:
         return np.zeros(0, dtype=bool)
-    d = pts.shape[1]
-    # repro: fp-bound: in pts ~ Q
-    pts_flat = np.take(pts, ranks, axis=0)
+    d = pts_cols.shape[0]
+    # repro: fp-bound: in pts_cols ~ Q
+    xs = np.take(pts_cols, ranks, axis=1)
     if pts_inf is None:
-        pts_inf = float(np.abs(pts_flat).max())
+        pts_inf = float(np.abs(xs).max())
     # repro: fp-bound: in pts_inf ~ P
     scale = _FILTER_SCALE * err_scale
     scaled_base = scale * err_base
-    # Pack every per-plane scalar the sweep needs into one (K, d+2)
-    # matrix so the per-entry stream costs a *single* wide expansion:
-    # columns are [normal | offset | bound].  K (planes) is small; M
+    # Pack every per-plane scalar the sweep needs into one (d+2, K)
+    # column matrix so the per-entry stream costs a *single* expansion:
+    # rows are [normal | offset | bound].  K (planes) is small; M
     # (entries) is the round.  Each plane's entries are contiguous, so
-    # the expansion is a repeat, not a gather.  A forced plane's bound
-    # is infinite: all its entries go on to the exact ladder.
-    packed = np.empty((normals.shape[0], d + 2), dtype=np.float64)
-    packed[:, :d] = normals
-    packed[:, d] = offsets
+    # the expansion is a repeat along the stream, not a gather, and
+    # every row of it is one contiguous M-vector.  A forced plane's
+    # bound is infinite: all its entries go on to the exact ladder.
+    packed = np.empty((d + 2, normals.shape[0]), dtype=np.float64)
+    packed[:d] = normals.T
+    packed[d] = offsets
     bound = scale * pts_inf
     bound += scaled_base
     if force_exact is not None:
         bound[force_exact] = np.inf
-    packed[:, d + 1] = bound
-    g = np.repeat(packed, blocks, axis=0)
-    gn = g[:, :d]    # repro: fp-bound: in gn ~ NRM err 6*H
-    go = g[:, d]     # repro: fp-bound: in go ~ OFF err 6*d*H*B + 2*d^2*NRM*B
-    margins = np.einsum("md,md->m", pts_flat, gn)
-    margins -= go
+    packed[d + 1] = bound
+    g = np.repeat(packed, blocks, axis=1)
+    gn = g[:d]    # repro: fp-bound: in gn ~ NRM err 6*H
+    go = g[d]     # repro: fp-bound: in go ~ OFF err 6*d*H*B + 2*d^2*NRM*B
+    margins = _column_margins(xs, gn, go)
     # repro: fp-bound: claim margins <= 16*d*(d*d*H + NRM + 1)*(B + Q)
     # repro: fp-bound: claim margins <= 16*d*(d*d*H + NRM + 1)*(B + P)
-    bound = g[:, d + 1]
+    bound = g[d + 1]
     mask = margins > bound
     # The second stage: every entry the bound does not decide (a NaN
     # margin fails both comparisons, and lands here as it would in the
@@ -434,10 +499,10 @@ def visible_flat(
     STATS.count_float(n_signs)
     if near.size:
         plane_of = np.searchsorted(np.cumsum(blocks), near, side="right")
-        coords = np.abs(np.take(pts_flat, near, axis=0))
-        q_inf = coords[:, 0]
+        coords = np.abs(np.take(xs, near, axis=1))
+        q_inf = coords[0]
         for j in range(1, d):
-            q_inf = np.maximum(q_inf, coords[:, j])
+            q_inf = np.maximum(q_inf, coords[j])
         env = np.take(scale, plane_of) * q_inf
         env += np.take(scaled_base, plane_of)
         m_near = np.take(margins, near)
@@ -450,6 +515,7 @@ def visible_flat(
         if n_fall:
             # Envelope-ambiguous (or forced-exact) entries only, in one
             # exact stage, as in orient_batch.
+            pts = pts_cols.T
             mask[fall] = side_exact_batch(
                 np.take(pts, indices, axis=0), indices, vis_sign, sos,
                 plane_of[uncertain], pts, np.take(ranks, fall)) > 0
@@ -457,6 +523,6 @@ def visible_flat(
     if stats is not None:
         stats.count_sweep(n_signs, n_fall)
     observe("repro.geometry.kernels.visible_flat",
-            ranks=ranks, blocks=blocks, pts_flat=pts_flat,
+            ranks=ranks, blocks=blocks, xs=xs,
             margins=margins, bound=bound, mask=mask)
     return mask

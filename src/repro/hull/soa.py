@@ -53,7 +53,9 @@ The round transaction (all vectorized, no per-facet Python loop):
    segment gather (:func:`~repro.geometry.kernels.gather_segments`)
    and one ``np.take`` of the pool, the smaller-pivot parent's window
    from its second entry, and merge + dedupe them by one stable sort
-   of fused ``(row, rank)`` keys -- exactly
+   of fused ``(row << shift) + rank`` keys (the gather tags each entry
+   with its row's shifted key, one add puts the rank in, one mask
+   takes it out after the dedupe) -- exactly
    ``FacetFactory.merge_candidates`` + ``_clean_candidates``, but for
    all facets of the round at once and with no per-entry filter: the
    skipped head is the pivot, the only entry the "strictly above the
@@ -65,21 +67,25 @@ The round transaction (all vectorized, no per-facet Python loop):
    rows (or all rows under :func:`~repro.geometry.hyperplane.exact_mode`)
    materialize a real :class:`Hyperplane` via the scalar ladder, so
    degenerate inputs raise / SoS-perturb exactly as the oracle does;
-4. decide all (facet x candidate) visibilities in one flat einsum
-   sweep (:func:`~repro.geometry.kernels.visible_flat`) with the same
+4. decide all (facet x candidate) visibilities in one flat sweep
+   (:func:`~repro.geometry.kernels.visible_flat`) with the same
    envelope filter -- staged: one bound per plane, from the run's max
    ``|p|_inf``, decides almost every entry before any per-entry
    envelope is formed -- and the same exact decisions as the scalar
    path, all of the round's fallbacks in one batched exact stage fed
    by each row's defining ranks and visible sign (a float-certain
    row's sign is its interior flip, so no ``Hyperplane`` is built to
-   decide it); each facet's candidates are one contiguous block, so
-   the sweep takes ``blocks`` and repeats the plane rows instead of
-   gathering them through a per-entry owner column;
+   decide it).  The sweep runs in column form: it gathers each
+   coordinate from the ``(d, n)`` copy of the points the engine makes
+   once per run, and since each facet's candidates are one contiguous
+   block it takes ``blocks`` and repeats the plane columns along the
+   stream, so each entry costs ``d`` 1-D multiply-adds, summed in the
+   row-form ``einsum``'s order (the same margins, bit for bit);
 5. count each facet's survivors with one segmented sum of the mask
    (``np.add.reduceat`` over the non-empty blocks), prefix-sum
-   partition them into the new facets' conflict segments, append to
-   the store and pool, and pair the new ridges by key.
+   partition them into the new facets' conflict segments, compress
+   the survivors straight into the pool's reserved tail, append the
+   rows to the store, and pair the new ridges by key.
 
 :meth:`SoAHullEngine.finish` hands back an :class:`SoAHullRun` in the
 same column form -- copies of the store columns and the pool, with no
@@ -250,14 +256,20 @@ class _ConflictPool:
         self.buf = np.zeros(capacity, dtype=np.int64)
         self.end = 0
 
-    def extend(self, vals: np.ndarray) -> int:
-        """Append ``vals``; returns the start offset of the block."""
-        m = int(vals.shape[0])
+    def reserve(self, m: int) -> tuple[int, np.ndarray]:
+        """Claim the next ``m`` entries: returns their start offset and
+        a writable view of them, for a caller that writes its block in
+        place."""
         if self.end + m > self.buf.shape[0]:
             self.buf = _grown(self.buf, max(2 * self.buf.shape[0], self.end + m))
         start = self.end
-        self.buf[start:start + m] = vals
         self.end = start + m
+        return start, self.buf[start:self.end]
+
+    def extend(self, vals: np.ndarray) -> int:
+        """Append ``vals``; returns the start offset of the block."""
+        start, tail = self.reserve(int(vals.shape[0]))
+        tail[:] = vals
         return start
 
     def view(self) -> np.ndarray:
@@ -527,8 +539,13 @@ class SoAHullEngine:
         self.tracker = WorkSpanTracker()
         self.stats = ExecutionStats()
         self._interior_inf = float(np.abs(self.interior).max(initial=0.0))
-        # The run's max |p|_inf: every sweep's per-plane bound.
+        # The points in column form, the layout every sweep gathers
+        # from, and the run's max |p|_inf: every sweep's per-plane bound.
+        self._pts_cols = np.ascontiguousarray(pts.T)
         self._pts_inf = float(np.abs(pts).max(initial=0.0))
+        # Candidate keys put the new facet's row above a rank's bits:
+        # every rank is below 2**_key_shift.
+        self._key_shift = n.bit_length()
         combo = tuple(range(d + 1))
         self._interior_combo = (pts[list(combo)], combo)
         self.kstats = KernelStats()
@@ -612,17 +629,20 @@ class SoAHullEngine:
 
         # Survivors per row: one segmented sum of the mask over the
         # starts of the non-empty blocks (reduceat needs strictly
-        # increasing starts; empty blocks keep their zero).
-        # np.compress, not vals[vis]: at the mid-range densities a
-        # sweep's mask has, boolean indexing runs ~4x slower.
-        surv_vals = np.compress(vis, vals)
+        # increasing starts; empty blocks keep their zero).  Their
+        # total claims the pool's tail, and one compress writes the
+        # survivors straight into it -- np.compress, not vals[vis]: at
+        # the mid-range densities a sweep's mask has, boolean indexing
+        # runs ~4x slower.
         lens = np.zeros(k, dtype=np.int64)
         full = np.nonzero(blocks)[0]
         if full.size:
             starts = np.cumsum(blocks) - blocks
             lens[full] = np.add.reduceat(vis, starts[full], dtype=np.int64)
-        starts_local = np.cumsum(lens) - lens
-        pool_start = self.pool.extend(surv_vals)
+        ends_local = np.cumsum(lens)
+        starts_local = ends_local - lens
+        pool_start, surv_vals = self.pool.reserve(int(ends_local[-1]) if k else 0)
+        np.compress(vis, vals, out=surv_vals)
         pivots = np.full(k, _INF, dtype=np.int64)
         nz = lens > 0
         pivots[nz] = surv_vals[starts_local[nz]]
@@ -637,7 +657,7 @@ class SoAHullEngine:
         return fid0
 
     def _facets_flat(self, new_idx, vals, blocks):
-        """Batch planes + one flat einsum sweep (+ the lying oracle's
+        """Batch planes + one flat sweep (+ the lying oracle's
         flips on a noisy run).  Returns the visibility mask over
         ``vals`` and the new rows' plane columns."""
         # The filter boundary of the flat path: the orientation margin
@@ -683,7 +703,7 @@ class SoAHullEngine:
             vis_sign[ks] = list(map(operator.attrgetter("vis_sign"), planes))
 
         vis = visible_flat(
-            self.pts, normals, offsets, e_scale, e_base, blocks, vals,
+            self._pts_cols, normals, offsets, e_scale, e_base, blocks, vals,
             new_idx, vis_sign, force_exact=exact_rows, sos=sos_active(),
             stats=self.kstats, pts_inf=self._pts_inf,
         )
@@ -737,10 +757,10 @@ class SoAHullEngine:
         columns taken two at a time as ``c_j * n + c_{j+1}`` (a
         trailing single as ``c_j * n``), one row per key part.  Ranks
         are below ``n``, so the keys order lexicographically like the
-        sorted rows and cannot collide (``n**2 < 2**63``, as the
-        candidate dedupe assumes).  The pending pool holds keys and
-        fids only, and rows are rebuilt from the keys for the matched
-        pairs alone.
+        sorted rows and cannot collide (``n**2 < 2**63`` for the
+        ``n < 2**31`` the candidate keys assume).  The pending pool
+        holds keys and fids only, and rows are rebuilt from the keys
+        for the matched pairs alone.
 
         Faithful to ``DictMultimap.insert_and_set``: equal keys pair
         two-by-two in arrival order, which is concatenation order:
@@ -896,31 +916,35 @@ class SoAHullEngine:
         #   its own facet (bootstrap candidates start at base_size,
         #   later windows by induction), and rc is a subset of both
         #   parents' ranks.
-        cs, cl = self.store.conf_start, self.store.conf_len
-        len1 = cl.take(t1c)
-        pos, owner = gather_segments(
-            np.concatenate([cs.take(t1c) + 1, cs.take(t2c)]),
-            np.concatenate([len1 - 1, cl.take(t2c)]),
-        )
-        vals = self.pool.buf.take(pos)
         # Group by new facet, ascending and unique within each group:
-        # one stable sort of the fused (row, rank) key (row < K <= n
-        # and rank < n, so row*n + rank is collision-free in int64;
-        # segment s of the gather is row s mod K), then adjacent-equal
-        # dedupe on the key itself.  Both halves arrive sorted, so the
-        # sort is a single merge.
-        n = np.int64(self.n)
-        fused = owner * n
-        fused[int(len1.sum()) - k:] -= k * n
-        fused += vals
+        # one stable sort of a fused (row, rank) key, then
+        # adjacent-equal dedupe on the key itself.  The key is
+        # (row << shift) + rank with shift = n.bit_length(): every rank
+        # is below 2**shift, so no two (row, rank) pairs collide, and
+        # row and n are both below 2**31 (a round of 2**31 new facets
+        # would not fit in memory; a round can create more facets than
+        # there are points), so row << shift stays below 2**62.
+        # Segments j and j + K of the gather both feed row j: the gather
+        # tags each entry with its row's key, one add puts the rank in,
+        # and one mask takes it back out after the dedupe.  Both halves
+        # arrive sorted, so the sort is a single merge.
+        cs, cl = self.store.conf_start, self.store.conf_len
+        shift = self._key_shift
+        row_keys = np.arange(k, dtype=np.int64) << shift
+        pos, fused = gather_segments(
+            np.concatenate([cs.take(t1c) + 1, cs.take(t2c)]),
+            np.concatenate([cl.take(t1c) - 1, cl.take(t2c)]),
+            np.concatenate([row_keys, row_keys]),
+        )
+        fused += self.pool.buf.take(pos)
         fused.sort(kind="stable")
         if fused.shape[0]:
             keep = np.ones(fused.shape[0], dtype=bool)
             np.not_equal(fused[1:], fused[:-1], out=keep[1:])
             fused = np.compress(keep, fused)
-        row0 = np.arange(k + 1, dtype=np.int64) * n
-        blocks = np.diff(np.searchsorted(fused, row0))
-        vals = fused - np.repeat(row0[:-1], blocks)
+        blocks = np.diff(np.searchsorted(
+            fused, np.arange(k + 1, dtype=np.int64) << shift))
+        vals = fused & np.int64((1 << shift) - 1)
         # repro: shape: vals=(M,):int64, blocks=(K,):int64
         observe("repro.hull.soa.SoAHullEngine._candidates",
                 vals=vals, blocks=blocks)

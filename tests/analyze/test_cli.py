@@ -342,7 +342,7 @@ class TestFpcheckCli:
         main(["fpcheck", "--list-rules"])
         out = capsys.readouterr().out
         for rid in ("RPRFP001", "RPRFP002", "RPRFP003",
-                    "RPRFP004", "RPRFP999"):
+                    "RPRFP004", "RPRFP005", "RPRFP999"):
             assert rid in out
 
     def test_findings_exit_nonzero_without_baseline(self, tmp_path, capsys):

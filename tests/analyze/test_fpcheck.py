@@ -1,4 +1,4 @@
-"""The five RPRFP rules on seeded fixture programs, plus the real-tree
+"""The six RPRFP rules on seeded fixture programs, plus the real-tree
 cleanliness and ratchet-baseline guarantees.
 
 Each bad fixture must trigger *exactly* its rule; each clean twin must
@@ -339,6 +339,136 @@ class TestInterprocedural:
         src = CALLER_USES_SUMMARY.replace("16*d*(H + NRM)*Q", "0.1*NRM*Q")
         r = _run(src)
         assert _rules(r) == ["RPRFP001", "RPRFP001"]  # one per pin
+
+
+# -- loops and inlined helpers --------------------------------------------
+
+# A dot product accumulated in a loop over the pinned dimension: at d=3
+# the three products and two adds derive 4*X*N, exactly what the same
+# statements written out derive.  One walk of the body (the old loop
+# rule) derived 2*X*N, so the under-claimed twin passed.
+LOOP_DOT = '''
+def dot(x, n):
+    # repro: fp-bound: assume d in 3..3
+    # repro: fp-bound: in x ~ X
+    # repro: fp-bound: in n ~ N
+    m = x[0] * n[0]
+    for j in range(1, d):
+        m += x[j] * n[j]
+    # repro: fp-bound: claim m <= 2*X*N
+    return m
+'''
+
+LOOP_DOT_CLEAN = LOOP_DOT.replace("2*X*N", "4*X*N")
+
+UNROLLED_DOT = LOOP_DOT_CLEAN.replace(
+    """    for j in range(1, d):
+        m += x[j] * n[j]
+""", """    m += x[1] * n[1]
+    m += x[2] * n[2]
+""")
+
+# The same sum in two lanes, an index loop nested in a stepped range
+# whose bounds hold a loop index.
+LANE_DOT = '''
+def dot(x, n):
+    # repro: fp-bound: assume d in 3..3
+    # repro: fp-bound: in x ~ X
+    # repro: fp-bound: in n ~ N
+    p = x * n
+    m = p[0]
+    for lane in range(0, 1):
+        for c in range(lane + 2, d, 2):
+            m += p[c]
+    m += p[1]
+    # repro: fp-bound: claim m <= 4*X*N
+    return m
+'''
+
+# A helper the kernel calls: its arithmetic is walked inline, at the
+# caller's pin, with the lane argument's int known inside it.
+HELPER_DOT = '''
+def dot(x, n):
+    # repro: fp-bound: assume d in 3..3
+    # repro: fp-bound: in x ~ X
+    # repro: fp-bound: in n ~ N
+    m = _lane(x * n, 0)
+    m += _lane(x * n, 1)
+    # repro: fp-bound: claim m <= 2*X*N
+    return m
+
+def _lane(p, lane):
+    acc = p[lane]
+    for c in range(lane + 2, d, 2):
+        acc += p[c]
+    return acc
+'''
+
+
+def _undecided(bound):
+    return LOOP_DOT_CLEAN.replace("range(1, d)", f"range(1, {bound})")
+
+
+class TestLoops:
+    def test_decided_range_is_unrolled(self):
+        bad, good = _run(LOOP_DOT), _run(LOOP_DOT_CLEAN)
+        assert _rules(bad) == ["RPRFP001"]
+        assert _rules(good) == []
+        assert [c.ok for c in bad.claims] == [False]
+
+    def test_loop_derives_what_the_unrolled_statements_derive(self):
+        loop, flat = _run(LOOP_DOT_CLEAN), _run(UNROLLED_DOT)
+        assert [c.derived for c in loop.claims] == [c.derived for c in flat.claims]
+        assert [c.ok for c in loop.claims] == [True]
+
+    def test_nested_ranges_see_the_outer_index(self):
+        r = _run(LANE_DOT)
+        assert _rules(r) == []
+        assert _rules(_run(LANE_DOT.replace("4*X*N", "3*X*N"))) == ["RPRFP001"]
+
+    def test_undecided_loop_reported_not_walked_once(self):
+        for bound in ("k", "len(x)", "10**9", "d + k"):
+            src = _undecided(bound).replace("def dot(x, n):", "def dot(x, n, k):")
+            r = _run(src)
+            rules = _rules(r)
+            assert "RPRFP005" in rules, bound
+            # What the loop accumulates is unknown afterwards: the claim
+            # cannot be checked, rather than passing on one walk.
+            assert [c.ok for c in r.claims] == [False], bound
+
+    def test_negative_and_zero_steps(self):
+        down = LOOP_DOT_CLEAN.replace("range(1, d)", "range(d - 1, 0, -1)")
+        assert _rules(_run(down)) == []
+        empty = LOOP_DOT_CLEAN.replace("range(1, d)", "range(d, 0)")
+        r = _run(empty)
+        assert _rules(r) == []
+        assert [c.ok for c in r.claims] == [True]
+        zero = LOOP_DOT_CLEAN.replace("range(1, d)", "range(1, d, 0)")
+        assert "RPRFP005" in _rules(_run(zero))
+
+    def test_loop_without_float_data_is_not_reported(self):
+        src = LOOP_DOT_CLEAN.replace(
+            "    # repro: fp-bound: claim m <= 4*X*N",
+            "    idx = 0\n    for i in range(k):\n        idx = idx + 1\n"
+            "    # repro: fp-bound: claim m <= 4*X*N",
+        ).replace("def dot(x, n):", "def dot(x, n, k):")
+        assert _rules(_run(src)) == []
+
+
+class TestInlinedHelpers:
+    def test_helper_arithmetic_is_derived(self):
+        bad = _run(HELPER_DOT)
+        assert _rules(bad) == ["RPRFP001"]
+        good = _run(HELPER_DOT.replace("2*X*N", "4*X*N"))
+        assert _rules(good) == []
+        # Same derivation as the two lanes written out in the kernel.
+        assert [c.derived for c in good.claims] == \
+            [c.derived for c in _run(LANE_DOT).claims]
+
+    def test_public_or_annotated_callees_are_not_inlined(self):
+        public = HELPER_DOT.replace("_lane", "lane").replace("2*X*N", "4*X*N")
+        r = _run(public)
+        assert [c.ok for c in r.claims] == [False]
 
 
 # -- the real tree --------------------------------------------------------

@@ -30,6 +30,7 @@ import pytest
 from repro.analyze import analyze_fpcheck
 from repro.analyze.fperror import EPS, poly_atoms, poly_eval
 from repro.geometry.degenerate import corpus_case, corpus_names
+from repro.geometry import kernels
 from repro.geometry.kernels import batch_planes, orient_batch
 from repro.geometry.linalg import det_exact, det_with_error_bound
 from repro.hull import certify
@@ -209,13 +210,14 @@ class TestMarginSweeps:
         nf, nq = sims.shape[0], qs.shape[0]
         blocks = np.full(nf, nq)
         ranks = np.tile(np.arange(nq), nf)
-        # visible_flat's gathered sweep, operand for operand.
-        pts_flat = np.take(qs, ranks, axis=0)
-        gn = np.repeat(normals, blocks, axis=0)
-        go = np.repeat(offsets, blocks)
-        margins = np.einsum("md,md->m", pts_flat, gn) - go
+        # visible_flat's column sweep: its gathered coordinate columns
+        # and expanded plane columns, through the kernel's own margin
+        # code, so an edit to the sweep's arithmetic is observed here.
+        xs = np.take(np.ascontiguousarray(qs.T), ranks, axis=1)
+        g = np.repeat(np.vstack([normals.T, offsets]), blocks, axis=1)
+        margins = kernels._column_margins(xs, g[:d], g[d])
         # ... and its two envelopes (filter scale 1, pts_inf=None).
-        p_max = float(np.abs(pts_flat).max())
+        p_max = float(np.abs(xs).max())
         scaled_base = e_scale * e_base
         bound = e_scale * p_max + scaled_base
         c_q = _claim("kernels.visible_flat", "margins", d, atom="Q")

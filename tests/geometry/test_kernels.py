@@ -128,7 +128,7 @@ def _flat_masks(pts, facets, stats=None):
     sizes = [c.size for c in cand_list]
     planes = [f.plane for f in facets]
     mask = visible_flat(
-        pts, *_columns(planes),
+        np.ascontiguousarray(pts.T), *_columns(planes),
         np.asarray(sizes, dtype=np.int64), np.concatenate(cand_list),
         *_ladder([f.indices for f in facets], planes),
         force_exact=np.array([p.always_exact for p in planes]),
@@ -218,8 +218,8 @@ def test_visible_flat_blocks_contract():
     stats = KernelStats()
     with mock.patch.object(kernels, "side_exact_batch", stage):
         mask = visible_flat(
-            pts, *_columns(planes), blocks, np.concatenate(cands),
-            *_ladder(specs, planes),
+            np.ascontiguousarray(pts.T), *_columns(planes), blocks,
+            np.concatenate(cands), *_ladder(specs, planes),
             force_exact=np.array([p.always_exact for p in planes]),
             stats=stats,
         )
@@ -244,6 +244,22 @@ def test_visible_flat_blocks_contract():
         "batched_signs": int(blocks.sum()),
         "fallbacks": sum(exact),
     }
+
+
+@pytest.mark.parametrize("d", range(1, 13))
+def test_column_margins_are_the_row_form_einsum(d):
+    """The column-form margins equal the row-form einsum sweep over the
+    same gathered rows bit for bit, at every d (einsum sums a row in two
+    lanes, and from d = 8 on in groups of eight), on products spread
+    over many binades so any other summation order shows."""
+    rng = np.random.default_rng(d)
+    m = 4000
+    pts = rng.standard_normal((m, d)) * np.exp2(rng.integers(-30, 30, (m, d)))
+    rows = rng.standard_normal((m, d + 2)) * np.exp2(rng.integers(-30, 30, (m, d + 2)))
+    want = np.einsum("md,md->m", pts, rows[:, :d]) - rows[:, d]
+    g = np.ascontiguousarray(rows.T)
+    got = kernels._column_margins(np.ascontiguousarray(pts.T), g[:d], g[d])
+    assert np.array_equal(got, want)
 
 
 def test_make_batch_empty_candidates():
@@ -449,7 +465,8 @@ def test_visible_flat_prefilter_matches_single_stage(data):
         st_staged, st_single = KernelStats(), KernelStats()
         with filter_scale(scale):
             with mock.patch.object(kernels, "side_exact_batch", staged):
-                got = visible_flat(pts, *cols, blocks, ranks, *_ladder(specs, planes),
+                got = visible_flat(np.ascontiguousarray(pts.T), *cols, blocks, ranks,
+                                   *_ladder(specs, planes),
                                    force_exact=force_exact, sos=sos,
                                    stats=st_staged, pts_inf=pts_inf)
             want = _single_stage_sweep(pts, *cols, blocks, ranks, force_exact,

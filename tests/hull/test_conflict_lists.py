@@ -282,15 +282,22 @@ def test_finished_run_outlives_engine_restore(exact):
 )
 @settings(max_examples=30, deadline=None)
 def test_gather_segments_reference(lens):
-    """The prefix-sum segment gather equals the obvious python loop."""
+    """The prefix-sum segment gather equals the obvious python loop:
+    positions in segment order, each entry tagged with its segment's
+    tag (the engine's shifted row keys, repeated across the two halves
+    of a round's gather)."""
     lens = np.asarray(lens, dtype=np.int64)
     rng = np.random.default_rng(int(lens.sum()) + lens.size)
     starts = np.cumsum(np.concatenate([[0], lens[:-1] + rng.integers(0, 3, max(lens.size - 1, 0))]))[: lens.size]
     starts = starts.astype(np.int64)
-    pos, owner = gather_segments(starts, lens)
-    ref_pos, ref_owner = [], []
+    half = (lens.size + 1) // 2
+    row_keys = np.arange(half, dtype=np.int64) << 7
+    tags = np.concatenate([row_keys, row_keys])[: lens.size]
+    pos, tag = gather_segments(starts, lens, tags)
+    ref_pos, ref_tag = [], []
     for k, (s, ln) in enumerate(zip(starts, lens)):
         ref_pos.extend(range(int(s), int(s) + int(ln)))
-        ref_owner.extend([k] * int(ln))
+        ref_tag.extend([(k % half) << 7] * int(ln))
     assert np.array_equal(pos, np.asarray(ref_pos, dtype=np.int64))
-    assert np.array_equal(owner, np.asarray(ref_owner, dtype=np.int64))
+    assert np.array_equal(tag, np.asarray(ref_tag, dtype=np.int64))
+    assert tag.dtype == np.int64

@@ -471,7 +471,7 @@ def one_kernel_case(rng: np.random.Generator, verbose: bool) -> str | None:
                 sizes = np.array([c.size for c in blocks_of], dtype=np.int64)
                 stats = KernelStats()
                 mask = visible_flat(
-                    swept,
+                    np.ascontiguousarray(swept.T),
                     np.stack([p.normal for p in planes]),
                     np.array([p.offset for p in planes]),
                     np.array([p.err_scale for p in planes]),
@@ -745,9 +745,11 @@ def one_hotpath_case(rng: np.random.Generator, verbose: bool) -> str | None:
 
 # Seed programs for --fpcheck: annotated kernel sketches in the
 # fp-filter analyzer's input language (fp-bound clause blocks, claims,
-# guards, envelopes).  Mutations produce mangled clause grammar,
-# orphaned claims, contradictory pins, and broken arithmetic; the
-# analyzer must degrade to RPRFP999 findings, never crash.
+# guards, envelopes, loops over the pinned dimension, private
+# helpers).  Mutations produce mangled clause grammar, orphaned claims,
+# contradictory pins, broken arithmetic, and range(...) loops the pin
+# does or does not decide; the analyzer must degrade to findings,
+# never crash or hang.
 FPCHECK_SEEDS = [
     '''
 import numpy as np
@@ -779,7 +781,30 @@ def decide(margin, env, scale):
         return -1
     return 0
 ''',
+    '''
+def dot(x, n, k):
+    # repro: fp-bound: assume d in 2..4
+    # repro: fp-bound: in x ~ X
+    # repro: fp-bound: in n ~ N
+    m = x[0] * n[0]
+    for j in range(1, d):
+        m += x[j] * n[j]
+    for lane in range(0, 2):
+        for c in range(lane + 2, d, 2):
+            m = _acc(m, x, c)
+    # repro: fp-bound: claim m <= 4*d*X*N
+    return m
+
+def _acc(m, x, c):
+    for i in range(c):
+        m = m + x[i]
+    return m
+''',
 ]
+
+#: wall-time ceiling of one --fpcheck analysis (a small mutant takes
+#: milliseconds).
+FPCHECK_WALL_S = 20.0
 
 _FPCHECK_TOKENS = [
     "# repro: fp-bound: claim x <= 3*H", "# repro: fp-bound: in q ~ Q",
@@ -790,6 +815,20 @@ _FPCHECK_TOKENS = [
     "# repro: fp-bound: wibble q r", "# repro: fp-bound: out y ~ Y err 6*",
     "env = env * 0.5", "margins = margins - offs", "x = a @ b",
     "# repro: noqa: RPRFP002", "return margin > 0.0",
+    # range(...) loops: negative and zero steps, a bound past the
+    # unroll cap, bounds the pin does not decide, nesting, helpers.
+    "for j in range(d - 1, 0, -1): m += x[j] * n[j]",
+    "for j in range(d, -d, -2): m = m - x[j]",
+    "for j in range(0, 10**9): m += x[j] * n[j]",
+    "for j in range(10**9, 0, -1): m += x[j]",
+    "for j in range(1, d, 0): m += x[j]",
+    "for j in range(k): m += x[j] * n[j]",
+    "for j in range(1, len(x)): m = m + x[j]",
+    "for j in range(d + k): m = m * n[j]",
+    "for j in range(64): m = _acc(m, x, j)",
+    "for lane in range(d):",
+    "m = _acc(m, x, d)", "m = _dot_again(x, n, k)",
+    "while m > 0: m = m - x[0]",
 ]
 
 
@@ -811,7 +850,12 @@ def one_fpcheck_case(rng: np.random.Generator, verbose: bool) -> str | None:
     if verbose:
         print(f"  {label}")
     try:
+        t0 = time.perf_counter()
         result = analyze_fpcheck([], sources={"fuzz_mutant.py": src})
+        took = time.perf_counter() - t0
+        # Unrolling is capped per loop and per walk; a mutant that
+        # still takes this long has found a way around the caps.
+        assert took < FPCHECK_WALL_S, f"analysis took {took:.1f} s"
         for f in result.findings + result.suppressed:
             assert f.format()
             assert Finding.from_dict(f.as_dict()) == f
