@@ -345,8 +345,8 @@ class TestInterprocedural:
 
 # A dot product accumulated in a loop over the pinned dimension: at d=3
 # the three products and two adds derive 4*X*N, exactly what the same
-# statements written out derive.  One walk of the body (the old loop
-# rule) derived 2*X*N, so the under-claimed twin passed.
+# statements written out derive.  One walk of the body would derive
+# 2*X*N and let the under-claimed twin pass.
 LOOP_DOT = '''
 def dot(x, n):
     # repro: fp-bound: assume d in 3..3
