@@ -539,7 +539,9 @@ class _Interp:
 
         for kw in node.keywords:
             if kw.arg == "out":
-                self._assign_key(ast.unparse(kw.value), result)
+                # As an assignment: an ``out=a[i]`` result joins into
+                # ``a``, where a later read of ``a[i]`` looks.
+                self._assign(kw.value, result, None)
         return result
 
     def _dispatch_call(self, node, bare, args, receiver) -> object:
@@ -951,9 +953,6 @@ class _Interp:
         return out
 
     # -- assignment + envelope discipline --------------------------------
-
-    def _assign_key(self, key: str, value: object) -> None:
-        self.env[key] = value
 
     def _assign(self, target: ast.AST, value: object,
                 rhs: ast.AST | None) -> None:

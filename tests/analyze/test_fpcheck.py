@@ -455,6 +455,33 @@ class TestLoops:
         assert _rules(_run(src)) == []
 
 
+# A ufunc writing into a row of a scratch array: the row is part of the
+# array, so a later read of it must see what was written, not the
+# zeros the array was made with.
+OUT_INTO_ROW = '''
+import numpy as np
+
+def scaled(x, n):
+    # repro: fp-bound: in x ~ X
+    # repro: fp-bound: in n ~ N
+    p = np.zeros((2, 5))
+    np.abs(x, out=p[0])
+    m = p[0] * n
+    # repro: fp-bound: claim m <= 0.001*X*N
+    return m
+'''
+
+
+class TestOutKeyword:
+    def test_out_into_a_row_reaches_the_array(self):
+        bad = _run(OUT_INTO_ROW)
+        assert _rules(bad) == ["RPRFP001"]
+        assert [c.ok for c in bad.claims] == [False]
+        good = _run(OUT_INTO_ROW.replace("0.001*X*N", "0.5*X*N"))
+        assert _rules(good) == []
+        assert [c.ok for c in good.claims] == [True]
+
+
 class TestInlinedHelpers:
     def test_helper_arithmetic_is_derived(self):
         bad = _run(HELPER_DOT)
