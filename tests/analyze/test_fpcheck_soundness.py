@@ -29,8 +29,8 @@ import pytest
 
 from repro.analyze import analyze_fpcheck
 from repro.analyze.fperror import EPS, poly_atoms, poly_eval
-from repro.geometry.degenerate import corpus_case, corpus_names
 from repro.geometry import kernels
+from repro.geometry.degenerate import corpus_case, corpus_names
 from repro.geometry.kernels import batch_planes, orient_batch
 from repro.geometry.linalg import det_exact, det_with_error_bound
 from repro.hull import certify

@@ -834,10 +834,12 @@ _FPCHECK_TOKENS = [
 
 def one_fpcheck_case(rng: np.random.Generator, verbose: bool) -> str | None:
     """Fuzz the fp-filter analyzer: random mutations of annotated
-    kernel sketches -- including mangled ``fp-bound:`` clause tokens --
-    must never crash the error-domain walk, and the output must stay
-    well-formed (findings format and JSON round-trip; grammar damage
-    surfaces as RPRFP999 pseudo-findings, not exceptions)."""
+    kernel sketches -- including mangled ``fp-bound:`` clause tokens
+    and ``range(...)`` loops with negative steps, huge or undecided
+    bounds -- must never crash or hang the error-domain walk, and the
+    output must stay well-formed (findings format and JSON round-trip;
+    grammar damage surfaces as RPRFP999 pseudo-findings, not
+    exceptions)."""
     from repro.analyze import Finding
     from repro.analyze.fpcheck import analyze_fpcheck, render_fp_text
 
