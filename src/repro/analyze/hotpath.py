@@ -36,8 +36,8 @@ NumPy shape abstraction (:mod:`repro.analyze.shapes`):
     einsum/matmul/broadcast operands that *definitely* cannot agree
     under the inferred symbolic dims.
 ``RPRHOT006`` unaccounted batched sweep
-    A ``visible_flat``/``orient_batch`` call in a function with no
-    work-span accounting marker, which would silently falsify E2/E13.
+    A ``visible_flat`` call in a function with no work-span
+    accounting marker, which would silently falsify E2/E13.
 
 The scalar exact-arithmetic ladder (``geometry/predicates.py``,
 ``perturb.py``, ``linalg.py``, ``hyperplane.py``) is per-element *by
@@ -162,7 +162,7 @@ ALLOC_NP = frozenset({
 LIST_GROW = frozenset({"append", "extend", "insert"})
 
 #: batched sweep entry points that must be work-span accounted
-BATCH_SWEEPS = frozenset({"visible_flat", "orient_batch"})
+BATCH_SWEEPS = frozenset({"visible_flat"})
 
 #: presence of any of these names/attrs in a function counts as
 #: accounting for its sweeps

@@ -21,8 +21,8 @@ This module implements the abstract domain and the transfer functions:
 
 Kernel boundaries are annotated with structured comments::
 
-    def orient_batch(simplices, queries):
-        # repro: shape: simplices=(F,d,d):float64, queries=(Q,d):float64 -> (F,Q):int64
+    def merge_candidates(a, b, above):
+        # repro: shape: a=(A,):int64, b=(B,):int64 -> (*,):int64
 
 parsed by :func:`parse_annotations`.  Names that are parameters seed
 the static environment; *any* annotated name (including intermediates

@@ -3,12 +3,7 @@ facet/ridge value types, and seeded workload generators."""
 
 from .degenerate import CORPUS, DegenerateFamily, corpus_case, corpus_names
 from .hyperplane import Hyperplane
-from .kernels import (
-    KERNEL_STATS,
-    KernelStats,
-    filter_scale,
-    orient_batch,
-)
+from .kernels import KernelStats, filter_scale
 from .linalg import det_exact, det_with_error_bound, sign_exact
 from .noisy import ADAPTIVE, NoisyKernel, parse_votes
 from .points import (
@@ -43,10 +38,8 @@ __all__ = [
     "corpus_case",
     "corpus_names",
     "Hyperplane",
-    "KERNEL_STATS",
     "KernelStats",
     "filter_scale",
-    "orient_batch",
     "MergedFacet",
     "merge_coplanar_facets",
     "orient_sos",

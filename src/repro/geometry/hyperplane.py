@@ -137,8 +137,9 @@ class Hyperplane:
         side is resolved on the symbolically perturbed points and the
         plane carries SoS tie-breaking for every later zero sign.
         """
-        # Scalar twin of kernels.batch_planes + orient_batch, same
-        # committed envelope 16 d (d^2 H + NRM + 1)(B + Q) (atoms:
+        # Scalar twin of kernels.batch_planes + the SoA engine's
+        # interior orientation (soa._facets_flat), same committed
+        # envelope 16 d (d^2 H + NRM + 1)(B + Q) (atoms:
         # S = max |defining point|, B = 1 + max |points[0]|, Q = max
         # |reference|, H = Hadamard product of edge norms, NRM = max
         # |normal| with the 6*H cofactor forward error).  Checked by

@@ -5,10 +5,9 @@ tests* -- "is point q strictly outside the hyperplane of facet t?" --
 the unit Theorem 5.4 counts.  The scalar object drivers evaluate them
 one :meth:`~repro.geometry.hyperplane.Hyperplane.visible_mask` call per
 facet (the oracle); this module evaluates whole (facet x candidate)
-blocks in one sweep over precomputed cofactor normals: the flat sweep
-runs in column form (per coordinate, one 1-D gather of the points and
-one multiply-add per entry, summed in the order the row-form ``einsum``
-sums), the standalone block kernel in one ``einsum``.
+blocks in one sweep over precomputed cofactor normals, in column form
+(per coordinate, one 1-D gather of the points and one multiply-add per
+entry, summed in the order the row-form ``einsum`` sums).
 
 The fast path is *filtered*, exactly like the scalar predicates: each
 batched margin comes with the same conservative forward error envelope
@@ -24,7 +23,7 @@ for entry as the scalar predicates do -- the differential suite under
 ``tests/differential/`` pins this down input class by input class,
 including the adversarial degenerate corpus.
 
-Four entry points:
+Three entry points:
 
 * :func:`batch_planes` -- cofactor normals, offsets and error-envelope
   coefficients for a stack of ``(F, d, d)`` simplices, bit-compatible
@@ -34,35 +33,30 @@ Four entry points:
   (:mod:`repro.hull.soa`) runs, and its only visibility path;
 * :func:`gather_segments` -- the prefix-sum gather that flattens the
   engine's ragged conflict segments into that stream, each entry tagged
-  with its segment's key;
-* :func:`orient_batch` -- a standalone (F, d, d) x (Q, d) -> (F, Q)
-  sign kernel, the differential-testing surface against scalar
-  :func:`~repro.geometry.predicates.orient`.
+  with its segment's key.
 
-Counters land in :data:`KERNEL_STATS` (module-global, mirroring
-``predicates.STATS``) and, for the SoA engine, in its own
-:class:`KernelStats` surfaced through ``exec_stats.kernel_stats``, so
-experiment logs can report sweep counts and filter-fallback rates.
+A sweep counts into the :class:`KernelStats` its caller passes: the SoA
+engine owns one per run and surfaces it through
+``exec_stats.kernel_stats``, so experiment logs can report sweep counts
+and filter-fallback rates.
 """
 
 from __future__ import annotations
 
 import contextlib
+from dataclasses import dataclass
 from typing import Iterator
 
 import numpy as np
 
 from ..analyze.shapes import observe
-from ..runtime.atomics import ShardedCounter
 from .hyperplane import side_exact_batch
-from .predicates import STATS, orient_exact_batch
+from .predicates import STATS
 
 __all__ = [
     "KernelStats",
-    "KERNEL_STATS",
     "filter_scale",
     "batch_planes",
-    "orient_batch",
     "gather_segments",
     "visible_flat",
 ]
@@ -104,59 +98,28 @@ def filter_scale(scale: float) -> Iterator[None]:
         _FILTER_SCALE = prev
 
 
+@dataclass
 class KernelStats:
-    """Counters for the batched kernels (sharded: hull runs bump them
-    from ThreadExecutor / chaos workers).
+    """Counters of one run's flat sweeps.
 
-    ``batched_signs`` counts every sign decided by a batched sweep
-    (float-certain *or* escalated); ``fallbacks`` the subset that fell
-    through the float filter to the exact ladder.  Reads are exact at
-    quiescent points, as with ``predicates.STATS``.
+    ``batched_sweeps`` counts the sweeps, ``batched_signs`` every sign
+    they decided (float-certain *or* escalated), and ``fallbacks`` the
+    subset that fell through the float filter to the exact stage.  A
+    record belongs to one run: the SoA engine owns one, and a sweep
+    counts into the record its caller passes.
     """
 
-    __slots__ = ("_sweeps", "_signs", "_fallbacks")
-
-    def __init__(self) -> None:
-        self._sweeps = ShardedCounter()
-        self._signs = ShardedCounter()
-        self._fallbacks = ShardedCounter()
+    batched_sweeps: int = 0
+    batched_signs: int = 0
+    fallbacks: int = 0
 
     def count_sweep(self, signs: int, fallbacks: int) -> None:
-        self._sweeps.add(1)
-        if signs:
-            self._signs.add(signs)
-        if fallbacks:
-            self._fallbacks.add(fallbacks)
-
-    @property
-    def batched_sweeps(self) -> int:
-        return self._sweeps.value
-
-    @property
-    def batched_signs(self) -> int:
-        return self._signs.value
-
-    @property
-    def fallbacks(self) -> int:
-        return self._fallbacks.value
-
-    def fallback_rate(self) -> float:
-        return self.fallbacks / max(1, self.batched_signs)
-
-    def reset(self) -> None:
-        for c in (self._sweeps, self._signs, self._fallbacks):
-            c.reset()
+        self.batched_sweeps += 1
+        self.batched_signs += signs
+        self.fallbacks += fallbacks
 
     def snapshot(self) -> dict[str, int]:
-        return {
-            "batched_sweeps": self.batched_sweeps,
-            "batched_signs": self.batched_signs,
-            "fallbacks": self.fallbacks,
-        }
-
-
-#: Module-level statistics, mirroring ``predicates.STATS``.
-KERNEL_STATS = KernelStats()
+        return dict(self.__dict__)
 
 
 def batch_planes(
@@ -242,59 +205,6 @@ def batch_planes(
             simplices=simplices, normals=normals, offsets=offsets,
             err_scale=err_scale, err_base=err_base)
     return normals, offsets, err_scale, err_base
-
-
-def orient_batch(simplices: np.ndarray, queries: np.ndarray) -> np.ndarray:
-    """Orientation signs of every query against every simplex plane:
-    an ``(F, Q)`` int matrix with ``out[f, q] ==
-    orient(simplices[f], queries[q])`` for all entries.
-
-    One einsum sweep computes all ``F x Q`` float margins; entries whose
-    margin falls inside the (per-plane, per-query) error envelope are
-    re-decided by the exact integer path, in one
-    :func:`~repro.geometry.predicates.orient_exact_batch` call -- entry
-    for entry the :func:`~repro.geometry.predicates.orient_exact` the
-    scalar predicate escalates to, so agreement with the scalar oracle
-    is structural, not statistical.
-    """
-    # repro: shape: simplices=(F,d,d):float64, queries=(Q,d):float64
-    # repro: shape: margins=(F,Q):float64, signs=(F,Q):int8 -> (F,Q):int64
-    #
-    # The committed envelope below (err_scale * (err_base + q_inf) at
-    # _FILTER_SCALE == 1) must dominate the first-order rounding error
-    # of the margins sweep; `repro fpcheck` re-derives that bound from
-    # the arithmetic (Q here is the query magnitude atom |q|_inf):
-    # repro: fp-bound: assume d in 2..3
-    # repro: fp-bound: fact OFF <= d*NRM*B
-    # repro: fp-bound: guard env
-    # repro: fp-bound: envelope env q_inf
-    simplices = np.asarray(simplices, dtype=np.float64)
-    queries = np.atleast_2d(np.asarray(queries, dtype=np.float64))
-    # repro: fp-bound: in queries ~ Q
-    normals, offsets, err_scale, err_base = batch_planes(simplices)
-    # margins[f, q] = normal_f . q - offset_f  (one sweep for the block)
-    margins = np.einsum("fd,qd->fq", normals, queries) - offsets[:, None]
-    # repro: fp-bound: claim margins <= 16*d*(d*d*H + NRM + 1)*(B + Q)
-    q_inf = np.abs(queries).max(axis=1, initial=0.0)                 # (Q,)
-    env = _FILTER_SCALE * err_scale[:, None] * (err_base[:, None] + q_inf[None, :])
-    signs = np.zeros(margins.shape, dtype=np.int8)
-    signs[margins > env] = 1
-    signs[margins < -env] = -1
-    uncertain = np.abs(margins) <= env
-    n_signs = int(margins.size)
-    n_fall = int(uncertain.sum())
-    STATS.count_float(n_signs)
-    if n_fall:
-        # Only the envelope-ambiguous entries (a vanishing fraction)
-        # take the exact stage, all in one batch.
-        fs, qs = np.nonzero(uncertain)
-        signs[fs, qs] = orient_exact_batch(np.take(simplices, fs, axis=0),
-                                           np.take(queries, qs, axis=0))
-    KERNEL_STATS.count_sweep(n_signs, n_fall)
-    observe("repro.geometry.kernels.orient_batch",
-            simplices=simplices, queries=queries, margins=margins,
-            signs=signs)
-    return signs.astype(np.int64)
 
 
 def gather_segments(
@@ -514,12 +424,11 @@ def visible_flat(
         n_fall = int(fall.shape[0])
         if n_fall:
             # Envelope-ambiguous (or forced-exact) entries only, in one
-            # exact stage, as in orient_batch.
+            # exact stage.
             pts = pts_cols.T
             mask[fall] = side_exact_batch(
                 np.take(pts, indices, axis=0), indices, vis_sign, sos,
                 plane_of[uncertain], pts, np.take(ranks, fall)) > 0
-    KERNEL_STATS.count_sweep(n_signs, n_fall)
     if stats is not None:
         stats.count_sweep(n_signs, n_fall)
     observe("repro.geometry.kernels.visible_flat",

@@ -18,7 +18,9 @@ Memory layout (the parlaylib-style conflict-list representation):
   coefficients ``err_scale`` / ``err_base`` (exactly what
   :func:`~repro.geometry.kernels.batch_planes` computes and
   :meth:`~repro.geometry.hyperplane.Hyperplane.through` would), the
-  conflict pivot ``pivot (F,)`` (``min C(t)``; ``INT64_MAX`` when
+  visible orientation sign ``vis_sign (F,)`` (a float-certain row's
+  interior flip, an always-exact row's ladder sign), the conflict
+  pivot ``pivot (F,)`` (``min C(t)``; ``INT64_MAX`` when
   empty), the conflict-list segment ``conf_start``/``conf_len``, the
   ``alive`` flag, and provenance columns (``support`` pair,
   ``pivot_point``, ``round_created``) for the dependence DAG.
@@ -157,8 +159,8 @@ class _FacetStore:
 
     __slots__ = (
         "d", "size", "indices", "normals", "offsets", "err_scale",
-        "err_base", "exact", "alive", "pivot", "conf_start", "conf_len",
-        "support", "pivot_point", "round_created",
+        "err_base", "vis_sign", "exact", "alive", "pivot", "conf_start",
+        "conf_len", "support", "pivot_point", "round_created",
     )
 
     def __init__(self, d: int, capacity: int = 64):
@@ -169,6 +171,7 @@ class _FacetStore:
         self.offsets = np.zeros(capacity, dtype=np.float64)
         self.err_scale = np.zeros(capacity, dtype=np.float64)
         self.err_base = np.zeros(capacity, dtype=np.float64)
+        self.vis_sign = np.zeros(capacity, dtype=np.int8)
         self.exact = np.zeros(capacity, dtype=bool)
         self.alive = np.zeros(capacity, dtype=bool)
         self.pivot = np.zeros(capacity, dtype=np.int64)
@@ -179,9 +182,9 @@ class _FacetStore:
         self.round_created = np.zeros(capacity, dtype=np.int64)
 
     _COLUMNS = (
-        "indices", "normals", "offsets", "err_scale", "err_base", "exact",
-        "alive", "pivot", "conf_start", "conf_len", "support",
-        "pivot_point", "round_created",
+        "indices", "normals", "offsets", "err_scale", "err_base",
+        "vis_sign", "exact", "alive", "pivot", "conf_start", "conf_len",
+        "support", "pivot_point", "round_created",
     )
 
     def _ensure(self, extra: int) -> None:
@@ -199,6 +202,7 @@ class _FacetStore:
         offsets: np.ndarray,
         err_scale: np.ndarray,
         err_base: np.ndarray,
+        vis_sign: np.ndarray,
         exact: np.ndarray,
         pivot: np.ndarray,
         conf_start: np.ndarray,
@@ -217,6 +221,7 @@ class _FacetStore:
         self.offsets[fid0:end] = offsets
         self.err_scale[fid0:end] = err_scale
         self.err_base[fid0:end] = err_base
+        self.vis_sign[fid0:end] = vis_sign
         self.exact[fid0:end] = exact
         self.alive[fid0:end] = True
         self.pivot[fid0:end] = pivot
@@ -285,18 +290,17 @@ def _column_plane(
     err_scale,
     err_base,
     sos: bool,
-    vis_sign: int | None,
+    vis_sign: int,
 ) -> Hyperplane:
     """The plane of a float-certain row, from its columns.
 
     The stored columns ARE the plane :meth:`Hyperplane.through` would
     build (``batch_planes`` is pinned bit-compatible, and the interior
     flip was applied when the row was created), so this rebuilds it
-    without re-running the cofactor expansion and the interior test.
-    ``vis_sign`` is the plane's visible orientation sign, or ``None``
-    where the caller does not know it (the plane's lazy exact call
-    decides it then).  Always-exact rows never come here: their
-    scalar-ladder planes are kept."""
+    without re-running the cofactor expansion and the interior test,
+    and ``vis_sign`` is the row's visible orientation sign, so the
+    plane makes no exact call for it.  Always-exact rows never come
+    here: their scalar-ladder planes are kept."""
     return Hyperplane(
         normal=normal.copy(),
         offset=float(offset),
@@ -313,13 +317,12 @@ def _column_plane(
 
 class _FacetSource(NamedTuple):
     """What a :class:`~repro.geometry.simplex.Facet` is materialized
-    from: per-row defining ranks, float plane, error envelope, alive
-    flag and conflict window, the pool the windows index, the
-    scalar-ladder planes of always-exact rows, the SoS flag the float
-    planes take, and per-row visible signs of the float-certain rows
-    (no array at all where they are unknown).  The engine lends live
-    views of its store (:meth:`SoAHullEngine._source`); a finished run
-    builds one from its own copies (:attr:`SoAHullRun.facets`)."""
+    from: per-row defining ranks, float plane, error envelope, visible
+    sign, alive flag and conflict window, the pool the windows index,
+    the scalar-ladder planes of always-exact rows, and the SoS flag the
+    float planes take.  The engine lends live views of its store
+    (:meth:`SoAHullEngine._source`); a finished run builds one from its
+    own copies (:attr:`SoAHullRun.facets`)."""
 
     pts: np.ndarray
     interior: np.ndarray
@@ -328,13 +331,13 @@ class _FacetSource(NamedTuple):
     offsets: np.ndarray
     err_scale: np.ndarray
     err_base: np.ndarray
+    vis_signs: np.ndarray
     alive: np.ndarray
     conf_start: np.ndarray
     conf_len: np.ndarray
     pool: np.ndarray
     exact_planes: dict
     sos: bool
-    vis_signs: np.ndarray | None = None
 
     def facet(self, fid: int) -> Facet:
         """The one materialization routine: row ``fid`` as a ``Facet``
@@ -343,11 +346,10 @@ class _FacetSource(NamedTuple):
         idx = tuple(map(int, self.indices[fid]))
         plane = self.exact_planes.get(fid)
         if plane is None:
-            vis = None if self.vis_signs is None else int(self.vis_signs[fid])
             plane = _column_plane(
                 self.pts, self.interior, idx, self.normals[fid],
                 self.offsets[fid], self.err_scale[fid], self.err_base[fid],
-                self.sos, vis,
+                self.sos, int(self.vis_signs[fid]),
             )
         s = int(self.conf_start[fid])
         ln = int(self.conf_len[fid])
@@ -365,7 +367,8 @@ class SoAHullRun:
     Every facet ever created is one row of the ``created_*`` columns:
     ``created_indices``/``created_normals`` give its geometric key,
     ``created_offsets``/``created_err_scale``/``created_err_base`` the
-    rest of its float plane and error envelope, ``support``/
+    rest of its float plane and error envelope, ``created_vis_sign``
+    its visible orientation sign, ``support``/
     ``pivot_points``/``rounds_created`` the dependence DAG, and
     ``conflict_lens`` its window of ``conflict_pool``.  All are copies,
     as are ``counters`` and ``tracker``, so stepping or restoring the
@@ -381,8 +384,8 @@ class SoAHullRun:
     pay for them.  Their planes carry their visible signs, so reading
     ``plane.vis_sign`` (as :func:`~repro.hull.certify.make_certificate`
     does) makes no exact call: an always-exact row's ladder plane has
-    it, and a float-certain row's comes from its columns
-    (:meth:`_vis_signs`).
+    it, and a float-certain row's is its ``created_vis_sign``, the sign
+    the engine decided when it oriented the row.
     """
 
     points: np.ndarray
@@ -397,6 +400,7 @@ class SoAHullRun:
     created_offsets: np.ndarray     # (F,) float plane offsets
     created_err_scale: np.ndarray   # (F,) error-envelope scale
     created_err_base: np.ndarray    # (F,) error-envelope base
+    created_vis_sign: np.ndarray    # (F,) int8 visible orientation signs
     created_alive: np.ndarray       # (F,) alive flags
     support: np.ndarray             # (F, 2) support fids, -1 for base facets
     pivot_points: np.ndarray        # (F,) creating pivot, -1 for base facets
@@ -409,42 +413,23 @@ class SoAHullRun:
     @cached_property
     def facets(self) -> list[Facet]:
         """The alive facets, built once on first access.  Every plane
-        carries its visible sign (:meth:`_vis_signs` for float-certain
-        rows), so certificate emission makes no exact call."""
+        carries its visible sign, so certificate emission makes no
+        exact call."""
         alive = np.nonzero(self.created_alive)[0]
-        src = self._facet_source(self.exact_planes, self._vis_signs(alive))
+        src = self._facet_source(self.exact_planes)
         return list(map(src.facet, alive.tolist()))
 
-    def _vis_signs(self, fids: np.ndarray) -> np.ndarray:
-        """Per-row visible signs of the float-certain rows among
-        ``fids`` (0 elsewhere), with no exact call.  ``_facets_flat``
-        decided each such sign when it oriented the row: it stored the
-        row's ``batch_planes`` cofactor normal, negated when the
-        interior's float margin cleared the envelope on the positive
-        side.  That normal keeps ``normal . (q - p0) = det`` for every
-        d, so the sign is +1 where the stored normal is the cofactor
-        normal and -1 where it is its negation -- which one ``batch_planes``
-        call on the same rows tells, bit for bit."""
-        signs = np.zeros(self.created_alive.shape[0], dtype=np.int8)
-        rows = fids[~np.isin(fids, list(self.exact_planes))]
-        if rows.size:
-            cof = batch_planes(self.points.take(self.created_indices[rows], axis=0))[0]
-            same = (self.created_normals[rows] == cof).all(axis=1)
-            signs[rows] = np.where(same, 1, -1)
-        return signs
-
-    def _facet_source(self, exact_planes: dict,
-                      vis_signs: np.ndarray | None = None) -> _FacetSource:
+    def _facet_source(self, exact_planes: dict) -> _FacetSource:
         """These columns as a facet source, with ``exact_planes`` for
-        the always-exact rows it will be asked for (and ``vis_signs``,
-        per row, where known)."""
+        the always-exact rows it will be asked for."""
         lens = self.conflict_lens
         return _FacetSource(
             self.points, self.interior, self.created_indices,
             self.created_normals, self.created_offsets,
             self.created_err_scale, self.created_err_base,
-            self.created_alive, np.cumsum(lens) - lens, lens,
-            self.conflict_pool, exact_planes, self.sos, vis_signs,
+            self.created_vis_sign, self.created_alive,
+            np.cumsum(lens) - lens, lens, self.conflict_pool, exact_planes,
+            self.sos,
         )
 
     @property
@@ -603,8 +588,8 @@ class SoAHullEngine:
         s = self.store
         return _FacetSource(
             self.pts, self.interior, s.indices, s.normals, s.offsets,
-            s.err_scale, s.err_base, s.alive, s.conf_start, s.conf_len,
-            self.pool.buf, self._exact_planes, sos_active(),
+            s.err_scale, s.err_base, s.vis_sign, s.alive, s.conf_start,
+            s.conf_len, self.pool.buf, self._exact_planes, sos_active(),
         )
 
     def _facet_of(self, fid: int) -> Facet:
@@ -625,7 +610,7 @@ class SoAHullEngine:
         Returns the first new fid."""
         k = int(new_idx.shape[0])
         vis, cols = self._facets_flat(new_idx, vals, blocks)
-        normals, offsets, e_scale, e_base, exact_rows = cols
+        normals, offsets, e_scale, e_base, vis_sign, exact_rows = cols
 
         # Survivors per row: one segmented sum of the mask over the
         # starts of the non-empty blocks (reduceat needs strictly
@@ -649,9 +634,10 @@ class SoAHullEngine:
 
         fid0 = self.store.append_block(
             indices=new_idx, normals=normals, offsets=offsets,
-            err_scale=e_scale, err_base=e_base, exact=exact_rows,
-            pivot=pivots, conf_start=pool_start + starts_local,
-            conf_len=lens, support=support, pivot_point=pivot_point,
+            err_scale=e_scale, err_base=e_base, vis_sign=vis_sign,
+            exact=exact_rows, pivot=pivots,
+            conf_start=pool_start + starts_local, conf_len=lens,
+            support=support, pivot_point=pivot_point,
             round_created=self.round,
         )
         return fid0
@@ -659,7 +645,8 @@ class SoAHullEngine:
     def _facets_flat(self, new_idx, vals, blocks):
         """Batch planes + one flat sweep (+ the lying oracle's
         flips on a noisy run).  Returns the visibility mask over
-        ``vals`` and the new rows' plane columns."""
+        ``vals`` and the new rows' plane columns, visible signs
+        included."""
         # The filter boundary of the flat path: the orientation margin
         # below must clear the same committed envelope as
         # Hyperplane.through, with the plane bounds flowing out of the
@@ -721,7 +708,7 @@ class SoAHullEngine:
         # fid, for materialization.
         fid0 = self.store.size
         self._exact_planes.update(zip((fid0 + ks).tolist(), planes))
-        return vis, (normals, offsets, e_scale, e_base, exact_rows)
+        return vis, (normals, offsets, e_scale, e_base, vis_sign, exact_rows)
 
     # -- ridge pairing (the multimap M, per round) -------------------------
 
@@ -982,7 +969,8 @@ class SoAHullEngine:
 
     def snapshot(self) -> dict:
         """Byte-exact state capture: arrays are copied, counters and
-        stats snapshotted, the tracker mark recorded."""
+        stats (the kernel's included) snapshotted, the tracker mark
+        recorded."""
         return {
             "store": self.store.snapshot(),
             "pool": (self.pool.view().copy(), self.pool.end),
@@ -992,6 +980,7 @@ class SoAHullEngine:
             "round": self.round,
             "counters": self.counters.as_dict(),
             "stats": copy.deepcopy(self.stats),
+            "kstats": copy.copy(self.kstats),
             "frontier_log": len(self.frontier_log),
             "exact_planes": dict(self._exact_planes),
             "tracker_mark": self.tracker.checkpoint(),
@@ -1018,6 +1007,7 @@ class SoAHullEngine:
         self.round = snap["round"]
         self.counters.restore(snap["counters"])
         self.stats = copy.deepcopy(snap["stats"])
+        self.kstats = copy.copy(snap["kstats"])
         del self.frontier_log[snap["frontier_log"]:]
         self._exact_planes = dict(snap["exact_planes"])
         self.tracker.rollback(snap["tracker_mark"])
@@ -1062,6 +1052,7 @@ class SoAHullEngine:
             created_offsets=self.store.offsets[:nf].copy(),
             created_err_scale=self.store.err_scale[:nf].copy(),
             created_err_base=self.store.err_base[:nf].copy(),
+            created_vis_sign=self.store.vis_sign[:nf].copy(),
             created_alive=alive,
             support=self.store.support[:nf].copy(),
             pivot_points=self.store.pivot_point[:nf].copy(),

@@ -512,12 +512,13 @@ class TestRealTree:
         claimed = {c.qualname for c in r.claims}
         for qual in [
             "repro.geometry.kernels.batch_planes",
-            "repro.geometry.kernels.orient_batch",
             "repro.geometry.kernels.visible_flat",
             "repro.geometry.linalg.det_with_error_bound",
             "repro.geometry.hyperplane.Hyperplane.through",
             "repro.geometry.hyperplane.Hyperplane.side",
             "repro.hull.soa.SoAHullEngine._facets_flat",
+            "repro.hull.certify._filter_block",
+            "repro.hull.validate._stacked_float_test",
         ]:
             assert qual in claimed, qual
         assert all(c.ok for c in r.claims)

@@ -31,9 +31,10 @@ from repro.analyze import analyze_fpcheck
 from repro.analyze.fperror import EPS, poly_atoms, poly_eval
 from repro.geometry import kernels
 from repro.geometry.degenerate import corpus_case, corpus_names
-from repro.geometry.kernels import batch_planes, orient_batch
+from repro.geometry.kernels import batch_planes
 from repro.geometry.linalg import det_exact, det_with_error_bound
 from repro.hull import certify
+from tests.sweep_orient import sweep_orient
 
 REPO = Path(__file__).resolve().parents[2]
 
@@ -161,31 +162,11 @@ class TestBatchPlanes:
 
 class TestMarginSweeps:
     @pytest.mark.parametrize("label,sims,qs", BLOCKS, ids=_ids())
-    def test_orient_batch_margins_three_way(self, label, sims, qs):
-        d = sims.shape[1]
-        normals, offsets, e_scale, e_base = batch_planes(sims)
-        atoms = _plane_atoms(sims, normals, offsets, e_base)
-        # The same sweep expression as the kernel, operand for operand.
-        margins = np.einsum("fd,qd->fq", normals, qs) - offsets[:, None]
-        c = _claim("kernels.orient_batch", "margins", d)
-        for fi in range(sims.shape[0]):
-            n_ex, off_ex = _exact_plane(sims[fi])
-            for qi in range(qs.shape[0]):
-                a = dict(atoms[fi])
-                a["Q"] = float(np.abs(qs[qi]).max(initial=0.0))
-                exact = sum(n * Fraction(x)
-                            for n, x in zip(n_ex, qs[qi].tolist())) - off_ex
-                obs = abs(Fraction(float(margins[fi, qi])) - exact)
-                _chain(poly_eval(c.committed, a) * EPS,
-                       poly_eval(c.derived, a) * EPS,
-                       float(obs), f"{label} margins[{fi},{qi}]")
-
-    @pytest.mark.parametrize("label,sims,qs", BLOCKS, ids=_ids())
-    def test_orient_batch_signs_match_exact(self, label, sims, qs):
+    def test_sweep_signs_match_exact(self, label, sims, qs):
         # End-to-end: the envelope the chain certifies is the one the
-        # kernel filters with, so every returned sign must equal the
-        # exact rational sign.
-        signs = orient_batch(sims, qs)
+        # sweep filters with, so every sign its two sweeps return must
+        # equal the exact rational sign.
+        signs = sweep_orient(sims, qs)
         for fi in range(sims.shape[0]):
             n_ex, off_ex = _exact_plane(sims[fi])
             for qi in range(qs.shape[0]):

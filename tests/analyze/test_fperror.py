@@ -76,7 +76,8 @@ class TestDominates:
         assert not fe.dominates(P("2*H"), P("0.5*NRM"), facts)
 
     def test_real_tree_shape(self):
-        # The orient_batch @d=3 domination, verbatim from the analyzer.
+        # SoAHullEngine._facets_flat's m_ref @d=3 domination, verbatim
+        # from the analyzer.
         committed = P("432*B*H + 48*B*NRM + 432*H*Q + 48*NRM*Q + 48*B + 48*Q")
         derived = P("18*B*H + 18*B*NRM + 18*H*Q + 6*NRM*Q + 0.5*OFF")
         facts = [(next(iter(P("OFF"))), P("3*NRM*B"))]

@@ -32,9 +32,9 @@ from repro.analyze import (
     recording,
 )
 from repro.geometry import uniform_ball, uniform_cube
-from repro.geometry.kernels import orient_batch
 from repro.hull import parallel_hull, soa_hull
 from repro.hull.point_parallel import point_parallel_hull
+from tests.sweep_orient import sweep_orient
 
 REPO = Path(__file__).resolve().parents[2]
 SRC = str(REPO / "src" / "repro")
@@ -72,9 +72,10 @@ class TestShapeSoundnessDifferential:
         rng = np.random.default_rng(7)
         simplices = rng.standard_normal((5, 3, 3))
         queries = rng.standard_normal((9, 3))
-        rec = _record(lambda: orient_batch(simplices, queries))
+        rec = _record(lambda: sweep_orient(simplices, queries))
         quals = {q for q, _ in rec.events}
-        assert "repro.geometry.kernels.orient_batch" in quals
+        assert "repro.geometry.kernels.batch_planes" in quals
+        assert "repro.geometry.kernels.visible_flat" in quals
         assert not check_recorded_events(static_result, rec)
 
     def test_soa_engine_traffic_is_admitted(self, static_result):
@@ -91,16 +92,16 @@ class TestShapeSoundnessDifferential:
     def test_recorder_covers_every_annotated_boundary(self, static_result):
         """Every shape-annotated boundary fires somewhere in the suite's
         workload (the object drivers hit the conflict-set helpers; the
-        SoA engine hits the flat-sweep kernels; the
-        standalone ``orient_batch`` kernel pulls in ``batch_planes``)
-        -- the differential is not vacuous."""
+        SoA engine hits the flat-sweep kernels, and so do the raw
+        sweeps of ``sweep_orient``) -- the differential is not
+        vacuous."""
         pts = uniform_ball(150, 3, seed=5)
         rng = np.random.default_rng(7)
 
         def workload():
             parallel_hull(pts, seed=5, engine="objects")
             soa_hull(pts, seed=5)
-            orient_batch(rng.standard_normal((5, 3, 3)),
+            sweep_orient(rng.standard_normal((5, 3, 3)),
                          rng.standard_normal((9, 3)))
 
         rec = _record(workload)

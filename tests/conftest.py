@@ -5,15 +5,13 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.geometry.kernels import KERNEL_STATS
 from repro.geometry.predicates import STATS
 
 
 @pytest.fixture(autouse=True)
 def _reset_predicate_stats():
-    """Each test sees fresh predicate and kernel counters."""
+    """Each test sees fresh predicate counters."""
     STATS.reset()
-    KERNEL_STATS.reset()
     yield
 
 

@@ -2,11 +2,11 @@
 
 Every family in :data:`repro.geometry.degenerate.CORPUS` is a designed
 trap for float predicates -- exact ties (duplicates, grids, cocircular
-points) or near-ties inside naive tolerances.  The batched kernels
-(``orient_batch``, and the flat sweep the SoA engine runs) must
-*escalate* on these, never silently disagree: their float filter may
-only certify signs outside the error envelope, so every exact tie lands
-in the fallback counter and comes back with the scalar ladder's answer.
+points) or near-ties inside naive tolerances.  The flat sweep the SoA
+engine runs must *escalate* on these, never silently disagree: its
+float filter may only certify signs outside the error envelope, so
+every exact tie lands in the fallback counter and comes back with the
+scalar ladder's answer.
 """
 
 import numpy as np
@@ -15,9 +15,10 @@ import pytest
 from repro.configspace.spaces.delaunay2d import lift_to_paraboloid
 from repro.geometry import integer_grid
 from repro.geometry.degenerate import CORPUS
-from repro.geometry.kernels import KERNEL_STATS, orient_batch
+from repro.geometry.kernels import KernelStats
 from repro.geometry.predicates import orient
 from repro.hull.robust import robust_hull
+from tests.sweep_orient import sweep_orient
 
 #: Families containing *exact* ties (signed volume exactly zero for
 #: some simplex x query pair).  The near-* families sit ~1e-13 off the
@@ -50,14 +51,15 @@ def _sampled_simplices(pts: np.ndarray, seed: int) -> np.ndarray:
 def test_predicate_agreement_on_corpus(name):
     pts = CORPUS[name](0)
     simplices = _sampled_simplices(pts, seed=hash(name) % 2**31)
-    got = orient_batch(simplices, pts)
+    stats = KernelStats()
+    got = sweep_orient(simplices, pts, stats=stats)
     for f in range(simplices.shape[0]):
         for q in range(pts.shape[0]):
             assert got[f, q] == orient(simplices[f], pts[q]), (name, f, q)
     if name in TIE_FAMILIES:
         # The queries include each simplex's own defining points, so
         # exact ties exist and every one must have taken the fallback.
-        assert KERNEL_STATS.fallbacks > 0, name
+        assert stats.fallbacks > 0, name
 
 
 @pytest.mark.parametrize("name", sorted(CORPUS))
@@ -68,12 +70,11 @@ def test_hull_agreement_on_corpus(name):
     SoA engine's flat sweep."""
     pts = CORPUS[name](1)
     objects = robust_hull(pts, seed=2, certify=False, engine="objects")
-    KERNEL_STATS.reset()
     soa = robust_hull(pts, seed=2, certify=False, engine="soa")
     assert soa.mode == objects.mode, name
     assert soa.run.facet_keys() == objects.run.facet_keys(), name
     if name in TIE_FAMILIES:
-        assert KERNEL_STATS.fallbacks > 0, name
+        assert soa.run.exec_stats.kernel_stats["fallbacks"] > 0, name
 
 
 AGREEMENT_INPUTS = {

@@ -1,10 +1,12 @@
-"""Differential tests: the batched sign kernel vs the scalar oracle.
+"""Differential tests: the flat sweep's signs vs the scalar oracle.
 
-Claim under test: :func:`~repro.geometry.kernels.orient_batch` returns
-exactly scalar :func:`~repro.geometry.predicates.orient` on every
-(simplex, query) pair, because every batched sign is either
-float-certified inside the same error envelope the scalar predicates
-use or re-decided by the very same exact ladder.  Hypothesis drives the
+Claim under test: two :func:`~repro.geometry.kernels.visible_flat`
+sweeps over the :func:`~repro.geometry.kernels.batch_planes` planes
+(one per side, :func:`tests.sweep_orient.sweep_orient`) return exactly
+scalar :func:`~repro.geometry.predicates.orient` on every (simplex,
+query) pair, because every batched sign is either float-certified
+inside the same error envelope the scalar predicates use or re-decided
+by the very same exact ladder.  Hypothesis drives the
 instances, on float data and on small-integer grids full of exact ties.
 (Hull-level agreement of the flat sweep with the scalar object drivers
 lives in ``test_soa_vs_scalar.py``.)
@@ -14,8 +16,8 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.geometry.kernels import orient_batch
 from repro.geometry.predicates import orient
+from tests.sweep_orient import sweep_orient
 
 blocks = st.tuples(
     st.integers(2, 4),          # d
@@ -27,12 +29,12 @@ blocks = st.tuples(
 
 @given(blocks)
 @settings(max_examples=25, deadline=None)
-def test_orient_batch_equals_orient_floats(params):
+def test_sweep_orient_equals_orient_floats(params):
     d, nf, nq, seed = params
     rng = np.random.default_rng(seed)
     simplices = rng.standard_normal((nf, d, d))
     queries = rng.standard_normal((nq, d))
-    got = orient_batch(simplices, queries)
+    got = sweep_orient(simplices, queries)
     want = np.array(
         [[orient(simplices[f], queries[q]) for q in range(nq)] for f in range(nf)]
     )
@@ -41,14 +43,14 @@ def test_orient_batch_equals_orient_floats(params):
 
 @given(blocks)
 @settings(max_examples=25, deadline=None)
-def test_orient_batch_equals_orient_integer_grids(params):
+def test_sweep_orient_equals_orient_integer_grids(params):
     """Small-integer coordinates force exact ties: the filter must
     escalate, never guess."""
     d, nf, nq, seed = params
     rng = np.random.default_rng(seed)
     simplices = rng.integers(-3, 4, size=(nf, d, d)).astype(float)
     queries = rng.integers(-3, 4, size=(nq, d)).astype(float)
-    got = orient_batch(simplices, queries)
+    got = sweep_orient(simplices, queries)
     want = np.array(
         [[orient(simplices[f], queries[q]) for q in range(nq)] for f in range(nf)]
     )

@@ -18,16 +18,16 @@ from repro.geometry import kernels, uniform_ball
 from repro.geometry.hyperplane import Hyperplane, exact_mode, side_exact_batch
 from repro.geometry.perturb import sos_mode
 from repro.geometry.kernels import (
-    KERNEL_STATS,
     KernelStats,
     batch_planes,
     filter_scale,
-    orient_batch,
     visible_flat,
 )
 from repro.geometry.predicates import orient
 from repro.hull.common import Counters, FacetFactory
+from repro.hull.soa import SoAHullEngine
 from repro.runtime.workspan import WorkSpanTracker
+from tests.sweep_orient import sweep_orient
 
 
 def _random_block(d, n_simplices, n_queries, seed):
@@ -38,25 +38,26 @@ def _random_block(d, n_simplices, n_queries, seed):
 
 
 @pytest.mark.parametrize("d", [2, 3, 4])
-def test_orient_batch_matches_scalar(d):
+def test_sweep_orient_matches_scalar(d):
     simplices, queries = _random_block(d, 12, 30, seed=100 + d)
-    got = orient_batch(simplices, queries)
+    got = sweep_orient(simplices, queries)
     for f in range(simplices.shape[0]):
         for q in range(queries.shape[0]):
             assert got[f, q] == orient(simplices[f], queries[q]), (d, f, q)
 
 
 @pytest.mark.parametrize("d", [2, 3])
-def test_orient_batch_exact_ties(d):
+def test_sweep_orient_exact_ties(d):
     """Queries lying exactly on the plane must come back 0 (decided by
     the exact fallback, not float luck)."""
     simplices, _ = _random_block(d, 6, 1, seed=7 + d)
     # Each simplex's own vertices lie on its plane.
     queries = simplices[:, 0, :].copy()
-    got = orient_batch(simplices, queries)
+    stats = KernelStats()
+    got = sweep_orient(simplices, queries, stats=stats)
     for f in range(simplices.shape[0]):
         assert got[f, f] == 0
-    assert KERNEL_STATS.fallbacks > 0
+    assert stats.fallbacks > 0
 
 
 def test_batch_planes_rejects_bad_shape():
@@ -78,40 +79,47 @@ def test_filter_scale_rejects_below_one():
 def test_filter_scale_widens_fallbacks_not_signs():
     d = 3
     simplices, queries = _random_block(d, 10, 40, seed=42)
-    base = orient_batch(simplices, queries)
-    base_falls = KERNEL_STATS.fallbacks
+    base_stats, wide_stats = KernelStats(), KernelStats()
+    base = sweep_orient(simplices, queries, stats=base_stats)
     with filter_scale(1e12):
-        wide = orient_batch(simplices, queries)
+        wide = sweep_orient(simplices, queries, stats=wide_stats)
     assert np.array_equal(base, wide)
-    assert KERNEL_STATS.fallbacks - base_falls > base_falls
+    assert wide_stats.fallbacks > base_stats.fallbacks
 
 
 def test_filter_scale_restored_after_block():
     simplices, queries = _random_block(2, 4, 8, seed=1)
     with filter_scale(1e12):
         pass
-    before = KERNEL_STATS.fallbacks
-    orient_batch(simplices, queries)
+    stats = KernelStats()
+    sweep_orient(simplices, queries, stats=stats)
     # Generic position + unit scale: no fallbacks expected.
-    assert KERNEL_STATS.fallbacks == before
+    assert stats.fallbacks == 0
 
 
 def test_kernel_stats_counts_and_reset():
+    """A record counts sweeps, signs and fallbacks; the record an SoA
+    engine owns is reset with the rest of its state when it restores
+    a snapshot, so a rolled-back round's sweeps leave no count."""
     st = KernelStats()
     st.count_sweep(signs=10, fallbacks=3)
     st.count_sweep(signs=5, fallbacks=0)
     assert st.batched_sweeps == 2
     assert st.batched_signs == 15
     assert st.fallbacks == 3
-    assert st.fallback_rate() == 3 / 15
-    snap = st.snapshot()
-    assert snap == {
+    assert st.snapshot() == {
         "batched_sweeps": 2,
         "batched_signs": 15,
         "fallbacks": 3,
     }
-    st.reset()
-    assert st.snapshot() == {k: 0 for k in snap}
+    eng = SoAHullEngine(uniform_ball(200, 3, seed=2), seed=1)
+    snap = eng.snapshot()
+    at_snap = eng.kstats.snapshot()
+    while eng.step_round():
+        pass
+    assert eng.kstats.batched_sweeps > at_snap["batched_sweeps"]
+    eng.restore(snap)
+    assert eng.kstats.snapshot() == at_snap
 
 
 def _factory(pts, kernel=None):
@@ -178,11 +186,12 @@ def test_make_batch_matches_scalar_factory(d):
         (tuple(range(k, k + d)), cands.copy())
         for k in range(0, 20, 2)
     ])
-    cand_list, masks = _flat_masks(pts, facets)
+    stats = KernelStats()
+    cand_list, masks = _flat_masks(pts, facets, stats=stats)
     for f, c, m in zip(facets, cand_list, masks):
         assert np.array_equal(f.conflicts, c[m])
     assert fs.counters.visibility_tests == sum(c.size for c in cand_list)
-    assert KERNEL_STATS.batched_signs == fs.counters.visibility_tests
+    assert stats.batched_signs == fs.counters.visibility_tests
 
 
 def test_visible_flat_blocks_contract():

@@ -124,6 +124,7 @@ def _fingerprint(eng):
         run.tracker.work,
         run.tracker.span,
         len(eng.frontier_log),
+        run.exec_stats.kernel_stats,
     )
 
 

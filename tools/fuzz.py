@@ -38,11 +38,12 @@ order must produce the identical facet set over original indices.
 filter-threshold) triples: ``soa_hull`` and the ``engine="soa"``
 adapter, whose only visibility path is the flat sweep, must stay
 facet-, conflict- and intrinsic-counter-identical to the scalar oracle
-under a randomly inflated float-filter envelope, sampled
-``orient_batch`` blocks must agree elementwise with scalar
-``orient``, and a direct ``visible_flat`` sample -- random block sizes,
-zeros included, against scalar planes, some of them always-exact
-(forced), half the time SoS planes built under ``sos_mode()``, with
+under a randomly inflated float-filter envelope, an ``SoAHullEngine``
+snapshotted at a random round, run on, restored and replayed must
+finish with the uninterrupted run's columns and kernel counts, and a
+direct ``visible_flat`` sample -- random block sizes, zeros included,
+against scalar planes, some of them always-exact (forced), half the
+time SoS planes built under ``sos_mode()``, with
 entries planted exactly on each plane's affine hull (copies of its
 vertices at other ranks, and exact midpoints of two vertices, so the
 batched exact stage runs every iteration), on and next to each
@@ -343,16 +344,11 @@ def one_kernel_case(rng: np.random.Generator, verbose: bool) -> str | None:
     """Fuzz one (input, dimension, filter-threshold) triple through the
     flat sweep; returns an error description or None."""
     from repro.geometry.hyperplane import exact_mode
-    from repro.geometry.kernels import (
-        KernelStats,
-        filter_scale,
-        orient_batch,
-        visible_flat,
-    )
+    from repro.geometry.kernels import KernelStats, filter_scale, visible_flat
     from repro.geometry.perturb import sos_mode
-    from repro.geometry.predicates import orient
     from repro.hull import soa_hull
     from repro.hull.common import Counters, FacetFactory
+    from repro.hull.soa import SoAHullEngine
 
     name, gen, dims = GENERATORS[int(rng.integers(0, len(GENERATORS)))]
     d = int(rng.choice(dims))
@@ -393,19 +389,38 @@ def one_kernel_case(rng: np.random.Generator, verbose: bool) -> str | None:
             ):
                 return f"{label}: soa_hull conflict sets differ from scalar"
 
-            # Predicate-level sample: a random block must agree sign-for-
-            # sign with the scalar oracle under the inflated envelope.
-            k = min(n - d, 6)
-            rows = np.stack([rng.choice(n, size=d, replace=False) for _ in range(k)])
-            simplices = pts[rows]
-            queries = pts[rng.choice(n, size=min(n, 12), replace=False)]
-            got = orient_batch(simplices, queries)
-            for f in range(simplices.shape[0]):
-                for q in range(queries.shape[0]):
-                    want = orient(simplices[f], queries[q])
-                    if got[f, q] != want:
-                        return (f"{label}: orient_batch[{f},{q}] = {got[f, q]} "
-                                f"!= orient {want}")
+            # Replay: snapshot at a random round, run on, restore and
+            # run to the end; every column and the kernel counts must be
+            # the uninterrupted run's, bit for bit.
+            base = runs["soa_hull"]
+            rounds = base.exec_stats.rounds
+            at = int(rng.integers(0, rounds + 1))
+            eng = SoAHullEngine(pts, order=order.copy())
+            for _ in range(at):
+                eng.step_round()
+            snap = eng.snapshot()
+            for _ in range(int(rng.integers(1, rounds - at + 2))):
+                eng.step_round()
+            eng.restore(snap)
+            while eng.step_round():
+                pass
+            replay = eng.finish()
+            for col in ("created_indices", "created_normals", "created_offsets",
+                        "created_err_scale", "created_err_base",
+                        "created_vis_sign", "created_alive", "support",
+                        "pivot_points", "rounds_created", "conflict_lens",
+                        "conflict_pool"):
+                if getattr(replay, col).tobytes() != getattr(base, col).tobytes():
+                    return (f"{label}: soa run replayed from round {at} "
+                            f"differs in {col}")
+            for what, got, want in (
+                ("kernel_stats", replay.exec_stats.kernel_stats,
+                 base.exec_stats.kernel_stats),
+                ("counters", replay.counters.as_dict(), base.counters.as_dict()),
+            ):
+                if got != want:
+                    return (f"{label}: soa run replayed from round {at} "
+                            f"{what} {got} != {want}")
 
         # Flat-sweep sample: random blocks (a quarter of them empty) of
         # random ranks, own vertices included, against scalar planes, a
@@ -910,8 +925,8 @@ def main() -> int:
     ap.add_argument("--degenerate", action="store_true",
                     help="fuzz the adversarial degenerate corpus instead")
     ap.add_argument("--kernels", action="store_true",
-                    help="fuzz the flat-sweep SoA engine and orient_batch "
-                         "against the scalar oracle instead")
+                    help="fuzz the flat-sweep SoA engine (and its "
+                         "snapshot replay) against the scalar oracle instead")
     ap.add_argument("--noisy", action="store_true",
                     help="fuzz the noisy-oracle ladder with random "
                          "(input, p, votes, seed) tuples instead")
